@@ -112,18 +112,24 @@ def cyclic_order(a: Angle, b: Angle, c: Angle) -> bool:
     return (Fraction(b) - Fraction(a)) % 1 < (Fraction(c) - Fraction(a)) % 1
 
 
-def orbit(theta: Angle, d: int) -> list[Angle]:
+def orbit(theta: Angle, d: int, limit: int | None = None) -> list[Angle]:
     """Forward orbit of theta under multiplication by d, up to first repeat.
 
     Finite for every rational angle; the returned list starts at theta and
-    contains each visited angle once.
+    contains each visited angle once.  With a limit, an orbit of more than
+    limit angles raises ValueError instead of being built.
     """
     _require_degree(d)
-    seen: dict[Angle, int] = {}
-    out: list[Angle] = []
-    cur = theta
-    while cur not in seen:
-        seen[cur] = len(out)
-        out.append(cur)
-        cur = multiply(cur, d)
-    return out
+    # follow numerators over the fixed denominator q: p/q -> (d*p mod q)/q,
+    # so no Angle is built for an orbit the limit rejects
+    p, q = theta.numerator, theta.denominator
+    seen: set[int] = set()
+    numerators: list[int] = []
+    while p not in seen:
+        if limit is not None and len(numerators) >= limit:
+            raise ValueError(f"the orbit of {theta} under multiplication by {d} "
+                             f"has more than {limit} angles")
+        seen.add(p)
+        numerators.append(p)
+        p = p * d % q
+    return [Angle(x, q) for x in numerators]

@@ -58,7 +58,7 @@ class RunConfig:
     depth: int | None = None
     substeps: int = 8
     landing_tol: float = 1e-9
-    grouping_tol: float = 1e-6
+    grouping_tol: float = RayConfig.grouping_tol
     itinerary_tol: float = 1e-12
     output: str | None = None
     fmt: str = "json"
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--substeps", type=int, default=8)
     p.add_argument("--landing-tol", type=float, default=1e-9)
-    p.add_argument("--grouping-tol", type=float, default=1e-6)
+    p.add_argument("--grouping-tol", type=float, default=RayConfig.grouping_tol)
     p.add_argument("--cloud", action="store_true")
     common(p, ("json", "csv", "svg"))
 

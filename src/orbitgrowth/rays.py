@@ -15,6 +15,7 @@ class; classes are recovered by tolerance grouping of the landed endpoints.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -24,6 +25,20 @@ from .circle import Angle, multiply, orbit, periodic_angles
 from .dynamics import UnicriticalMap, escape_radius
 
 TWO_PI = 2.0 * math.pi
+
+# Largest number of ray samples (rays traced times depth + 1) one call may
+# hold.  A sample costs about 113 bytes across the pullback arrays and the
+# per-ray lists of RayTrace (tracemalloc peak of classify_landing(z^2 - 2) at
+# nu = 12 and 14), so the limit keeps a call near 2 GB; it admits nu = 18 at
+# the default depth 48.
+MAX_RAY_SAMPLES = 18_000_000
+
+
+def _size_error(what: str, depth: int) -> ValueError:
+    return ValueError(
+        f"tracing {what} to depth {depth} needs more than {MAX_RAY_SAMPLES} ray "
+        f"samples (about 2 GB); lower nu or depth"
+    )
 
 
 @dataclass
@@ -37,7 +52,7 @@ class RayConfig:
     newton_tol: float = 1e-12
     max_newton: int = 64
     deriv_tol: float = 1e-6
-    grouping_tol: float = 1e-6
+    grouping_tol: float = 1e-9
     unresolved_frac: float = 0.1
     cluster_size: int = 5
 
@@ -98,22 +113,25 @@ def _trace_family(
     phase = np.exp(2j * math.pi * np.array([float(a) for a in angles]))
     branch_phases = np.exp(2j * math.pi * np.arange(d) / d)
 
-    # rings[i] holds sublevel i - s, at potential R^(d^((s-i)/s)); sublevels
-    # -s..0 sit on or above the escape circle, where the ray is (to first
-    # order) the straight angular ray itself.
-    rings: list[np.ndarray] = [
-        math.exp(logR * d ** ((s - i) / s)) * phase for i in range(s + 1)
-    ]
+    # The window holds the last s rings, oldest first.  Ring i (0 <= i <= s)
+    # is sublevel i - s, at potential R^(d^((s-i)/s)); sublevels -s..0 sit on
+    # or above the escape circle, where the ray is (to first order) the
+    # straight angular ray itself.  Sublevel j pulls back sublevel j - s, one
+    # level up the ray and the oldest ring in the window, starting from
+    # sublevel j - 1, the newest; ring 0 is never read.
+    window: deque[np.ndarray] = deque(
+        (math.exp(logR * d ** ((s - i) / s)) * phase for i in range(s + 1)), maxlen=s
+    )
 
     samples = np.empty((depth + 1, n), dtype=complex)
-    samples[0] = rings[-1]
+    samples[0] = window[-1]
     step_res = np.zeros((depth + 1, n))
     critical_hit = np.zeros(n, dtype=bool)
     level_res = np.zeros(n)
 
     for j in range(1, depth * s + 1):
-        w = rings[j][perm]              # sublevel j - s, one level up the ray
-        seeds = rings[-1]               # sublevel j - 1
+        w = window[0][perm]             # sublevel j - s, one level up the ray
+        seeds = window[-1]              # sublevel j - 1
         u = w - c
         r = np.abs(u) ** (1.0 / d)
         ang = np.angle(u)
@@ -134,35 +152,51 @@ def _trace_family(
 
         critical_hit |= d * np.abs(z) ** (d - 1) < config.deriv_tol
         level_res = np.maximum(level_res, np.abs(fz))
-        rings.append(z)
+        window.append(z)
         if j % s == 0:
             level = j // s
             samples[level] = z
             step_res[level] = level_res
             level_res = np.zeros(n)
 
-    traces: dict[Angle, RayTrace] = {}
     tail = min(config.cluster_size, depth + 1)
-    cluster = samples[depth + 1 - tail:]
-    for i, a in enumerate(angles):
-        col = cluster[:, i]
-        finite = bool(np.all(np.isfinite(samples[:, i])))
-        diam = float(np.max(np.abs(col[:, None] - col[None, :]))) if finite else math.inf
-        ok = (
-            finite
-            and diam <= config.landing_tol
-            and float(step_res[:, i].max()) <= config.newton_tol
-        )
-        traces[a] = RayTrace(
+    finite = np.isfinite(samples).all(axis=0)
+    with np.errstate(invalid="ignore"):
+        diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
+    ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= config.newton_tol)
+    landings = samples[depth].tolist()
+    return {
+        a: RayTrace(
             angle=a,
-            points=[complex(v) for v in samples[:, i]],
-            landing=complex(samples[depth, i]) if ok else None,
-            converged=ok,
-            residual=diam,
-            step_residuals=[float(v) for v in step_res[:, i]],
-            hit_critical_pullback=bool(critical_hit[i]),
+            points=points,
+            landing=landing if converged else None,
+            converged=converged,
+            residual=residual,
+            step_residuals=residuals,
+            hit_critical_pullback=hit,
         )
-    return traces
+        for a, points, landing, converged, residual, residuals, hit in zip(
+            angles,
+            samples.T.tolist(),
+            landings,
+            ok.tolist(),
+            diam.tolist(),
+            step_res.T.tolist(),
+            critical_hit.tolist(),
+        )
+    }
+
+
+def _diameters(rows: np.ndarray) -> np.ndarray:
+    """Diameter of each row of points: the largest |p - q| over pairs in it.
+
+    Pairs are visited as cyclic shifts of the rows, so the work space is
+    that of the input rather than one matrix per row.
+    """
+    out = np.zeros(rows.shape[0])
+    for shift in range(1, rows.shape[1] // 2 + 1):
+        np.maximum(out, np.abs(rows - np.roll(rows, shift, axis=1)).max(axis=1), out=out)
+    return out
 
 
 def trace_ray(
@@ -180,7 +214,11 @@ def trace_ray(
     cfg = config or RayConfig()
     if depth is not None:
         cfg = replace(cfg, depth=depth)
-    return _trace_family(m, orbit(theta, m.d), cfg)[theta]
+    try:
+        family = orbit(theta, m.d, limit=MAX_RAY_SAMPLES // (cfg.depth + 1))
+    except ValueError:
+        raise _size_error(f"the orbit of {theta}", cfg.depth) from None
+    return _trace_family(m, family, cfg)[theta]
 
 
 @dataclass
@@ -229,42 +267,43 @@ def classify_landing(
     cfg = config or RayConfig()
     if depth is not None:
         cfg = replace(cfg, depth=depth)
+    # |d|^nu >= 2^nu, so past the limit's bit length d**nu need not be computed
+    if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) * (cfg.depth + 1) > MAX_RAY_SAMPLES:
+        raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg.depth)
     angles = periodic_angles(m.d, nu)
     traces = _trace_family(m, angles, cfg)
 
-    landed = [a for a in angles if traces[a].converged]
-    unresolved = [a for a in angles if not traces[a].converged]
+    converged = np.array([traces[a].converged for a in angles], dtype=bool)
+    landed_idx = np.flatnonzero(converged)
+    landed = [angles[i] for i in landed_idx.tolist()]
+    unresolved = [a for a, ok in zip(angles, converged.tolist()) if not ok]
     points = np.array([traces[a].landing for a in landed], dtype=complex)
-
-    parent = list(range(len(landed)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if len(landed) > 1:
-        close = np.abs(points[:, None] - points[None, :]) <= cfg.grouping_tol
-        for i, j in zip(*np.nonzero(np.triu(close, k=1))):
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    labels = _single_linkage(points, cfg.grouping_tol)
 
     groups: dict[int, list[int]] = {}
-    for i in range(len(landed)):
-        groups.setdefault(find(i), []).append(i)
-
-    classes = sorted(
-        (sorted(landed[i] for i in members) for members in groups.values()),
-        key=lambda cls: cls[0],
-    )
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    # labels are least member indices and `landed` is sorted, so each class
+    # comes out sorted and the classes come out in order of their least angle
+    classes = [[landed[i] for i in members] for members in groups.values()]
     representatives = [traces[cls[0]].landing for cls in classes]
     max_diam = 0.0
-    for members in groups.values():
-        if len(members) > 1:
-            pts = points[members]
-            max_diam = max(max_diam, float(np.max(np.abs(pts[:, None] - pts[None, :]))))
+    for size in {len(members) for members in groups.values()} - {1}:
+        rows = points[[members for members in groups.values() if len(members) == size]]
+        max_diam = max(max_diam, float(_diameters(rows).max()))
+
+    # A false merge breaks forward invariance: theta -> d*theta must send each
+    # class into a single class.  angles[k] = k/N, so it sends index k to
+    # d*k mod N; unresolved images are skipped.
+    class_of = np.full(len(angles), -1)
+    class_of[landed_idx] = labels
+    image_class = class_of[(m.d * landed_idx) % len(angles)]
+    mapped = image_class >= 0
+    image_of: dict[int, int] = {}
+    invariant = all(
+        image_of.setdefault(label, image) == image
+        for label, image in zip(labels[mapped].tolist(), image_class[mapped].tolist())
+    )
 
     return LandingClassification(
         map=m,
@@ -272,10 +311,45 @@ def classify_landing(
         classes=classes,
         representatives=representatives,
         unresolved=unresolved,
-        unreliable=len(unresolved) > cfg.unresolved_frac * len(angles),
+        unreliable=len(unresolved) > cfg.unresolved_frac * len(angles) or not invariant,
         max_class_diameter=max_diam,
         traces=traces,
     )
+
+
+def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage components of points at radius tol.
+
+    Points within tol of each other, and chains of such points, share a
+    component; each point is labelled with the least index in its component.
+    The points are swept in order of real part, each paired with its
+    successors at offsets 1, 2, ... until no pair at the current offset is
+    within tol in real part.  Since |Re(p - q)| <= |p - q| this finds every
+    close pair, in O(n) memory and O(n log n) time plus the pairs that are
+    close in real part.
+    """
+    n = len(points)
+    order = np.argsort(points.real, kind="stable")
+    xs = points.real[order]
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for offset in range(1, n):
+        near = np.flatnonzero(xs[offset:] - xs[:-offset] <= tol)
+        if near.size == 0:
+            break
+        i, j = order[near], order[near + offset]
+        close = np.abs(points[i] - points[j]) <= tol
+        for a, b in zip(i[close].tolist(), j[close].tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(x) for x in range(n)], dtype=np.intp)
 
 
 def classes_noncrossing(classes: list[list[Angle]]) -> bool:

@@ -179,6 +179,11 @@ class TestOrbit:
     def test_preperiodic_orbit(self):
         assert orbit(Angle(1, 2), 2) == [Angle(1, 2), Angle(0)]
 
+    def test_limit(self):
+        assert orbit(Angle(1, 7), 2, limit=3) == [Angle(1, 7), Angle(2, 7), Angle(4, 7)]
+        with pytest.raises(ValueError, match="more than 2 angles"):
+            orbit(Angle(1, 7), 2, limit=2)
+
     @given(rational_angles(max_den=200), st.integers(min_value=2, max_value=4))
     def test_closed_under_multiplication(self, a, d):
         family = set(orbit(a, d))

@@ -1,8 +1,11 @@
 import json
+import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from orbitgrowth import RayConfig
 from orbitgrowth.cli import RunConfig, build_parser, main, run
 
 
@@ -128,6 +131,24 @@ class TestClassesVerb:
         code = main(["classes", "--d", "2", "--c=-2+0j", "--nu", "2", "-o", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["classes"] == [["0/1"], ["1/3", "2/3"]]
+
+    def test_oversized_nu_exits_one_without_allocating(self, capsys):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["classes", "--d", "2", "--c=-2+0j", "--nu", "40"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        err = capsys.readouterr().err
+        assert "period-40 angles" in err and "lower nu or depth" in err
+
+    def test_default_grouping_tol_is_the_library_default(self):
+        args = build_parser().parse_args(["classes"])
+        assert args.grouping_tol == RunConfig(verb="classes").grouping_tol == RayConfig().grouping_tol
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "3"]

@@ -1,6 +1,10 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitgrowth import (
     Angle,
@@ -13,6 +17,7 @@ from orbitgrowth import (
     periodic_angles,
     trace_ray,
 )
+from orbitgrowth.rays import _single_linkage
 
 CHEB = UnicriticalMap(2, -2 + 0j)
 
@@ -86,6 +91,18 @@ class TestTraceRay:
         assert len(d["points"]) == 49
         assert len(d["landing"]) == 2
 
+    def test_long_orbit_rejected_before_it_is_built(self):
+        # 2 has order 41,666,664 modulo this prime, so the orbit alone would
+        # exceed the sample limit
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="orbit of 1/999999937"):
+            trace_ray(CHEB, Angle(1, 999999937))
+        assert time.perf_counter() - start < 5.0
+
+    def test_excessive_depth_rejected(self):
+        with pytest.raises(ValueError, match="lower nu or depth"):
+            trace_ray(CHEB, Angle(1, 3), depth=10**9)
+
     def test_insufficient_depth_reported_not_converged(self):
         t = trace_ray(CHEB, Angle(1, 3), depth=12)
         assert not t.converged
@@ -158,10 +175,95 @@ class TestClassifyLanding:
         cls = classify_landing(CHEB, 3)
         assert cls.max_class_diameter < 1e-9
 
+    @pytest.mark.parametrize("nu", [13, 14])
+    def test_distinct_landings_closer_than_old_radius_stay_apart(self, nu):
+        # nearest distinct landing points are 5.9e-7 apart at nu=13 and
+        # 1.5e-7 at nu=14; a 1e-6 radius merged two classes at nu=13
+        cls = classify_landing(CHEB, nu)
+        assert cls.class_count == 2 ** (nu - 1)
+        assert not cls.unresolved and not cls.unreliable
+
+    @pytest.mark.parametrize("nu,tol,count", [(8, 1e-3, 127), (13, 1e-6, 4095)])
+    def test_false_merge_flagged_unreliable(self, nu, tol, count):
+        # the merged class {0, 1/N, (N-1)/N} maps onto angles whose landing
+        # points lie farther apart than tol, so its image is two classes
+        cls = classify_landing(CHEB, nu, config=RayConfig(grouping_tol=tol))
+        assert cls.class_count == count
+        assert [Angle(0), Angle(1, 2**nu - 1), Angle(2**nu - 2, 2**nu - 1)] in cls.classes
+        assert not cls.unresolved
+        assert cls.unreliable
+
+    def test_memory_linear_in_rays(self):
+        # an all-pairs distance matrix alone would take 268 MB at nu=12
+        tracemalloc.start()
+        try:
+            classify_landing(CHEB, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    @pytest.mark.parametrize("nu", [40, 10**9])
+    def test_oversized_input_rejected_at_once(self, nu):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="lower nu or depth"):
+            classify_landing(CHEB, nu)
+        assert time.perf_counter() - start < 1.0
+
+    def test_size_limit_counts_depth(self):
+        with pytest.raises(ValueError, match="to depth 4000"):
+            classify_landing(CHEB, 13, depth=4000)
+
     def test_to_dict_shape(self):
         d = classify_landing(CHEB, 2).to_dict()
         assert d["classes"] == [["0/1"], ["1/3", "2/3"]]
         assert d["unreliable"] is False
+
+
+def _brute_force_linkage(points: np.ndarray, tol: float) -> np.ndarray:
+    close = np.abs(points[:, None] - points[None, :]) <= tol
+    labels = np.arange(len(points))
+    for start in range(len(points)):
+        if labels[start] != start:
+            continue
+        stack = [start]
+        while stack:
+            for j in np.flatnonzero(close[stack.pop()]):
+                if labels[j] > start:
+                    labels[j] = start
+                    stack.append(j)
+    return labels
+
+
+@st.composite
+def clustered_points(draw):
+    """Point sets with exact duplicates, chains spaced just inside or just
+    outside the radius, and points sharing a real part."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.25]))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    pts = [complex(x, y) for x, y in draw(st.lists(st.tuples(coord, coord), max_size=12))]
+    for _ in range(draw(st.integers(0, 3))):
+        start = complex(draw(coord), draw(coord))
+        step = tol * draw(st.sampled_from([1 - 1e-6, 1.0, 1 + 1e-6, 0.5, 2.0]))
+        direction = draw(st.sampled_from([1, 1j, -1, (1 + 1j) / abs(1 + 1j)]))
+        pts += [start + k * step * direction for k in range(draw(st.integers(2, 6)))]
+    if pts:
+        x = pts[draw(st.integers(0, len(pts) - 1))].real
+        pts += [complex(x, y) for y in draw(st.lists(coord, max_size=4))]
+        pts += [pts[i] for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))]
+    order = draw(st.permutations(range(len(pts))))
+    return np.array([pts[i] for i in order], dtype=complex), tol
+
+
+class TestSingleLinkage:
+    @given(clustered_points())
+    def test_sweep_matches_all_pairs(self, case):
+        points, tol = case
+        assert _single_linkage(points, tol).tolist() == _brute_force_linkage(points, tol).tolist()
+
+    def test_chain_links_through_neighbours(self):
+        points = np.array([0, 0.9, 1.8, 3.0, 3.0 + 0.5j], dtype=complex)
+        assert _single_linkage(points, 1.0).tolist() == [0, 0, 0, 3, 3]
 
 
 class TestClassesNoncrossing:
