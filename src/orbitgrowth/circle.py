@@ -7,6 +7,7 @@ arbitrarily large denominators.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
@@ -110,6 +111,26 @@ def cyclic_order(a: Angle, b: Angle, c: Angle) -> bool:
     if a == b or b == c or a == c:
         raise ValueError("cyclic_order requires pairwise distinct angles")
     return (Fraction(b) - Fraction(a)) % 1 < (Fraction(c) - Fraction(a)) % 1
+
+
+def in_one_gap(anchor: Sequence[int], other: Sequence[int], modulus: int) -> bool:
+    """True iff every tick of other lies in one closed gap of anchor.
+
+    Ticks are integers k standing for the angles k/modulus; anchor is sorted
+    and has at least two distinct ticks, and its gaps are the closed arcs
+    between cyclically consecutive anchor ticks.
+
+    >>> in_one_gap((0, 2), (2, 3), 4)
+    True
+    >>> in_one_gap((0, 2), (1, 3), 4)
+    False
+    """
+    n = len(anchor)
+    for i, start in enumerate(anchor):
+        width = (anchor[(i + 1) % n] - start) % modulus
+        if all((t - start) % modulus <= width for t in other):
+            return True
+    return False
 
 
 def orbit(theta: Angle, d: int, limit: int | None = None) -> list[Angle]:

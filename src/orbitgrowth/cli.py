@@ -243,7 +243,7 @@ def _cmd_itinerary(cfg: RunConfig) -> int:
         _emit(_json({"hypothesis": report.to_dict(), "result": res.to_dict()}),
               cfg.output)
         return 0 if res.converged else 2
-    k = cfg.k or 1
+    k = 1 if cfg.k is None else cfg.k
     try:
         counted = count_periodic(m, k, radius=cfg.radius, config=icfg)
     except NonConvergenceError as exc:

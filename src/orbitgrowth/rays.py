@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import Angle, multiply, orbit, periodic_angles
+from .circle import Angle, in_one_gap, multiply, orbit, periodic_angles
 from .dynamics import UnicriticalMap, escape_radius
 
 TWO_PI = 2.0 * math.pi
@@ -357,24 +357,19 @@ def classes_noncrossing(classes: list[list[Angle]]) -> bool:
 
     On the circle, class B avoids interleaving class A exactly when B fits
     strictly inside a single arc between consecutive points of A, so the
-    one-sided containment test decides the symmetric relation.
+    one-sided containment test decides the symmetric relation.  B fits
+    strictly inside a gap when it fits in the closed gap and shares no point
+    with A.
     """
     fracs = [[Fraction(x) for x in cls] for cls in classes]
-    for i, anchor in enumerate(fracs):
+    den = math.lcm(*(x.denominator for cls in fracs for x in cls))
+    ticks = [[x.numerator * (den // x.denominator) % den for x in cls] for cls in fracs]
+    for i, anchor in enumerate(ticks):
         if len(anchor) < 2:
             continue
-        anchor = sorted(anchor)
-        for j, other in enumerate(fracs):
-            if i != j and not _fits_one_gap(anchor, other):
+        anchor, points = sorted(anchor), set(anchor)
+        for j, other in enumerate(ticks):
+            if i != j and not (in_one_gap(anchor, other, den)
+                               and points.isdisjoint(other)):
                 return False
     return True
-
-
-def _fits_one_gap(anchor: list[Fraction], other: list[Fraction]) -> bool:
-    n = len(anchor)
-    for k in range(n):
-        start = anchor[k]
-        width = (anchor[(k + 1) % n] - start) % 1
-        if all(0 < (y - start) % 1 < width for y in other):
-            return True
-    return False

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from .circle import Angle
+from .circle import Angle, in_one_gap
 
 
 class DegenerateArcError(ValueError):
@@ -123,22 +123,11 @@ class StarSet:
 
 # -- integer-lattice primitives ----------------------------------------------
 
-def _common_lattice(a: Star, b: Star) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    L = lcm(a._den, b._den)
-    fa = L // a._den
-    fb = L // b._den
-    return L, tuple(t * fa for t in a._ticks), tuple(t * fb for t in b._ticks)
-
-
-def _contained_in_one_arc(t1: tuple[int, ...], t2: tuple[int, ...], L: int) -> bool:
-    # True iff all of t2 lies in one closed arc between consecutive points of t1.
-    n = len(t1)
-    for i in range(n):
-        a = t1[i]
-        w = (t1[(i + 1) % n] - a) % L
-        if all((y - a) % L <= w for y in t2):
-            return True
-    return False
+def _lattice(stars) -> tuple[int, list[tuple[int, ...]]]:
+    # The common denominator L of the stars' points, and each star's points
+    # as the sorted ticks k of k/L.
+    L = lcm(*(s._den for s in stars))
+    return L, [tuple(t * (L // s._den) for t in s._ticks) for s in stars]
 
 
 def disjoint(e1: Star, e2: Star) -> bool:
@@ -149,43 +138,33 @@ def disjoint(e1: Star, e2: Star) -> bool:
     """
     if e1.degree != e2.degree:
         raise ValueError(f"degree mismatch: {e1.degree} vs {e2.degree}")
-    L, t1, t2 = _common_lattice(e1, e2)
-    return _contained_in_one_arc(t1, t2, L)
+    L, (t1, t2) = _lattice((e1, e2))
+    return in_one_gap(t1, t2, L)
 
 
 def _pairwise_disjoint(stars) -> bool:
     return all(disjoint(a, b) for a, b in combinations(stars, 2))
 
 
-def _find_cycle(stars, through: int | None = None) -> bool:
-    # Cycle = closed chain of >= 2 distinct stars joined by pairwise distinct
-    # shared points.  If `through` is given, only cycles containing that star
-    # are searched (enough when it is the only new member of a known-acyclic
-    # family).
-    n = len(stars)
-    adj: dict[int, list[tuple[int, frozenset]]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = stars[i]._point_set & stars[j]._point_set
-            if shared:
-                adj[i].append((j, shared))
-                adj[j].append((i, shared))
+def _acyclic(tick_sets) -> bool:
+    # The star-point incidence graph is a forest iff joining each star's
+    # points by union-find never joins two points that are already connected.
+    # Ticks must share one lattice, so that equal ticks are equal points.
+    parent: dict[int, int] = {}
 
-    def dfs(start: int, cur: int, visited: frozenset, used: frozenset, length: int) -> bool:
-        for nxt, shared in adj[cur]:
-            for p in shared:
-                if p in used:
-                    continue
-                if nxt == start and length >= 2:
-                    return True
-                if nxt in visited or (through is None and nxt < start):
-                    continue
-                if dfs(start, nxt, visited | {nxt}, used | {p}, length + 1):
-                    return True
-        return False
+    def root(t: int) -> int:
+        while parent.get(t, t) != t:
+            t = parent[t]
+        return t
 
-    starts = range(n) if through is None else (through,)
-    return any(dfs(s, s, frozenset({s}), frozenset(), 1) for s in starts)
+    for ticks in tick_sets:
+        first = root(ticks[0])
+        for t in ticks[1:]:
+            r = root(t)
+            if r == first:
+                return False
+            parent[r] = first
+    return True
 
 
 def has_cycle(star_set: StarSet) -> bool:
@@ -195,10 +174,15 @@ def has_cycle(star_set: StarSet) -> bool:
     connection points; in particular two stars sharing two points form one,
     while a single shared point never does.  Requires the stars to be
     pairwise disjoint.
+
+    Equivalently, the bipartite graph joining each star to its points is not
+    a forest.  The test joins the points of each star in turn by union-find
+    over integer ticks on the family's common lattice, and reports a cycle
+    as soon as two points to be joined are already connected.
     """
     if not _pairwise_disjoint(star_set.stars):
         raise ValueError("has_cycle requires pairwise disjoint stars")
-    return _find_cycle(star_set.stars)
+    return not _acyclic(_lattice(star_set.stars)[1])
 
 
 def sum_multiplicities(star_set: StarSet) -> int:
@@ -214,7 +198,7 @@ def is_maximal(star_set: StarSet) -> bool:
     """
     if not _pairwise_disjoint(star_set.stars):
         return False
-    if _find_cycle(star_set.stars):
+    if not _acyclic(_lattice(star_set.stars)[1]):
         return False
     return sum_multiplicities(star_set) == star_set.degree - 1
 
@@ -245,7 +229,7 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
         raise ValueError("grid_refinement must be >= 1")
     if not _pairwise_disjoint(star_set.stars):
         raise ValueError("brute-force oracle requires pairwise disjoint stars")
-    if _find_cycle(star_set.stars):
+    if not _acyclic(_lattice(star_set.stars)[1]):
         raise ValueError("brute-force oracle requires an acyclic star family")
 
     existing = {s._point_set for s in star_set.stars}
@@ -255,7 +239,7 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
             continue
         if not all(disjoint(candidate, s) for s in family):
             continue
-        if _find_cycle(family + [candidate], through=len(family)):
+        if not _acyclic(_lattice(family + [candidate])[1]):
             continue
         return False  # found an extension: not maximal
     return True
@@ -349,40 +333,6 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
         raise ValueError(f"degree must be >= 2, got {degree}")
     d = degree
 
-    def int_disjoint(t1: tuple[int, ...], t2: tuple[int, ...]) -> bool:
-        n = len(t1)
-        for i in range(n):
-            a = t1[i]
-            w = (t1[(i + 1) % n] - a) % d
-            if all((y - a) % d <= w for y in t2):
-                return True
-        return False
-
-    def int_cycle(fam: list[tuple[int, ...]], through: int) -> bool:
-        n = len(fam)
-        adj: dict[int, list[tuple[int, frozenset]]] = {i: [] for i in range(n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                shared = frozenset(fam[i]) & frozenset(fam[j])
-                if shared:
-                    adj[i].append((j, shared))
-                    adj[j].append((i, shared))
-
-        def dfs(cur: int, visited: frozenset, used: frozenset, length: int) -> bool:
-            for nxt, shared in adj[cur]:
-                for p in shared:
-                    if p in used:
-                        continue
-                    if nxt == through and length >= 2:
-                        return True
-                    if nxt in visited:
-                        continue
-                    if dfs(nxt, visited | {nxt}, used | {p}, length + 1):
-                        return True
-            return False
-
-        return dfs(through, frozenset({through}), frozenset(), 1)
-
     all_stars = [
         comb for size in range(2, d + 1) for comb in combinations(range(d), size)
     ]
@@ -394,10 +344,10 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
         families.append(tuple(fam_idx))
         for i in range(start, len(all_stars)):
             cand = all_stars[i]
-            if all(int_disjoint(cand, e) and int_disjoint(e, cand) for e in fam):
+            if all(in_one_gap(cand, e, d) for e in fam):
                 fam.append(cand)
                 fam_idx.append(i)
-                if not int_cycle(fam, len(fam) - 1):
+                if _acyclic(fam):
                     extend(i + 1, fam_idx, fam)
                 fam_idx.pop()
                 fam.pop()

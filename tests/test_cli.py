@@ -181,6 +181,14 @@ class TestItineraryVerb:
             expect=1,
         )
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_count_exits_one(self, capsys, count):
+        capture(
+            capsys,
+            ["itinerary", "--d", "2", "--c=-6+0j", "--radius", "4", "--count", count],
+            expect=1,
+        )
+
 
 class TestRateVerb:
     def test_json(self, capsys):

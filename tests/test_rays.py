@@ -278,6 +278,16 @@ class TestClassesNoncrossing:
     def test_singletons_never_cross(self):
         assert classes_noncrossing([[Angle(0)], [Angle(1, 3)], [Angle(2, 3)]])
 
+    def test_mixed_denominators_nested(self):
+        assert classes_noncrossing([[Angle(1, 7), Angle(6, 7)], [Angle(1, 3), Angle(2, 3)]])
+
+    def test_mixed_denominators_crossing(self):
+        assert not classes_noncrossing([[Angle(0), Angle(1, 2)], [Angle(1, 3), Angle(5, 6)]])
+
+    def test_shared_point_counts_as_crossing(self):
+        # gaps are open: classes sharing an angle are reported as crossing
+        assert not classes_noncrossing([[Angle(0), Angle(1, 2)], [Angle(1, 2), Angle(3, 4)]])
+
 
 class TestPeriodicAngleFamilies:
     def test_family_closed_for_tracing(self):

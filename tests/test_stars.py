@@ -103,17 +103,77 @@ class TestDisjoint:
         assert not disjoint(full, star(4, 0, "1/2"))
 
     def test_symmetry_exhaustive_on_grid(self):
-        for d in (3, 4, 5):
+        for d in (3, 4, 5, 6):
             stars = [
                 Star(d, [Angle(k, d) for k in comb])
-                for size in (2, 3)
+                for size in range(2, d + 1)
                 for comb in combinations(range(d), size)
             ]
             for a, b in combinations(stars, 2):
                 assert disjoint(a, b) == disjoint(b, a)
 
 
+def _find_cycle(stars, through: int | None = None) -> bool:
+    # Reference for has_cycle: an independent depth-first search for a
+    # cycle of stars.
+    # Cycle = closed chain of >= 2 distinct stars joined by pairwise distinct
+    # shared points.  If `through` is given, only cycles containing that star
+    # are searched (enough when it is the only new member of a known-acyclic
+    # family).
+    n = len(stars)
+    adj: dict[int, list[tuple[int, frozenset]]] = {i: [] for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = stars[i]._point_set & stars[j]._point_set
+            if shared:
+                adj[i].append((j, shared))
+                adj[j].append((i, shared))
+
+    def dfs(start: int, cur: int, visited: frozenset, used: frozenset, length: int) -> bool:
+        for nxt, shared in adj[cur]:
+            for p in shared:
+                if p in used:
+                    continue
+                if nxt == start and length >= 2:
+                    return True
+                if nxt in visited or (through is None and nxt < start):
+                    continue
+                if dfs(start, nxt, visited | {nxt}, used | {p}, length + 1):
+                    return True
+        return False
+
+    starts = range(n) if through is None else (through,)
+    return any(dfs(s, s, frozenset({s}), frozenset(), 1) for s in starts)
+
+
+def _disjoint_grid_families(d):
+    # Every pairwise disjoint family of at least two stars on the grid {k/d},
+    # cyclic or not.
+    stars = [
+        Star(d, [Angle(k, d) for k in comb])
+        for size in range(2, d + 1)
+        for comb in combinations(range(d), size)
+    ]
+    families = []
+
+    def extend(start, family):
+        if len(family) >= 2:
+            families.append(StarSet(d, family))
+        for i in range(start, len(stars)):
+            if all(disjoint(stars[i], s) for s in family):
+                extend(i + 1, family + [stars[i]])
+
+    extend(0, [])
+    return families
+
+
 class TestCycles:
+    def test_agrees_with_reference_search_on_grids(self):
+        families = [f for d in range(2, 6) for f in _disjoint_grid_families(d)]
+        assert len(families) == 5412
+        for family in families:
+            assert has_cycle(family) == _find_cycle(family.stars), family
+
     def test_four_chain_is_cycle(self):
         assert has_cycle(StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]]))
 
