@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -18,6 +21,22 @@ class UnicriticalMap:
 
     def __call__(self, z):
         return z**self.d + self.c
+
+
+def branch_roots(u: np.ndarray, d: int) -> np.ndarray:
+    """All d inverse-branch roots of each u, in sector order, on a new last axis.
+
+    Root i (0-based) is |u|^(1/d) exp(i (arg u + 2 pi i) / d) with arg u in
+    [0, 2 pi), so its argument lies in [2 pi i/d, 2 pi (i+1)/d): the positive
+    real axis of u is the branch cut, and u on it maps to the lower sector.
+
+    >>> np.round(branch_roots(np.array([9 + 0j]), 2), 12).tolist()
+    [[(3+0j), (-3+0j)]]
+    """
+    r = np.abs(u) ** (1.0 / d)
+    ang = np.angle(u)
+    ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
+    return (r * np.exp(1j * ang / d))[..., None] * np.exp(2j * math.pi * np.arange(d) / d)
 
 
 def escape_radius(m: UnicriticalMap) -> float:

@@ -7,27 +7,44 @@ the branches of a periodic symbol word and iterating contracts to the unique
 periodic point realizing that word, and running over all d^k words of length
 k produces all d^k fixed points of f^k.
 
-Everything runs in mpmath arbitrary precision: the residual |f^k(z) - z| of
-a double-precision point is amplified by |(f^k)'| (about 6^12 ~ 2e9 for the
-degree-2, c=-6 family at k=12), so float64 cannot certify small residuals at
-useful word lengths.  A float64 pass is still used to seed the iteration.
+One engine serves a single word and all d^k words alike, in two steps:
+
+* Seed: the words form a (words, k) integer array, and the composed inverse
+  branches run in float64 over all of them at once (dynamics.branch_roots)
+  until no word's cycle moves by 1e-13.
+* Polish: each seed takes Newton steps on F(z) = f^k(z) - z in mpmath at
+  `dps` digits until a step is below the displacement tolerance.  The
+  residual |f^k(z) - z| is then evaluated at full precision, and the orbit
+  must follow the word's sectors, or the word is not converged.
+
+Both steps stop after `max_cycles`; `ItineraryResult.cycles` counts Newton
+steps.  The polish runs in mpmath because the residual of a double-precision
+point is amplified by |(f^k)'| (about 6^12 ~ 2e9 for the degree-2, c=-6
+family at k=12), so float64 cannot certify small residuals at useful word
+lengths.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mpc, mpf, workdps
 
-from .dynamics import UnicriticalMap, verify_disk_hypothesis
+from .dynamics import UnicriticalMap, branch_roots, verify_disk_hypothesis
+
+# Largest d^k * (k + d) count_periodic accepts: its d^k words each hold k
+# symbols and orbit points, and take d branch roots per step.  A call holds
+# at most about 84 bytes per such entry at its peak (tracemalloc for d = 2,
+# k = 10..13; d = 3, k = 6..8; d = 40, k = 1..2; d = 2000, k = 1), so the
+# limit keeps a call under about 1 GB; it admits k = 18 for d = 2 and k = 12
+# for d = 3.
+MAX_ITINERARY_ENTRIES = 10_000_000
 
 
 class NonConvergenceError(RuntimeError):
-    """An itinerary iteration failed to settle within the cycle budget."""
+    """An itinerary word found no periodic point that follows it within the
+    cycle budget, or distinct words gave coinciding points."""
 
 
 @dataclass
@@ -49,9 +66,8 @@ class ItineraryConfig:
 
     @property
     def snap_tol(self) -> mpf:
-        # Arguments this close to the positive real axis are ties at the
-        # sector boundary and are resolved toward the lower sector by
-        # treating them as exactly real.
+        # A polished point whose imaginary part is this small against its
+        # modulus is taken as real, so real periodic points stay exactly real.
         return mpf(10) ** (-(self.dps - 10))
 
 
@@ -73,45 +89,14 @@ class ItineraryResult:
         }
 
 
-def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
-    """The i-th inverse-branch root of u: argument in [2*pi*(i-1)/d, 2*pi*i/d).
-
-    Near-real u is snapped onto the positive real axis first (tie at the
-    sector boundary, resolved toward the lower sector); without the snap,
-    rounding noise across the branch cut flips the sector for real orbits.
-    """
-    if not 1 <= i <= d:
-        raise ValueError(f"branch index {i} outside 1..{d}")
-    u = mpc(u)
-    if abs(u.imag) <= snap_tol * abs(u):
-        u = mpc(u.real, 0)
-    r = abs(u)
-    if r == 0:
-        return mpc(0)
-    a = mp.arg(u)
-    if a < 0:
-        a += 2 * mp.pi
-    return r ** (mpf(1) / d) * mp.expjpi((a / mp.pi + 2 * (i - 1)) / d)
+def _snap_f64(u: np.ndarray) -> np.ndarray:
+    """Put u within 1e-13 (relative) of the real axis exactly on it: a tie at
+    the sector boundary, resolved toward the lower sector; without the snap,
+    rounding noise across the branch cut flips the sector for real orbits."""
+    return np.where(np.abs(u.imag) <= 1e-13 * np.abs(u), u.real + 0j, u)
 
 
-def _branch_root_f64(u: complex, d: int, i: int) -> complex:
-    if abs(u.imag) <= 1e-13 * abs(u):
-        u = complex(u.real, 0.0)
-    r = abs(u)
-    if r == 0.0:
-        return 0.0j
-    a = cmath.phase(u)
-    if a < 0:
-        a += 2 * math.pi
-    return r ** (1.0 / d) * cmath.exp(1j * (a + 2 * math.pi * (i - 1)) / d)
-
-
-def _validate(m: UnicriticalMap, word, radius: float) -> tuple[int, ...]:
-    word = tuple(int(a) for a in word)
-    if not word:
-        raise ValueError("itinerary word must be non-empty")
-    if any(not 1 <= a <= m.d for a in word):
-        raise ValueError(f"word symbols must lie in 1..{m.d}: {word}")
+def _require_hypothesis(m: UnicriticalMap, radius: float) -> None:
     report = verify_disk_hypothesis(m, radius)
     if not report.ok:
         raise ValueError(
@@ -119,7 +104,70 @@ def _validate(m: UnicriticalMap, word, radius: float) -> tuple[int, ...]:
             f"radius {radius}: margins {report.critical_value_margin:.4g}, "
             f"{report.pullback_margin:.4g}"
         )
-    return word
+
+
+def _solve(
+    m: UnicriticalMap, branches: np.ndarray, cfg: ItineraryConfig
+) -> tuple[list[mpc], list[float], list[int], np.ndarray]:
+    """Periodic points of the words in `branches` (one per row, symbols 0..d-1).
+
+    Returns the points, their residuals |f^k(z) - z|, their Newton step
+    counts and whether each converged: a Newton step fell below the
+    displacement tolerance, the residual is within residual_tol, and the orbit
+    follows the word's sectors.
+    """
+    n, k = branches.shape
+    d, c64 = m.d, complex(m.c)
+    rows = np.arange(n)
+
+    seeds = np.zeros(n, dtype=complex)
+    for _ in range(cfg.max_cycles):
+        prev = seeds
+        for j in range(k - 1, -1, -1):
+            seeds = branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
+        if np.abs(seeds - prev).max() < 1e-13:
+            break
+
+    points: list[mpc] = []
+    residuals: list[float] = []
+    steps: list[int] = []
+    settled = np.zeros(n, dtype=bool)
+    orbits = np.empty((n, k + 1), dtype=complex)
+    with workdps(cfg.dps):
+        c = mpc(m.c)
+        disp_tol = cfg.displacement_tol
+        snap = cfg.snap_tol
+        for i, seed in enumerate(seeds.tolist()):
+            z = mpc(seed)
+            step = 0
+            for step in range(1, cfg.max_cycles + 1):
+                w, dw = z, 1
+                for _ in range(k):
+                    p = w ** (d - 1)
+                    w, dw = p * w + c, d * p * dw
+                delta = (w - z) / (dw - 1)
+                z -= delta
+                if abs(delta) < disp_tol:
+                    settled[i] = True
+                    break
+            if abs(z.imag) <= snap * abs(z):
+                z = mpc(z.real, 0)
+            orbit = [z]
+            for _ in range(k):
+                orbit.append(orbit[-1] ** d + c)
+            orbits[i] = [complex(w) for w in orbit]
+            points.append(z)
+            residuals.append(float(abs(orbit[-1] - z)))
+            steps.append(step)
+
+    # z_j lies in the sector of its word symbol exactly when it is the branch
+    # root of z_{j+1} - c that the word picks, under the seed's tie snap.
+    follows = np.ones(n, dtype=bool)
+    for j in range(k):
+        roots = branch_roots(_snap_f64(orbits[:, j + 1] - c64), d)
+        follows &= np.abs(roots - orbits[:, j, None]).argmin(axis=1) == branches[:, j]
+    converged = settled & follows & (np.array(residuals) <= cfg.residual_tol)
+    return points, residuals, steps, converged
 
 
 def itinerary_point(
@@ -131,47 +179,25 @@ def itinerary_point(
 ) -> ItineraryResult:
     """The periodic point whose orbit follows the cyclic branch word.
 
-    Iterates the composed inverse branches g_{a1} o ... o g_{ak} from the
-    disk center until a full cycle moves less than the displacement
-    tolerance; the point then satisfies f^k(z) = z with the word as the
-    sector itinerary of its orbit.
+    The composed inverse branches g_{a1} o ... o g_{ak} seed the point, and
+    Newton steps on f^k(z) - z polish it; the point then satisfies
+    f^k(z) = z with the word as the sector itinerary of its orbit.
     """
     cfg = config or ItineraryConfig()
-    word = _validate(m, word, radius)
-    k = len(word)
-    with workdps(cfg.dps):
-        c = mpc(m.c)
-        snap = cfg.snap_tol
-        disp_tol = cfg.displacement_tol
-
-        z64 = 0.0j
-        c64 = complex(m.c)
-        for _ in range(cfg.max_cycles):
-            prev = z64
-            for sym in reversed(word):
-                z64 = _branch_root_f64(z64 - c64, m.d, sym)
-            if abs(z64 - prev) < 1e-13:
-                break
-
-        z = mpc(z64)
-        cycles = 0
-        converged = False
-        for cycles in range(1, cfg.max_cycles + 1):
-            prev = z
-            for sym in reversed(word):
-                z = branch_root(z - c, m.d, sym, snap)
-            if abs(z - prev) < disp_tol:
-                converged = True
-                break
-
-        w = z
-        for _ in range(k):
-            w = w**m.d + c
-        residual = float(abs(w - z))
-        converged = converged and residual <= cfg.residual_tol
-        return ItineraryResult(
-            word=word, point=z, residual=residual, converged=converged, cycles=cycles
-        )
+    word = tuple(int(a) for a in word)
+    if not word:
+        raise ValueError("itinerary word must be non-empty")
+    if any(not 1 <= a <= m.d for a in word):
+        raise ValueError(f"word symbols must lie in 1..{m.d}: {word}")
+    _require_hypothesis(m, radius)
+    points, residuals, steps, converged = _solve(m, np.array([word]) - 1, cfg)
+    return ItineraryResult(
+        word=word,
+        point=points[0],
+        residual=residuals[0],
+        converged=bool(converged[0]),
+        cycles=steps[0],
+    )
 
 
 @dataclass
@@ -200,36 +226,68 @@ def count_periodic(
     """Count fixed points of f^k by sweeping all d^k itinerary words.
 
     Points closer than the deduplication tolerance are merged (a safety net:
-    under the disk hypothesis distinct words give distinct points), so the
-    returned count is d^k exactly whenever the engine resolves every word.
-    Raises NonConvergenceError if any word fails to converge.
+    under the disk hypothesis distinct words give distinct points).  Raises
+    NonConvergenceError if any word fails to converge to a point whose orbit
+    follows it, or if fewer than d^k distinct points remain, so a broken
+    word-point bijection is reported, never counted short.  Raises
+    ValueError above MAX_ITINERARY_ENTRIES.
     """
     if k < 1:
         raise ValueError(f"word length must be >= 1, got {k}")
+    # d^k >= 2^k, so past the limit's bit length d**k need not be computed
+    if k > MAX_ITINERARY_ENTRIES.bit_length() or m.d**k * (k + m.d) > MAX_ITINERARY_ENTRIES:
+        raise ValueError(
+            f"the {m.d}^{k} itineraries of length {k} need more than "
+            f"{MAX_ITINERARY_ENTRIES} array entries (about 1 GB); lower k"
+        )
     cfg = config or ItineraryConfig()
-    results = []
-    for word in itertools.product(range(1, m.d + 1), repeat=k):
-        res = itinerary_point(m, word, radius=radius, config=cfg)
-        if not res.converged:
-            raise NonConvergenceError(
-                f"itinerary {word} did not converge within {cfg.max_cycles} cycles "
-                f"(residual {res.residual:.3g})"
-            )
-        results.append(res)
+    _require_hypothesis(m, radius)
+    n = m.d**k
+    # row i spells i in base d, most significant symbol first: the order of
+    # itertools.product(range(d), repeat=k)
+    branches = np.arange(n)[:, None] // m.d ** np.arange(k - 1, -1, -1) % m.d
+    points, residuals, steps, converged = _solve(m, branches, cfg)
+    if not converged.all():
+        i = int(np.argmin(converged))
+        word = tuple((branches[i] + 1).tolist())
+        raise NonConvergenceError(
+            f"itinerary {word} found no periodic point that follows it within "
+            f"{cfg.max_cycles} cycles (residual {residuals[i]:.3g})"
+        )
 
-    pts = np.array([complex(r.point) for r in results])
-    taken = np.zeros(len(pts), dtype=bool)
-    representatives: list[mpc] = []
-    for i in np.lexsort((pts.imag, pts.real)):
-        if taken[i]:
-            continue
-        group = np.abs(pts - pts[i]) <= cfg.dedup_tol
-        taken |= group
-        representatives.append(results[int(i)].point)
-
+    representatives = _dedup(np.array([complex(z) for z in points]), cfg.dedup_tol)
+    if len(representatives) < n:
+        raise NonConvergenceError(
+            f"{n} itineraries of length {k} gave only {len(representatives)} points "
+            f"{cfg.dedup_tol:g} apart"
+        )
     return PeriodicPointCount(
         k=k,
         count=len(representatives),
-        points=representatives,
-        max_residual=max(r.residual for r in results),
+        points=[points[i] for i in representatives],
+        max_residual=max(residuals),
     )
+
+
+def _dedup(pts: np.ndarray, tol: float) -> list[int]:
+    """Indices of representative points, in order of (real, imaginary) part.
+
+    Taken in that order, each point not yet within tol of a representative
+    becomes one and takes every point within tol of it.  The points before it
+    are all taken by then, and the points within tol after it have real parts
+    at most tol above its own, so each representative is compared only with
+    the window of real parts up to 2 tol above it (twice tol against
+    rounding).
+    """
+    order = np.lexsort((pts.imag, pts.real))
+    xs = pts.real[order]
+    ends = np.searchsorted(xs, xs + 2 * tol, side="right")
+    taken = np.zeros(len(pts), dtype=bool)   # by sorted position
+    representatives = []
+    for pos, i in enumerate(order.tolist()):
+        if taken[pos]:
+            continue
+        window = slice(pos, ends[pos])
+        taken[window] |= np.abs(pts[order[window]] - pts[i]) <= tol
+        representatives.append(i)
+    return representatives

@@ -15,14 +15,14 @@ class; classes are recovered by tolerance grouping of the landed endpoints.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .circle import Angle, in_one_gap, multiply, orbit, periodic_angles
-from .dynamics import UnicriticalMap, escape_radius
+from .circle import Angle, multiply, orbit, periodic_angles
+from .dynamics import UnicriticalMap, branch_roots, escape_radius
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,7 +111,6 @@ def _trace_family(
     depth = config.depth
     logR = math.log(escape_radius(m))
     phase = np.exp(2j * math.pi * np.array([float(a) for a in angles]))
-    branch_phases = np.exp(2j * math.pi * np.arange(d) / d)
 
     # The window holds the last s rings, oldest first.  Ring i (0 <= i <= s)
     # is sublevel i - s, at potential R^(d^((s-i)/s)); sublevels -s..0 sit on
@@ -132,11 +131,7 @@ def _trace_family(
     for j in range(1, depth * s + 1):
         w = window[0][perm]             # sublevel j - s, one level up the ray
         seeds = window[-1]              # sublevel j - 1
-        u = w - c
-        r = np.abs(u) ** (1.0 / d)
-        ang = np.angle(u)
-        ang = np.where(ang < 0.0, ang + TWO_PI, ang)
-        cand = (r * np.exp(1j * ang / d))[:, None] * branch_phases[None, :]
+        cand = branch_roots(w - c, d)
         pick = np.argmin(np.abs(cand - seeds[:, None]), axis=1)
         z = cand[np.arange(n), pick]
 
@@ -355,21 +350,33 @@ def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
 def classes_noncrossing(classes: list[list[Angle]]) -> bool:
     """True iff no two classes interleave around the circle.
 
-    On the circle, class B avoids interleaving class A exactly when B fits
-    strictly inside a single arc between consecutive points of A, so the
-    one-sided containment test decides the symmetric relation.  B fits
-    strictly inside a gap when it fits in the closed gap and shares no point
-    with A.
+    Each class of two or more angles must hold every other class strictly
+    inside one of its gaps.  So an angle of a class with two or more distinct
+    angles belongs to no other class, and no two such classes interleave;
+    singletons never cross each other.  Interleaving is decided by one sweep
+    over the sorted angles with a stack of open classes: each angle of an
+    open class must belong to the class on top, and a class closes at its
+    last angle.
     """
     fracs = [[Fraction(x) for x in cls] for cls in classes]
     den = math.lcm(*(x.denominator for cls in fracs for x in cls))
-    ticks = [[x.numerator * (den // x.denominator) % den for x in cls] for cls in fracs]
-    for i, anchor in enumerate(ticks):
-        if len(anchor) < 2:
-            continue
-        anchor, points = sorted(anchor), set(anchor)
-        for j, other in enumerate(ticks):
-            if i != j and not (in_one_gap(anchor, other, den)
-                               and points.isdisjoint(other)):
-                return False
+    ticks = [{x.numerator * (den // x.denominator) % den for x in cls} for cls in fracs]
+    # a class listing one angle twice has that angle as its only gap, which
+    # holds no other nonempty class
+    if any(len(t) == 1 < len(cls) for t, cls in zip(ticks, classes)) and sum(map(bool, ticks)) > 1:
+        return False
+    big = [t for t in ticks if len(t) >= 2]
+    owners = Counter(x for t in ticks for x in t)
+    if any(owners[x] > 1 for t in big for x in t):
+        return False
+    left = [len(t) for t in big]
+    stack: list[int] = []
+    for _, i in sorted((x, i) for i, t in enumerate(big) for x in t):
+        if left[i] == len(big[i]):
+            stack.append(i)
+        elif stack[-1] != i:
+            return False
+        left[i] -= 1
+        if not left[i]:
+            stack.pop()
     return True

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -180,6 +182,36 @@ class TestItineraryVerb:
             ["itinerary", "--d", "2", "--c=-1+0j", "--radius", "4", "--word", "1"],
             expect=1,
         )
+
+    def test_count_golden_digest(self, capsys):
+        # The points and every other byte match the output of the former
+        # engine (a fixed-point loop on the mpmath inverse branches); only
+        # max_residual differs, since Newton's method settles below its
+        # 2.3389460834446372e-33.
+        out = capture(
+            capsys,
+            ["itinerary", "--d", "2", "--c=-6+0j", "--radius", "4", "--count", "4"],
+        ).encode()
+        residual = float(re.search(rb'"max_residual": ([^,\n]+)', out).group(1))
+        assert residual <= 2.3389460834446372e-33
+        masked = re.sub(rb'"max_residual": [^,\n]+', b'"max_residual": null', out)
+        assert hashlib.sha256(masked).hexdigest() == (
+            "fa70c2e08d169564a603cda98a3ab533fcd6bb12727a2a5db5e707beefa77d09"
+        )
+
+    def test_oversized_count_exits_one_without_allocating(self, capsys):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["itinerary", "--d", "2", "--c=-6+0j", "--radius", "4",
+                         "--count", "40"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        assert "lower k" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_nonpositive_count_exits_one(self, capsys, count):

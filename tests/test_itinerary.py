@@ -1,4 +1,7 @@
+import cmath
 import itertools
+import random
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +14,70 @@ from orbitgrowth import (
     count_periodic,
     itinerary_point,
 )
-from orbitgrowth.itinerary import branch_root
+from orbitgrowth.dynamics import branch_roots
+from orbitgrowth.itinerary import _dedup
+
+
+def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
+    """The i-th inverse-branch root of u: argument in [2*pi*(i-1)/d, 2*pi*i/d).
+
+    Near-real u is snapped onto the positive real axis first (tie at the
+    sector boundary, resolved toward the lower sector); without the snap,
+    rounding noise across the branch cut flips the sector for real orbits.
+    """
+    if not 1 <= i <= d:
+        raise ValueError(f"branch index {i} outside 1..{d}")
+    u = mpc(u)
+    if abs(u.imag) <= snap_tol * abs(u):
+        u = mpc(u.real, 0)
+    r = abs(u)
+    if r == 0:
+        return mpc(0)
+    a = mp.arg(u)
+    if a < 0:
+        a += 2 * mp.pi
+    return r ** (mpf(1) / d) * mp.expjpi((a / mp.pi + 2 * (i - 1)) / d)
+
+
+def reference_point(m, word, cfg=ItineraryConfig()):
+    """The former engine: iterate the composed mpmath inverse branches from 0
+    until a full cycle moves less than the displacement tolerance."""
+    k = len(word)
+    with workdps(cfg.dps):
+        c = mpc(m.c)
+        snap = cfg.snap_tol
+        disp_tol = cfg.displacement_tol
+        z = mpc(0)
+        cycles = 0
+        converged = False
+        for cycles in range(1, cfg.max_cycles + 1):
+            prev = z
+            for sym in reversed(word):
+                z = branch_root(z - c, m.d, sym, snap)
+            if abs(z - prev) < disp_tol:
+                converged = True
+                break
+
+        w = z
+        for _ in range(k):
+            w = w**m.d + c
+        residual = float(abs(w - z))
+        converged = converged and residual <= cfg.residual_tol
+        return z, converged
+
+
+def reference_dedup(pts, tol):
+    """The former all-pairs deduplication, as representative indices."""
+    taken = np.zeros(len(pts), dtype=bool)
+    representatives = []
+    for i in np.lexsort((pts.imag, pts.real)):
+        if taken[i]:
+            continue
+        group = np.abs(pts - pts[i]) <= tol
+        taken |= group
+        representatives.append(int(i))
+    return representatives
+
 
 M6 = UnicriticalMap(2, -6 + 0j)
 
@@ -56,6 +122,17 @@ class TestBranchRoot:
     def test_branch_index_validated(self):
         with pytest.raises(ValueError):
             branch_root(mpc(1), 2, 3, mpf("1e-30"))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_vectorized_roots_in_sector_order(self, d):
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=200) + 1j * rng.normal(size=200)
+        u[:3] = [4.0, -4.0, 0.0]
+        roots = branch_roots(u, d)
+        with workdps(40):
+            for row, x in zip(roots, u.tolist()):
+                ref = [complex(branch_root(mpc(x), d, i, mpf("1e-30"))) for i in range(1, d + 1)]
+                assert np.abs(row - ref).max() < 1e-12
 
 
 class TestItineraryPoint:
@@ -114,6 +191,85 @@ class TestItineraryPoint:
         d = itinerary_point(M6, (1, 2), radius=4.0).to_dict()
         assert d["word"] == [1, 2]
         assert d["converged"] is True
+
+
+M38 = UnicriticalMap(3, -8 + 0j)   # disk hypothesis holds at radius 3, but the
+                                   # sector cut arg(z - c) = 0 crosses the disk
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize("c", [-6 + 0j, cmath.rect(6, cmath.pi / 4), cmath.rect(6, -2.5)])
+    def test_count_matches_reference_points_and_order(self, c):
+        m = UnicriticalMap(2, c)
+        for k in range(1, 6):
+            ref = [reference_point(m, w) for w in itertools.product((1, 2), repeat=k)]
+            assert all(ok for _, ok in ref)
+            f64 = np.array([complex(z) for z, _ in ref])
+            expected = [ref[i][0] for i in np.lexsort((f64.imag, f64.real))]
+            got = count_periodic(m, k, radius=4.0).points
+            assert len(got) == len(expected) == 2**k
+            with workdps(40):
+                assert max(abs(a - b) for a, b in zip(got, expected)) < mpf("1e-30")
+
+    @pytest.mark.parametrize("c", [-6 + 0j, cmath.rect(6, -2.5)])
+    def test_word_matches_reference(self, c):
+        m = UnicriticalMap(2, c)
+        for word in itertools.product((1, 2), repeat=3):
+            res = itinerary_point(m, word, radius=4.0)
+            z, ok = reference_point(m, word)
+            assert res.converged and ok
+            with workdps(40):
+                assert abs(res.point - z) < mpf("1e-30")
+
+    def test_real_points_stay_exactly_real(self):
+        for z in count_periodic(M6, 5, radius=4.0).points:
+            assert z.imag == 0
+
+
+class TestSectorCheck:
+    # c = -8, d = 3: the fixed points of f are 2.166 and a complex pair, all
+    # in sectors 1 and 2, so no fixed point follows the word (3,).
+    def test_word_without_its_point_not_converged(self):
+        res = itinerary_point(M38, (3,), radius=3.0)
+        assert res.residual < 1e-30
+        assert not res.converged
+
+    def test_count_raises_instead_of_short_count(self):
+        with pytest.raises(NonConvergenceError, match="follows it"):
+            count_periodic(M38, 3, radius=3.0)
+
+    def test_coinciding_points_raise(self):
+        with pytest.raises(NonConvergenceError, match="gave only 1 points"):
+            count_periodic(M6, 3, radius=4.0, config=ItineraryConfig(dedup_tol=10.0))
+
+
+class TestDedup:
+    def test_sweep_matches_all_pairs(self):
+        rng = random.Random(7)
+        tol = 1e-3
+        for _ in range(300):
+            centers = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                       for _ in range(rng.randint(1, 12))]
+            pts = []
+            for z in centers:
+                for _ in range(rng.randint(1, 4)):
+                    step = rng.choice([0.0, 0.4 * tol, 0.9 * tol, 1.1 * tol, 3 * tol])
+                    pts.append(z + complex(step * rng.choice([-1, 1]), rng.choice([0.0, step])))
+                    z = pts[-1]
+            pts = np.array(pts)
+            assert _dedup(pts, tol) == reference_dedup(pts, tol)
+
+
+class TestSizeGuard:
+    def test_oversized_k_refused_before_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="lower k"):
+            count_periodic(M6, 40, radius=4.0)
+        with pytest.raises(ValueError, match="lower k"):
+            count_periodic(M6, 10**9, radius=4.0)
+        with pytest.raises(ValueError, match="lower k"):
+            count_periodic(M38, 14, radius=3.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCountPeriodic:

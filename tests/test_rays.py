@@ -1,3 +1,5 @@
+import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -17,9 +19,41 @@ from orbitgrowth import (
     periodic_angles,
     trace_ray,
 )
+from orbitgrowth.circle import in_one_gap
 from orbitgrowth.rays import _single_linkage
 
 CHEB = UnicriticalMap(2, -2 + 0j)
+
+
+def reference_noncrossing(classes):
+    """The former all-pairs test: every class of two or more angles must hold
+    each other class strictly inside one of its gaps."""
+    fracs = [[Fraction(x) for x in cls] for cls in classes]
+    den = math.lcm(*(x.denominator for cls in fracs for x in cls))
+    ticks = [[x.numerator * (den // x.denominator) % den for x in cls] for cls in fracs]
+    for i, anchor in enumerate(ticks):
+        if len(anchor) < 2:
+            continue
+        anchor, points = sorted(anchor), set(anchor)
+        for j, other in enumerate(ticks):
+            if i != j and not (in_one_gap(anchor, other, den)
+                               and points.isdisjoint(other)):
+                return False
+    return True
+
+
+LATTICES = {q: [Angle(p, q) for p in range(q)] for q in (2, 3, 4, 6, 8, 12, 16, 24)}
+
+
+def random_classes(rng):
+    """A few small classes on mixed lattices: repeated angles, repeated and
+    empty classes, singletons and shared angles all occur."""
+    pool = [a for q in rng.sample(sorted(LATTICES), rng.randint(1, 3)) for a in LATTICES[q]]
+    classes = [[rng.choice(pool) for _ in range(rng.choice((0, 1, 1, 2, 2, 2, 3, 3, 4)))]
+               for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.1:
+        classes.append(list(rng.choice(classes)))
+    return classes
 
 
 class TestChebyshevOracle:
@@ -287,6 +321,19 @@ class TestClassesNoncrossing:
     def test_shared_point_counts_as_crossing(self):
         # gaps are open: classes sharing an angle are reported as crossing
         assert not classes_noncrossing([[Angle(0), Angle(1, 2)], [Angle(1, 2), Angle(3, 4)]])
+
+    def test_sweep_matches_all_pairs_reference(self):
+        rng = random.Random(20)
+        answers = []
+        for _ in range(100_000):
+            classes = random_classes(rng)
+            answers.append(classes_noncrossing(classes))
+            assert answers[-1] == reference_noncrossing(classes), classes
+        assert 0.2 < sum(answers) / len(answers) < 0.8
+
+    def test_sweep_matches_reference_on_landing_classes(self):
+        classes = classify_landing(CHEB, 8).classes
+        assert classes_noncrossing(classes) is reference_noncrossing(classes) is True
 
 
 class TestPeriodicAngleFamilies:
