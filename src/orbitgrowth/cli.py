@@ -31,7 +31,7 @@ from .rays import (
     chebyshev_oracle,
     classes_noncrossing,
     classify_landing,
-    trace_ray,
+    trace_rays,
 )
 from .stars import (
     Star,
@@ -198,8 +198,8 @@ def _cmd_ncp(cfg: RunConfig) -> int:
 def _cmd_rays(cfg: RunConfig) -> int:
     m = UnicriticalMap(cfg.d, cfg.c)
     rc = _ray_config(cfg)
-    traces = [trace_ray(m, angle_from_string(a), config=rc)
-              for a in cfg.angles.split(",")]
+    traces = trace_rays(m, [angle_from_string(a) for a in cfg.angles.split(",")],
+                        config=rc)
     if cfg.fmt == "svg":
         cloud = julia_cloud(m) if cfg.cloud else None
         _emit(render_ray_figure(traces, cloud), cfg.output)

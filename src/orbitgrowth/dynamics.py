@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +35,16 @@ def branch_roots(u: np.ndarray, d: int) -> np.ndarray:
     [[(3+0j), (-3+0j)]]
     """
     r = np.abs(u) ** (1.0 / d)
-    ang = np.angle(u)
+    ang = np.arctan2(u.imag, u.real)
     ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
-    return (r * np.exp(1j * ang / d))[..., None] * np.exp(2j * math.pi * np.arange(d) / d)
+    return (r * np.exp(1j * ang / d))[..., None] * _roots_of_unity(d)
+
+
+@lru_cache(maxsize=16)
+def _roots_of_unity(d: int) -> np.ndarray:
+    roots = np.exp(2j * math.pi * np.arange(d) / d)
+    roots.flags.writeable = False   # every caller shares the cached array
+    return roots
 
 
 def escape_radius(m: UnicriticalMap) -> float:

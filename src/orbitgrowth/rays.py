@@ -125,35 +125,38 @@ def _trace_family(
     samples = np.empty((depth + 1, n), dtype=complex)
     samples[0] = window[-1]
     step_res = np.zeros((depth + 1, n))
-    critical_hit = np.zeros(n, dtype=bool)
-    level_res = np.zeros(n)
+    min_abs = np.full(n, math.inf)
+    rows = np.arange(n)
 
     for j in range(1, depth * s + 1):
         w = window[0][perm]             # sublevel j - s, one level up the ray
         seeds = window[-1]              # sublevel j - 1
         cand = branch_roots(w - c, d)
         pick = np.argmin(np.abs(cand - seeds[:, None]), axis=1)
-        z = cand[np.arange(n), pick]
+        z = cand[rows, pick]
 
         fz = z**d + c - w
+        abs_fz = np.abs(fz)
         for _ in range(config.max_newton):
-            bad = np.abs(fz) > config.newton_tol
+            bad = abs_fz > config.newton_tol
             if not bad.any():
                 break
             dfz = d * z ** (d - 1)
             safe = np.where(dfz != 0, dfz, 1.0)
             z = z - np.where(bad & (dfz != 0), fz / safe, 0.0)
             fz = z**d + c - w
+            abs_fz = np.abs(fz)
 
-        critical_hit |= d * np.abs(z) ** (d - 1) < config.deriv_tol
-        level_res = np.maximum(level_res, np.abs(fz))
+        # fmin skips NaN, as the comparison with deriv_tol does
+        np.fmin(min_abs, np.abs(z), out=min_abs)
+        level_res = step_res[(j + s - 1) // s]    # the level of sublevel j
+        np.maximum(level_res, abs_fz, out=level_res)
         window.append(z)
         if j % s == 0:
-            level = j // s
-            samples[level] = z
-            step_res[level] = level_res
-            level_res = np.zeros(n)
+            samples[j // s] = z
 
+    # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
+    critical_hit = d * min_abs ** (d - 1) < config.deriv_tol
     tail = min(config.cluster_size, depth + 1)
     finite = np.isfinite(samples).all(axis=0)
     with np.errstate(invalid="ignore"):
@@ -194,26 +197,42 @@ def _diameters(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def trace_rays(
+    m: UnicriticalMap,
+    thetas: list[Angle | Fraction | str],
+    depth: int | None = None,
+    config: RayConfig | None = None,
+) -> list[RayTrace]:
+    """Trace the external rays at rational angles: one trace per angle, in
+    order.  The union of their forward orbits (which feed the pullback, so
+    preperiodic angles work too) is traced once, as one family.
+    """
+    thetas = [t if isinstance(t, Angle) else Angle(Fraction(t)) for t in thetas]
+    cfg = config or RayConfig()
+    if depth is not None:
+        cfg = replace(cfg, depth=depth)
+    family: set[Angle] = set()
+    for theta in thetas:
+        if theta in family:     # the family is forward closed
+            continue
+        try:
+            family.update(orbit(theta, m.d, limit=MAX_RAY_SAMPLES // (cfg.depth + 1)))
+        except ValueError:
+            raise _size_error(f"the orbit of {theta}", cfg.depth) from None
+        if len(family) * (cfg.depth + 1) > MAX_RAY_SAMPLES:
+            raise _size_error(f"the orbits of {', '.join(map(str, thetas))}", cfg.depth)
+    traces = _trace_family(m, sorted(family), cfg)
+    return [traces[theta] for theta in thetas]
+
+
 def trace_ray(
     m: UnicriticalMap,
     theta: Angle | Fraction | str,
     depth: int | None = None,
     config: RayConfig | None = None,
 ) -> RayTrace:
-    """Trace the external ray at a rational angle and report its landing.
-
-    The forward orbit of theta is traced along the way (it feeds the
-    pullback), so preperiodic angles work as well as periodic ones.
-    """
-    theta = theta if isinstance(theta, Angle) else Angle(Fraction(theta))
-    cfg = config or RayConfig()
-    if depth is not None:
-        cfg = replace(cfg, depth=depth)
-    try:
-        family = orbit(theta, m.d, limit=MAX_RAY_SAMPLES // (cfg.depth + 1))
-    except ValueError:
-        raise _size_error(f"the orbit of {theta}", cfg.depth) from None
-    return _trace_family(m, family, cfg)[theta]
+    """Trace the external ray at a rational angle: trace_rays with one angle."""
+    return trace_rays(m, [theta], depth, config)[0]
 
 
 @dataclass

@@ -108,6 +108,32 @@ class TestRaysVerb:
                 "--format", "svg", "--cloud"]
         assert capture(capsys, argv) == capture(capsys, argv)
 
+    def test_colanding_svg_golden_digest(self, capsys):
+        # the colanding figure of the benchmark, at a depth too shallow to
+        # converge (exit 2); pins the pullback, the cloud and the SVG bytes
+        out = capture(capsys, ["rays", "--d", "2", "--c=-0.110+0.6557j", "--angles",
+                               "1/7,2/7,4/7", "--depth", "400", "--format", "svg",
+                               "--cloud"], expect=2)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0dac8f00b447b9376b9adef27a5a8c7e49ca11742a61a0ca3ea54bfc662d8905"
+        )
+
+    def test_union_of_orbits_too_large_exits_one_without_allocating(self, capsys):
+        # each orbit has 7 angles, within the 17 this depth allows; together 21
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["rays", "--d", "2", "--c=-2+0j", "--angles",
+                         "1/127,3/127,5/127", "--depth", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        err = capsys.readouterr().err
+        assert "orbits of 1/127, 3/127, 5/127" in err and "lower nu or depth" in err
+
 
 class TestClassesVerb:
     def test_json_classes(self, capsys):
@@ -273,6 +299,12 @@ class TestReproVerb:
         assert report["target"] == "colanding"
         assert report["report"]["orbit_identified"] is True
         assert report["report"]["noncrossing"] is True
+
+    def test_colanding_golden_digest(self, capsys):
+        out = capture(capsys, ["repro", "--target", "colanding"])
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "becb20c7dab5bc07892f32e4e1e603470d4dedfffca14d08f8542c6a31e0cd5c"
+        )
 
     def test_unknown_figure(self, capsys):
         assert main(["repro", "--figure", "7"]) == 1

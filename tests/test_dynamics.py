@@ -1,9 +1,20 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from orbitgrowth import UnicriticalMap, escape_radius, verify_disk_hypothesis
+from orbitgrowth.dynamics import branch_roots
+
+
+def reference_branch_roots(u, d):
+    """The former formula: np.angle, and the roots of unity built afresh on
+    every call."""
+    r = np.abs(u) ** (1.0 / d)
+    ang = np.angle(u)
+    ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
+    return (r * np.exp(1j * ang / d))[..., None] * np.exp(2j * math.pi * np.arange(d) / d)
 
 
 class TestUnicriticalMap:
@@ -60,3 +71,20 @@ class TestDiskHypothesis:
 
     def test_report_is_truthy(self):
         assert bool(verify_disk_hypothesis(UnicriticalMap(2, -6 + 0j), 4.0)) is True
+
+
+class TestBranchRoots:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_bit_identical_to_reference(self, d):
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=300) * 10.0 ** rng.integers(-8, 4, size=300) \
+            + 1j * rng.normal(size=300)
+        # the branch cut (positive real axis) with both signs of zero, the
+        # negative real axis, and zero itself
+        edges = [complex(2.5, 0.0), complex(2.5, -0.0), complex(-2.5, 0.0),
+                 complex(-2.5, -0.0), complex(0.0, 0.0), complex(0.0, -0.0)]
+        u = np.concatenate([u, edges]).reshape(2, -1)
+        for _ in range(2):    # the second call reads the cached roots of unity
+            got, want = branch_roots(u, d), reference_branch_roots(u, d)
+            assert got.shape == want.shape == (2, u.shape[1], d)
+            assert got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -18,11 +19,28 @@ from orbitgrowth import (
     multiply,
     periodic_angles,
     trace_ray,
+    trace_rays,
 )
-from orbitgrowth.circle import in_one_gap
+from orbitgrowth import rays
+from orbitgrowth.circle import in_one_gap, orbit
 from orbitgrowth.rays import _single_linkage
 
 CHEB = UnicriticalMap(2, -2 + 0j)
+CUBIC = UnicriticalMap(3, 0.3 + 0.5j)
+
+
+def trace_fields(t):
+    return (str(t.angle), t.points, t.step_residuals, t.landing, t.residual,
+            t.converged, t.hit_critical_pullback)
+
+
+def traces_digest(traces):
+    """sha256 over every field of each trace; repr round-trips floats, so
+    equal digests mean bit-identical traces."""
+    h = hashlib.sha256()
+    for t in traces:
+        h.update(repr(trace_fields(t)).encode())
+    return h.hexdigest()
 
 
 def reference_noncrossing(classes):
@@ -144,6 +162,69 @@ class TestTraceRay:
         assert t.residual > 1e-9
 
 
+class TestTraceRays:
+    @pytest.mark.parametrize("m,thetas", [
+        (CHEB, ["2/7", "4/7", "1/7"]),          # one orbit, shuffled
+        (CHEB, ["1/3", "1/7"]),                 # separate orbits
+        (CHEB, ["1/6", "1/4"]),                 # preperiodic
+        (CHEB, ["0/1"]),
+        (CHEB, ["1/3", "2/3", "1/3"]),          # a repeated angle
+        (CHEB, ["1/4", "1/6", "5/7", "0/1", "1/6", "1/3"]),
+        (CUBIC, ["1/8", "1/2", "1/26", "1/6"]),
+    ])
+    def test_equals_one_trace_per_angle(self, m, thetas):
+        together = trace_rays(m, thetas)
+        alone = [trace_ray(m, t) for t in thetas]
+        assert [t.angle for t in together] == [Angle(Fraction(t)) for t in thetas]
+        assert [trace_fields(t) for t in together] == [trace_fields(t) for t in alone]
+
+    def test_golden_digest(self):
+        # recorded from trace_ray, one angle at a time
+        traces = trace_rays(CHEB, ["1/6", "1/4", "1/3", "1/6"])
+        assert traces_digest(traces) == (
+            "57f3b69fe164426e3af72802b2824ba6ecdd155a09f56f2b37a78a81b0748cb6"
+        )
+
+    def test_union_traced_once(self, monkeypatch):
+        families = []
+        trace_family = rays._trace_family
+
+        def spy(m, angles, config):
+            families.append(angles)
+            return trace_family(m, angles, config)
+
+        monkeypatch.setattr(rays, "_trace_family", spy)
+        trace_rays(CHEB, ["4/7", "1/6", "2/7", "1/7"])
+        assert families == [[Angle(p, q) for p, q in
+                             ((1, 7), (1, 6), (2, 7), (1, 3), (4, 7), (2, 3))]]
+
+    def test_union_of_orbits_counts_against_the_limit(self):
+        # each orbit has 7 angles, within the 17 this depth allows; together 21
+        assert [len(orbit(Angle(p, 127), 2)) for p in (1, 3, 5)] == [7, 7, 7]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="orbits of 1/127, 3/127, 5/127"):
+            trace_rays(CHEB, ["1/127", "3/127", "5/127"], depth=10**6)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("thetas,size", [
+        (["1/127", "3/127"], 14),
+        (["1/7", "2/7", "4/7", "1/7"], 3),      # overlapping orbits count once
+    ])
+    def test_union_at_the_limit_accepted(self, monkeypatch, thetas, size):
+        traced = []
+
+        def stub(m, angles, config):
+            traced.append(angles)
+            return {a: a for a in angles}
+
+        monkeypatch.setattr(rays, "_trace_family", stub)
+        depth = rays.MAX_RAY_SAMPLES // size - 1
+        trace_rays(CHEB, thetas, depth=depth)
+        assert [len(angles) for angles in traced] == [size]
+        with pytest.raises(ValueError, match="lower nu or depth"):
+            trace_rays(CHEB, thetas, depth=depth + 1)
+
+
 class TestClassifyLanding:
     def test_nu2_classes(self):
         cls = classify_landing(CHEB, 2)
@@ -252,6 +333,14 @@ class TestClassifyLanding:
         d = classify_landing(CHEB, 2).to_dict()
         assert d["classes"] == [["0/1"], ["1/3", "2/3"]]
         assert d["unreliable"] is False
+
+    @pytest.mark.parametrize("m,nu,digest", [
+        (CHEB, 8, "e0c56d37b3ce987c335c2f8c8ace6a38c81de3f3264053f838602e8ea9ff5799"),
+        (CUBIC, 4, "f9bee1bc6a2cf5d210c739d08f5fae4593ea7c9f65a7ba96fe6cc81c7ca4e26b"),
+    ])
+    def test_traces_golden_digest(self, m, nu, digest):
+        # pins the pullback's output bit for bit
+        assert traces_digest(classify_landing(m, nu).traces.values()) == digest
 
 
 def _brute_force_linkage(points: np.ndarray, tol: float) -> np.ndarray:
