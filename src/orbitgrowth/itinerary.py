@@ -7,25 +7,30 @@ the branches of a periodic symbol word and iterating contracts to the unique
 periodic point realizing that word, and running over all d^k words of length
 k produces all d^k fixed points of f^k.
 
-One engine serves a single word and all d^k words alike, in two steps:
+A word and its rotations name the points of one periodic orbit, on which f
+acts as the left shift, so one engine serves one word and all d^k alike:
 
-* Seed: the words form a (words, k) integer array, and the composed inverse
-  branches run in float64 over all of them at once (dynamics.branch_roots)
-  until no word's cycle moves by 1e-13.
-* Polish: each seed takes Newton steps on F(z) = f^k(z) - z in mpmath at
-  `dps` digits until a step is below the displacement tolerance.  The
-  residual |f^k(z) - z| is then evaluated at full precision, and the orbit
-  must follow the word's sectors, or the word is not converged.
+* Seed: each word's representative is its smallest rotation (by base-d
+  code); the composed inverse branches run in float64 over all of them at
+  once (dynamics.branch_roots) until no cycle moves by 1e-13.
+* Polish: each representative takes Newton steps on F(z) = f^k(z) - z in
+  mpmath until a step is below the displacement tolerance, at `dps` plus
+  k log10(d R^(d-1)) guard digits, as |f'| <= d R^(d-1) on the disk |z| <= R.
+* Images: the word that is the representative rotated left by t gets z_t of
+  its forward images z_0 .. z_(2k-1).  The residual |z_(t+k) - z_t| must be
+  within residual_tol and z_t .. z_(t+k) must follow the word's sectors, or
+  the word is not converged.
 
-Both steps stop after `max_cycles`; `ItineraryResult.cycles` counts Newton
-steps.  The polish runs in mpmath because the residual of a double-precision
-point is amplified by |(f^k)'| (about 6^12 ~ 2e9 for the degree-2, c=-6
-family at k=12), so float64 cannot certify small residuals at useful word
-lengths.
+Both loops stop after `max_cycles`; `ItineraryResult.cycles` counts the
+Newton steps of the word's representative.  The polish runs in mpmath
+because the residual of a double-precision point is amplified by |(f^k)'|
+(about 6^12 ~ 2e9 for the degree-2, c=-6 family at k=12), so float64 cannot
+certify small residuals at useful word lengths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +38,12 @@ from mpmath import mpc, mpf, workdps
 
 from .dynamics import UnicriticalMap, branch_roots, verify_disk_hypothesis
 
-# Largest d^k * (k + d) count_periodic accepts: its d^k words each hold k
-# symbols and orbit points, and take d branch roots per step.  A call holds
-# at most about 84 bytes per such entry at its peak (tracemalloc for d = 2,
-# k = 10..13; d = 3, k = 6..8; d = 40, k = 1..2; d = 2000, k = 1), so the
-# limit keeps a call under about 1 GB; it admits k = 18 for d = 2 and k = 12
-# for d = 3.
+# Largest d^k * (k + d) count_periodic accepts: its d^k words each hold a
+# point, and their ~d^k/k representatives 2k orbit points with d roots each.
+# A call holds at most about 85 bytes per such entry at its peak (tracemalloc:
+# 37-57 for d = 2, k = 10..13; 69-85 for d = 3, k = 6..8; 61-70 for d = 40,
+# k = 1..2; 40 for d = 2000, k = 1), so the limit keeps a call under about
+# 1 GB; it admits k = 18 for d = 2 and k = 12 for d = 3.
 MAX_ITINERARY_ENTRIES = 10_000_000
 
 
@@ -107,19 +112,32 @@ def _require_hypothesis(m: UnicriticalMap, radius: float) -> None:
 
 
 def _solve(
-    m: UnicriticalMap, branches: np.ndarray, cfg: ItineraryConfig
-) -> tuple[list[mpc], list[float], list[int], np.ndarray]:
-    """Periodic points of the words in `branches` (one per row, symbols 0..d-1).
+    m: UnicriticalMap, codes: np.ndarray, k: int, radius: float, cfg: ItineraryConfig
+) -> tuple[list[mpc], np.ndarray, np.ndarray, list[int]]:
+    """Periodic points of the length-k words whose base-d codes (symbols
+    0..d-1, most significant first) are `codes`.
 
-    Returns the points, their residuals |f^k(z) - z|, their Newton step
-    counts and whether each converged: a Newton step fell below the
-    displacement tolerance, the residual is within residual_tol, and the orbit
-    follows the word's sectors.
+    Returns each word's point, its residual |f^k(z) - z| and whether it
+    converged: its representative's Newton step fell below the displacement
+    tolerance, the residual is within residual_tol, and the orbit follows the
+    word's sectors.  Last come the Newton steps of each representative.
     """
-    n, k = branches.shape
     d, c64 = m.d, complex(m.c)
-    rows = np.arange(n)
+    top = d ** (k - 1)
+    # a word is its representative (smallest rotation) rotated left by offset
+    rep, offset, rotated = codes, np.zeros(len(codes), dtype=int), codes
+    for s in range(1, k):
+        rotated = rotated % top * d + rotated // top
+        offset = np.where(rotated < rep, k - s, offset)
+        rep = np.minimum(rep, rotated)
+    reps, word_rep = np.unique(rep, return_inverse=True)
+    n = len(reps)
+    branches = np.empty((n, k), dtype=np.intp)
+    for j in range(k):
+        branches[:, j] = reps // top
+        reps = reps % top * d + reps // top
 
+    rows = np.arange(n)
     seeds = np.zeros(n, dtype=complex)
     for _ in range(cfg.max_cycles):
         prev = seeds
@@ -128,12 +146,14 @@ def _solve(
         if np.abs(seeds - prev).max() < 1e-13:
             break
 
-    points: list[mpc] = []
-    residuals: list[float] = []
+    points: list[list[mpc]] = []
+    residuals = np.empty((n, k))
     steps: list[int] = []
     settled = np.zeros(n, dtype=bool)
-    orbits = np.empty((n, k + 1), dtype=complex)
-    with workdps(cfg.dps):
+    orbits = np.empty((n, 2 * k), dtype=complex)
+    # |f'| <= d R^(d-1) on the disk, so k forward steps lose at most guard digits
+    guard = math.ceil(k * (math.log10(d) + (d - 1) * math.log10(radius)))
+    with workdps(cfg.dps + guard):
         c = mpc(m.c)
         disp_tol = cfg.displacement_tol
         snap = cfg.snap_tol
@@ -153,21 +173,26 @@ def _solve(
             if abs(z.imag) <= snap * abs(z):
                 z = mpc(z.real, 0)
             orbit = [z]
-            for _ in range(k):
+            for _ in range(2 * k - 1):
                 orbit.append(orbit[-1] ** d + c)
             orbits[i] = [complex(w) for w in orbit]
-            points.append(z)
-            residuals.append(float(abs(orbit[-1] - z)))
+            residuals[i] = [float(abs(orbit[t + k] - orbit[t])) for t in range(k)]
+            points.append(orbit[:k])
             steps.append(step)
 
-    # z_j lies in the sector of its word symbol exactly when it is the branch
-    # root of z_{j+1} - c that the word picks, under the seed's tie snap.
-    follows = np.ones(n, dtype=bool)
-    for j in range(k):
-        roots = branch_roots(_snap_f64(orbits[:, j + 1] - c64), d)
-        follows &= np.abs(roots - orbits[:, j, None]).argmin(axis=1) == branches[:, j]
-    converged = settled & follows & (np.array(residuals) <= cfg.residual_tol)
-    return points, residuals, steps, converged
+    # z_j lies in the sector of its symbol exactly when it is the branch root
+    # of z_(j+1) - c that the symbol picks, under the seed's tie snap;
+    # misses[:, j] counts the failures among z_0 .. z_(j-1), so a word at
+    # offset t follows its sectors when none of z_t .. z_(t+k-1) fails.
+    roots = branch_roots(_snap_f64(orbits[:, 1:] - c64), d)
+    picked = np.abs(roots - orbits[:, :-1, None]).argmin(axis=2)
+    misses = np.zeros((n, 2 * k), dtype=int)
+    np.cumsum(picked != branches[:, np.arange(2 * k - 1) % k], axis=1, out=misses[:, 1:])
+    follows = misses[word_rep, offset + k] == misses[word_rep, offset]
+    word_residuals = residuals[word_rep, offset]
+    converged = settled[word_rep] & follows & (word_residuals <= cfg.residual_tol)
+    word_points = [points[r][t] for r, t in zip(word_rep.tolist(), offset.tolist())]
+    return word_points, word_residuals, converged, steps
 
 
 def itinerary_point(
@@ -190,11 +215,13 @@ def itinerary_point(
     if any(not 1 <= a <= m.d for a in word):
         raise ValueError(f"word symbols must lie in 1..{m.d}: {word}")
     _require_hypothesis(m, radius)
-    points, residuals, steps, converged = _solve(m, np.array([word]) - 1, cfg)
+    code = sum((a - 1) * m.d**j for j, a in enumerate(reversed(word)))
+    points, residuals, converged, steps = _solve(   # object: exact past 64 bits
+        m, np.array([code], dtype=object), len(word), radius, cfg)
     return ItineraryResult(
         word=word,
         point=points[0],
-        residual=residuals[0],
+        residual=float(residuals[0]),
         converged=bool(converged[0]),
         cycles=steps[0],
     )
@@ -206,6 +233,8 @@ class PeriodicPointCount:
     count: int
     points: list[mpc]
     max_residual: float
+    polished: int = 0             # necklaces polished, one per rotation class
+    newton_steps: int = 0         # total over those polishes; both kept out of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -243,13 +272,12 @@ def count_periodic(
     cfg = config or ItineraryConfig()
     _require_hypothesis(m, radius)
     n = m.d**k
-    # row i spells i in base d, most significant symbol first: the order of
+    # word i spells i in base d, most significant symbol first: the order of
     # itertools.product(range(d), repeat=k)
-    branches = np.arange(n)[:, None] // m.d ** np.arange(k - 1, -1, -1) % m.d
-    points, residuals, steps, converged = _solve(m, branches, cfg)
+    points, residuals, converged, steps = _solve(m, np.arange(n), k, radius, cfg)
     if not converged.all():
         i = int(np.argmin(converged))
-        word = tuple((branches[i] + 1).tolist())
+        word = tuple(i // m.d ** (k - 1 - j) % m.d + 1 for j in range(k))
         raise NonConvergenceError(
             f"itinerary {word} found no periodic point that follows it within "
             f"{cfg.max_cycles} cycles (residual {residuals[i]:.3g})"
@@ -265,7 +293,9 @@ def count_periodic(
         k=k,
         count=len(representatives),
         points=[points[i] for i in representatives],
-        max_residual=max(residuals),
+        max_residual=float(residuals.max()),
+        polished=len(steps),
+        newton_steps=sum(steps),
     )
 
 

@@ -163,7 +163,7 @@ def test_criterion_6_itinerary_engine():
             ok = ok and np.min(np.abs(computed - r)) < 1e-8
     _report(6, ok,
             f"2^k points for k=1..12, max |f^k(z)-z| = {worst_residual:.2e}, "
-            "k<=4 matches global root-finding", time.time() - start, budget=30.0)
+            "k<=4 matches global root-finding", time.time() - start, budget=10.0)
 
 
 def test_criterion_7_growth_rate():

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 import time
 
@@ -15,7 +16,7 @@ from orbitgrowth import (
     itinerary_point,
 )
 from orbitgrowth.dynamics import branch_roots
-from orbitgrowth.itinerary import _dedup
+from orbitgrowth.itinerary import _dedup, _snap_f64, _solve
 
 
 def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
@@ -77,6 +78,72 @@ def reference_dedup(pts, tol):
         taken |= group
         representatives.append(int(i))
     return representatives
+
+
+def reference_solve(m, branches, cfg=ItineraryConfig()):
+    """The former per-word engine: the float64 seed sweep and a Newton polish
+    at `dps` digits for every row of `branches` (symbols 0..d-1), with the
+    sector check on each word's own orbit.  Returns the points, residuals,
+    Newton steps and convergence flags, one per word."""
+    n, k = branches.shape
+    d, c64 = m.d, complex(m.c)
+    rows = np.arange(n)
+
+    seeds = np.zeros(n, dtype=complex)
+    for _ in range(cfg.max_cycles):
+        prev = seeds
+        for j in range(k - 1, -1, -1):
+            seeds = branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
+        if np.abs(seeds - prev).max() < 1e-13:
+            break
+
+    points, residuals, steps = [], [], []
+    settled = np.zeros(n, dtype=bool)
+    orbits = np.empty((n, k + 1), dtype=complex)
+    with workdps(cfg.dps):
+        c = mpc(m.c)
+        disp_tol = cfg.displacement_tol
+        snap = cfg.snap_tol
+        for i, seed in enumerate(seeds.tolist()):
+            z = mpc(seed)
+            step = 0
+            for step in range(1, cfg.max_cycles + 1):
+                w, dw = z, 1
+                for _ in range(k):
+                    p = w ** (d - 1)
+                    w, dw = p * w + c, d * p * dw
+                delta = (w - z) / (dw - 1)
+                z -= delta
+                if abs(delta) < disp_tol:
+                    settled[i] = True
+                    break
+            if abs(z.imag) <= snap * abs(z):
+                z = mpc(z.real, 0)
+            orbit = [z]
+            for _ in range(k):
+                orbit.append(orbit[-1] ** d + c)
+            orbits[i] = [complex(w) for w in orbit]
+            points.append(z)
+            residuals.append(float(abs(orbit[-1] - z)))
+            steps.append(step)
+
+    follows = np.ones(n, dtype=bool)
+    for j in range(k):
+        roots = branch_roots(_snap_f64(orbits[:, j + 1] - c64), d)
+        follows &= np.abs(roots - orbits[:, j, None]).argmin(axis=1) == branches[:, j]
+    converged = settled & follows & (np.array(residuals) <= cfg.residual_tol)
+    return points, residuals, steps, converged
+
+
+def all_words(d, k):
+    """Every word of length k over 0..d-1, row i spelling i in base d."""
+    return np.arange(d**k)[:, None] // d ** np.arange(k - 1, -1, -1) % d
+
+
+def necklaces(d, k):
+    """(1/k) sum over j | k of phi(j) d^(k/j): the rotation classes of words."""
+    phi = [sum(math.gcd(i, j) == 1 for i in range(1, j + 1)) for j in range(k + 1)]
+    return sum(phi[j] * d ** (k // j) for j in range(1, k + 1) if k % j == 0) // k
 
 
 M6 = UnicriticalMap(2, -6 + 0j)
@@ -224,6 +291,82 @@ class TestReferenceEngine:
     def test_real_points_stay_exactly_real(self):
         for z in count_periodic(M6, 5, radius=4.0).points:
             assert z.imag == 0
+
+
+NECKLACE_MAPS = [
+    (UnicriticalMap(2, -6 + 0j), 4.0),
+    (UnicriticalMap(2, cmath.rect(6, cmath.pi / 4)), 4.0),
+    (UnicriticalMap(2, cmath.rect(6, -cmath.pi / 4)), 4.0),
+    (UnicriticalMap(3, 8j), 3.0),
+]
+
+
+class TestNecklaceEngine:
+    """One polish per rotation class must give every word the point the
+    former per-word polish gave it.  Points are compared by word, not in
+    output order: for c = 8j a point on the imaginary axis has a real part
+    of rounding noise (about 1e-100) whose sign can reorder the dedup."""
+
+    @pytest.mark.parametrize("m,radius", NECKLACE_MAPS)
+    def test_every_word_matches_reference(self, m, radius):
+        cfg = ItineraryConfig()
+        for k in range(1, 9):
+            got, _, ok, steps = _solve(m, np.arange(m.d**k), k, radius, cfg)
+            assert ok.all() and len(steps) == necklaces(m.d, k)
+            # the reference polishes each word alone, so a spread sample of
+            # at least 256 words stands for all of them (every word for d = 2)
+            sample = np.arange(0, m.d**k, max(1, m.d**k // 256))
+            ref, _, _, ref_ok = reference_solve(m, all_words(m.d, k)[sample], cfg)
+            assert ref_ok.all()
+            with workdps(40):
+                assert max(abs(got[i] - z) for i, z in zip(sample, ref)) < mpf("1e-30")
+
+    @pytest.mark.parametrize("m,radius", NECKLACE_MAPS)
+    def test_image_of_word_point_is_rotated_word_point(self, m, radius):
+        k = 6
+        top = m.d ** (k - 1)
+        got = _solve(m, np.arange(m.d**k), k, radius, ItineraryConfig())[0]
+        with workdps(60):
+            c = mpc(m.c)
+            for i, z in enumerate(got):
+                rotated = i % top * m.d + i // top
+                assert abs(z**m.d + c - got[rotated]) < mpf("1e-30")
+
+    def test_word_of_smaller_period_gets_its_point(self):
+        with workdps(40):
+            alpha, beta = (-1 + mp.sqrt(21)) / 2, (-1 - mp.sqrt(21)) / 2
+        for word, expected in [((1, 2, 1, 2), alpha), ((2, 1, 2, 1), beta),
+                               ((2, 1, 2, 1, 2, 1), beta)]:
+            res = itinerary_point(M6, word, radius=4.0)
+            assert res.converged and abs(res.point - expected) < mpf("1e-30")
+        got = _solve(M6, np.arange(16), 4, 4.0, ItineraryConfig())[0]
+        assert abs(got[0b0101] - alpha) < mpf("1e-30")
+        assert abs(got[0b1010] - beta) < mpf("1e-30")
+
+    @pytest.mark.parametrize("m,radius", NECKLACE_MAPS)
+    def test_each_word_reports_its_own_residual(self, m, radius):
+        # the residual of the word's point, evaluated at the polish's
+        # precision, dps plus k log10(d R^(d-1)) guard digits
+        k, cfg = 6, ItineraryConfig()
+        got, residuals, _, _ = _solve(m, np.arange(m.d**k), k, radius, cfg)
+        guard = math.ceil(k * math.log10(m.d * radius ** (m.d - 1)))
+        with workdps(cfg.dps + guard):
+            c = mpc(m.c)
+            for z, residual in zip(got, residuals):
+                w = z
+                for _ in range(k):
+                    w = w**m.d + c
+                assert float(abs(w - z)) == residual
+
+    @pytest.mark.parametrize("k,expected", [(10, 108), (12, 352)])
+    def test_one_polish_per_necklace(self, k, expected):
+        res = count_periodic(M6, k, radius=4.0)
+        assert res.polished == expected == necklaces(2, k)
+        assert expected <= res.newton_steps <= expected * ItineraryConfig().max_cycles
+        assert "polished" not in res.to_dict() and "newton_steps" not in res.to_dict()
+        # the guard digits keep every image as good as a polish of its own
+        # word (at most 3e-32 at k = 12); without them it reads about 3e-24
+        assert res.max_residual < 1e-33
 
 
 class TestSectorCheck:
