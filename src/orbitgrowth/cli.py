@@ -3,7 +3,9 @@
 Verbs: stars, ncp, rays, classes, itinerary, rate, repro.  All output is
 deterministic (sorted JSON keys, fixed CSV field order, seeded point clouds):
 identical configurations produce byte-identical files.  Exit codes: 0 on
-success, 1 on validation failure, 2 on numerical non-convergence.
+success, 1 on validation failure, 2 on numerical non-convergence.  argparse
+also exits 2 on a malformed command line: an unknown verb or flag, or a
+--format or --target value outside its choices.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import Angle, angle_from_string
@@ -45,51 +46,6 @@ from .stars import (
 )
 from .svgplot import julia_cloud, render_ray_figure
 
-_REPRO_TARGETS = ("colanding", "chebyshev", "stars", "cantor")
-
-
-@dataclass
-class RunConfig:
-    verb: str
-    d: int = 2
-    c: complex = 0j
-    nu: int = 3
-    k: int | None = None
-    depth: int | None = None
-    substeps: int = 8
-    landing_tol: float = 1e-9
-    grouping_tol: float = RayConfig.grouping_tol
-    itinerary_tol: float = 1e-12
-    output: str | None = None
-    fmt: str = "json"
-    check: str | None = None
-    oracle: bool = False
-    grid_refinement: int = 2
-    n: int = 10
-    exhaustive: bool = False
-    validate_blocks: str | None = None
-    cap: int = 12
-    angles: str = "1/7"
-    word: str | None = None
-    radius: float = 4.0
-    dps: int = 40
-    samples: str | None = None
-    eps: str | None = None
-    target: str | None = None
-    cloud: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for name in ("landing_tol", "grouping_tol", "itinerary_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        legal = {"rays": {"json", "svg"}, "classes": {"json", "csv", "svg"},
-                 "ncp": {"json", "csv"}, "rate": {"json", "csv"}}
-        allowed = legal.get(self.verb, {"json"})
-        if self.fmt not in allowed:
-            raise ValueError(f"format {self.fmt!r} not legal for verb {self.verb!r}")
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -110,17 +66,6 @@ def _csv(rows: list[dict], fields: list[str]) -> str:
     return buf.getvalue()
 
 
-def _ray_config(cfg: RunConfig) -> RayConfig:
-    rc = RayConfig(
-        landing_tol=cfg.landing_tol,
-        grouping_tol=cfg.grouping_tol,
-        substeps=cfg.substeps,
-    )
-    if cfg.depth is not None:
-        rc.depth = cfg.depth
-    return rc
-
-
 def _parse_star_spec(d: int, text: str) -> StarSet:
     text = text.strip()
     if text.startswith("{") and "E" in text:
@@ -136,8 +81,8 @@ def _parse_star_spec(d: int, text: str) -> StarSet:
     return StarSet(d, [Star(d, [angle_from_string(p) for p in pts]) for pts in data])
 
 
-def _cmd_stars(cfg: RunConfig) -> int:
-    star_set = _parse_star_spec(cfg.d, cfg.check or "")
+def _cmd_stars(args: argparse.Namespace) -> int:
+    star_set = _parse_star_spec(args.d, args.check)
     pairwise = all(
         disjoint(a, b)
         for i, a in enumerate(star_set.stars)
@@ -145,41 +90,41 @@ def _cmd_stars(cfg: RunConfig) -> int:
     )
     acyclic = not has_cycle(star_set) if pairwise else None
     report = {
-        "d": cfg.d,
+        "d": args.d,
         "stars": star_set.to_list(),
         "pairwise_disjoint": pairwise,
         "acyclic": acyclic,
         "sum_multiplicities": sum_multiplicities(star_set),
         "maximal": is_maximal(star_set),
     }
-    if cfg.oracle:
-        report["oracle_grid_refinement"] = cfg.grid_refinement
+    if args.oracle:
+        report["oracle_grid_refinement"] = args.grid_refinement
         report["oracle_maximal"] = (
-            check_maximal_bruteforce(star_set, cfg.grid_refinement)
+            check_maximal_bruteforce(star_set, args.grid_refinement)
             if pairwise and acyclic
             else None
         )
-    _emit(_json(report), cfg.output)
+    _emit(_json(report), args.output)
     return 0
 
 
-def _cmd_ncp(cfg: RunConfig) -> int:
-    if cfg.validate_blocks is not None:
-        data = json.loads(cfg.validate_blocks)
+def _cmd_ncp(args: argparse.Namespace) -> int:
+    if args.validate_blocks is not None:
+        data = json.loads(args.validate_blocks)
         try:
             rel = NCRelation(data["n"], data["blocks"])
         except PartitionViolation as exc:
             _emit(_json({"valid": False, "kind": exc.kind, "witness": list(exc.witness)}),
-                  cfg.output)
+                  args.output)
             return 1
         _emit(_json({"valid": True, "relation": rel.to_dict(),
-                     "class_count": len(rel.blocks)}), cfg.output)
+                     "class_count": len(rel.blocks)}), args.output)
         return 0
 
-    ns = range(1, cfg.n + 1) if cfg.exhaustive else [cfg.n]
+    ns = range(1, args.n + 1) if args.exhaustive else [args.n]
     rows = []
     for n in ns:
-        relations = list(enumerate_valid(n, cap=cfg.cap))
+        relations = list(enumerate_valid(n, cap=args.cap))
         lo = min(len(r.blocks) for r in relations)
         bound = min_classes_bound(n)
         ok = lo == bound and all(len(r.blocks) >= bound for r in relations)
@@ -187,99 +132,94 @@ def _cmd_ncp(cfg: RunConfig) -> int:
             {"n": n, "valid_relations": len(relations), "min_classes": lo,
              "bound": bound, "status": "PASS" if ok else "FAIL"}
         )
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         _emit(_csv(rows, ["n", "valid_relations", "min_classes", "bound", "status"]),
-              cfg.output)
+              args.output)
     else:
-        _emit(_json({"rows": rows}), cfg.output)
+        _emit(_json({"rows": rows}), args.output)
     return 0 if all(r["status"] == "PASS" for r in rows) else 1
 
 
-def _cmd_rays(cfg: RunConfig) -> int:
-    m = UnicriticalMap(cfg.d, cfg.c)
-    rc = _ray_config(cfg)
-    traces = trace_rays(m, [angle_from_string(a) for a in cfg.angles.split(",")],
-                        config=rc)
-    if cfg.fmt == "svg":
-        cloud = julia_cloud(m) if cfg.cloud else None
-        _emit(render_ray_figure(traces, cloud), cfg.output)
+def _cmd_rays(args: argparse.Namespace) -> int:
+    m = UnicriticalMap(args.d, args.c)
+    rc = RayConfig(landing_tol=args.landing_tol, substeps=args.substeps)
+    traces = trace_rays(m, [angle_from_string(a) for a in args.angles.split(",")],
+                        depth=args.depth, config=rc)
+    if args.fmt == "svg":
+        cloud = julia_cloud(m) if args.cloud else None
+        _emit(render_ray_figure(traces, cloud), args.output)
     else:
-        _emit(_json([t.to_dict() for t in traces]), cfg.output)
+        _emit(_json([t.to_dict() for t in traces]), args.output)
     return 0 if all(t.converged for t in traces) else 2
 
 
-def _cmd_classes(cfg: RunConfig) -> int:
-    m = UnicriticalMap(cfg.d, cfg.c)
-    cls = classify_landing(m, cfg.nu, config=_ray_config(cfg))
-    if cfg.fmt == "svg":
+def _cmd_classes(args: argparse.Namespace) -> int:
+    m = UnicriticalMap(args.d, args.c)
+    rc = RayConfig(landing_tol=args.landing_tol, grouping_tol=args.grouping_tol,
+                   substeps=args.substeps)
+    cls = classify_landing(m, args.nu, depth=args.depth, config=rc)
+    if args.fmt == "svg":
         traces = [cls.traces[c[0]] for c in cls.classes]
-        cloud = julia_cloud(m) if cfg.cloud else None
-        _emit(render_ray_figure(traces, cloud), cfg.output)
-    elif cfg.fmt == "csv":
+        cloud = julia_cloud(m) if args.cloud else None
+        _emit(render_ray_figure(traces, cloud), args.output)
+    elif args.fmt == "csv":
         rows = [
             {"class": i, "angles": " ".join(str(a) for a in members),
              "landing_re": rep.real, "landing_im": rep.imag}
             for i, (members, rep) in enumerate(zip(cls.classes, cls.representatives))
         ]
-        _emit(_csv(rows, ["class", "angles", "landing_re", "landing_im"]), cfg.output)
+        _emit(_csv(rows, ["class", "angles", "landing_re", "landing_im"]), args.output)
     else:
         report = cls.to_dict()
         report["noncrossing"] = classes_noncrossing(cls.classes)
-        _emit(_json(report), cfg.output)
+        _emit(_json(report), args.output)
     return 2 if cls.unreliable else 0
 
 
-def _cmd_itinerary(cfg: RunConfig) -> int:
-    m = UnicriticalMap(cfg.d, cfg.c)
-    report = verify_disk_hypothesis(m, cfg.radius)
+def _cmd_itinerary(args: argparse.Namespace) -> int:
+    m = UnicriticalMap(args.d, args.c)
+    icfg = ItineraryConfig(dps=args.dps, residual_tol=args.itinerary_tol)
+    report = verify_disk_hypothesis(m, args.radius)
     if not report.ok:
         sys.stderr.write(f"invariant-disk hypothesis fails: {report.to_dict()}\n")
-        _emit(_json({"hypothesis": report.to_dict()}), cfg.output)
+        _emit(_json({"hypothesis": report.to_dict()}), args.output)
         return 1
-    icfg = ItineraryConfig(dps=cfg.dps, residual_tol=cfg.itinerary_tol)
-    if cfg.word is not None:
-        word = [int(t) for t in cfg.word.split(",")]
-        res = itinerary_point(m, word, radius=cfg.radius, config=icfg)
+    if args.word is not None:
+        word = [int(t) for t in args.word.split(",")]
+        res = itinerary_point(m, word, radius=args.radius, config=icfg)
         _emit(_json({"hypothesis": report.to_dict(), "result": res.to_dict()}),
-              cfg.output)
+              args.output)
         return 0 if res.converged else 2
-    k = 1 if cfg.k is None else cfg.k
-    try:
-        counted = count_periodic(m, k, radius=cfg.radius, config=icfg)
-    except NonConvergenceError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 2
-    expected = m.d**k
+    counted = count_periodic(m, args.k, radius=args.radius, config=icfg)
+    expected = m.d**args.k
     _emit(_json({"hypothesis": report.to_dict(), "count": counted.to_dict(),
                  "expected": expected, "complete": counted.count == expected}),
-          cfg.output)
+          args.output)
     return 0
 
 
-def _cmd_rate(cfg: RunConfig) -> int:
-    if not cfg.samples:
-        raise ValueError("rate requires --samples like '2:2,3:4'")
+def _cmd_rate(args: argparse.Namespace) -> int:
     pairs = []
-    for tok in cfg.samples.split(","):
+    for tok in args.samples.split(","):
         nu, count = tok.split(":")
         pairs.append((int(nu), int(count)))
-    est = rate_estimate(cfg.d, pairs)
-    if cfg.fmt == "csv":
+    est = rate_estimate(args.d, pairs)
+    if args.fmt == "csv":
         _emit(_csv(est.rows(), ["nu", "count", "log_count_over_nu", "target", "margin"]),
-              cfg.output)
+              args.output)
     else:
         report = est.to_dict()
-        if cfg.eps is not None:
+        if args.eps is not None:
             report["interval_bound"] = {
-                "eps": cfg.eps,
-                "nu": cfg.nu,
-                "classes_at_least": interval_class_bound(cfg.d, cfg.nu, Fraction(cfg.eps)),
+                "eps": args.eps,
+                "nu": args.nu,
+                "classes_at_least": interval_class_bound(args.d, args.nu, Fraction(args.eps)),
             }
-        _emit(_json(report), cfg.output)
+        _emit(_json(report), args.output)
     return 0
 
 
-def _repro_colanding(cfg: RunConfig) -> tuple[dict, int]:
+def _repro_colanding() -> tuple[dict, int]:
     m = UnicriticalMap(2, complex(-0.110, 0.6557))
     rc = RayConfig(depth=3200, substeps=4, landing_tol=1e-8, grouping_tol=1e-4)
     cls = classify_landing(m, 3, config=rc)
@@ -297,7 +237,7 @@ def _repro_colanding(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if joined is not None and not cls.unreliable else 2
 
 
-def _repro_chebyshev(cfg: RunConfig) -> tuple[dict, int]:
+def _repro_chebyshev() -> tuple[dict, int]:
     m = UnicriticalMap(2, -2 + 0j)
     cls = classify_landing(m, 3)
     errors = {
@@ -318,7 +258,7 @@ def _repro_chebyshev(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if ok else 2
 
 
-def _repro_stars(cfg: RunConfig) -> tuple[dict, int]:
+def _repro_stars() -> tuple[dict, int]:
     e = named_example_stars()
     maximal = StarSet(4, [e["E1"], e["E2"], e["E3"]])
     cycle = StarSet(4, [e["E1"], e["E2"], e["E3"], e["E5"]])
@@ -342,7 +282,7 @@ def _repro_stars(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if ok else 1
 
 
-def _repro_cantor(cfg: RunConfig) -> tuple[dict, int]:
+def _repro_cantor() -> tuple[dict, int]:
     m = UnicriticalMap(2, -6 + 0j)
     hyp = verify_disk_hypothesis(m, 4.0)
     counts = []
@@ -361,40 +301,21 @@ def _repro_cantor(cfg: RunConfig) -> tuple[dict, int]:
     return report, 0 if ok else 2
 
 
-def _cmd_repro(cfg: RunConfig) -> int:
-    handlers = {
-        "colanding": _repro_colanding,
-        "chebyshev": _repro_chebyshev,
-        "stars": _repro_stars,
-        "cantor": _repro_cantor,
-    }
-    report, code = handlers[cfg.target or "colanding"](cfg)
-    _emit(_json({"target": cfg.target, "report": report}), cfg.output)
-    return code
-
-
-_HANDLERS = {
-    "stars": _cmd_stars,
-    "ncp": _cmd_ncp,
-    "rays": _cmd_rays,
-    "classes": _cmd_classes,
-    "itinerary": _cmd_itinerary,
-    "rate": _cmd_rate,
-    "repro": _cmd_repro,
+_REPRO = {
+    "colanding": _repro_colanding,
+    "chebyshev": _repro_chebyshev,
+    "stars": _repro_stars,
+    "cantor": _repro_cantor,
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configured verb; returns the process exit status."""
-    try:
-        cfg.validate()
-        return _HANDLERS[cfg.verb](cfg)
-    except NonConvergenceError as exc:
-        sys.stderr.write(f"non-convergence: {exc}\n")
-        return 2
-    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+def _cmd_repro(args: argparse.Namespace) -> int:
+    if args.target is None and args.figure not in (None, 1):
+        raise ValueError(f"unknown figure {args.figure}")
+    target = args.target or "colanding"
+    report, code = _REPRO[target]()
+    _emit(_json({"target": target, "report": report}), args.output)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,9 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, fmt=("json",)):
+    def common(p, func, fmt=("json",)):
         p.add_argument("--output", "-o", default=None, help="write here instead of stdout")
         p.add_argument("--format", dest="fmt", default=fmt[0], choices=fmt)
+        p.set_defaults(func=func)
+
+    def ray_flags(p):
+        """The map and tracing flags shared by `rays` and `classes`."""
+        p.add_argument("--d", type=int, default=2)
+        p.add_argument("--c", type=complex, default=0j,
+                       help='parameter as a Python complex; quote negatives as --c="-0.11+0.6557j"')
+        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--substeps", type=int, default=RayConfig.substeps)
+        p.add_argument("--landing-tol", type=float, default=RayConfig.landing_tol)
+        p.add_argument("--cloud", action="store_true", help="add a Julia point cloud (svg)")
 
     p = sub.add_parser("stars", help="check a family of stars")
     p.add_argument("--d", type=int, required=True)
@@ -416,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force maximality search")
     p.add_argument("--grid-refinement", type=int, default=2)
-    common(p)
+    common(p, _cmd_stars)
 
     p = sub.add_parser("ncp", help="non-crossing no-adjacency partitions")
     p.add_argument("--n", type=int, default=10)
@@ -425,70 +357,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", dest="validate_blocks", default=None,
                    help='JSON {"n": 4, "blocks": [[1,3],[2],[4]]}')
     p.add_argument("--cap", type=int, default=12)
-    common(p, ("csv", "json"))
+    common(p, _cmd_ncp, ("csv", "json"))
 
     p = sub.add_parser("rays", help="trace external rays")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--c", type=complex, default=0j,
-                   help='parameter as a Python complex; quote negatives as --c="-0.11+0.6557j"')
+    ray_flags(p)
     p.add_argument("--angles", default="1/7", help="comma-separated rational angles")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--substeps", type=int, default=8)
-    p.add_argument("--landing-tol", type=float, default=1e-9)
-    p.add_argument("--cloud", action="store_true", help="add a Julia point cloud (svg)")
-    common(p, ("json", "svg"))
+    common(p, _cmd_rays, ("json", "svg"))
 
     p = sub.add_parser("classes", help="landing classes of period-nu angles")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--c", type=complex, default=0j)
+    ray_flags(p)
     p.add_argument("--nu", type=int, default=3)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--substeps", type=int, default=8)
-    p.add_argument("--landing-tol", type=float, default=1e-9)
     p.add_argument("--grouping-tol", type=float, default=RayConfig.grouping_tol)
-    p.add_argument("--cloud", action="store_true")
-    common(p, ("json", "csv", "svg"))
+    common(p, _cmd_classes, ("json", "csv", "svg"))
 
     p = sub.add_parser("itinerary", help="inverse-branch periodic points")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--c", type=complex, default=-6 + 0j)
     p.add_argument("--radius", type=float, default=4.0)
     p.add_argument("--word", default=None, help='cyclic branch word, e.g. "1,2"')
-    p.add_argument("--count", dest="k", type=int, default=None,
+    p.add_argument("--count", dest="k", type=int, default=1,
                    help="count all points of period dividing K")
-    p.add_argument("--dps", type=int, default=40)
-    p.add_argument("--itinerary-tol", type=float, default=1e-12)
-    common(p)
+    p.add_argument("--dps", type=int, default=ItineraryConfig.dps)
+    p.add_argument("--itinerary-tol", type=float, default=ItineraryConfig.residual_tol)
+    common(p, _cmd_itinerary)
 
     p = sub.add_parser("rate", help="growth-rate estimate from per-period counts")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", required=True, help='"nu:count,..." e.g. "1:2,2:4"')
     p.add_argument("--eps", default=None, help="arc length for the interval class bound")
     p.add_argument("--nu", type=int, default=3)
-    common(p, ("json", "csv"))
+    common(p, _cmd_rate, ("json", "csv"))
 
     p = sub.add_parser("repro", help="re-run the documented worked examples")
-    p.add_argument("--target", choices=_REPRO_TARGETS, default=None)
+    p.add_argument("--target", choices=_REPRO, default=None)
     p.add_argument("--figure", type=int, default=None,
                    help="numeric shorthand: 1 = colanding")
-    common(p)
+    common(p, _cmd_repro)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse argv and run its verb; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    data = vars(args)
-    if data.get("verb") == "repro":
-        figure = data.pop("figure", None)
-        if data.get("target") is None:
-            data["target"] = "colanding" if figure in (None, 1) else None
-            if data["target"] is None:
-                sys.stderr.write(f"error: unknown figure {figure}\n")
-                return 1
-    known = {f for f in RunConfig.__dataclass_fields__}
-    cfg = RunConfig(**{k: v for k, v in data.items() if k in known and v is not None})
-    return run(cfg)
+    try:
+        return args.func(args)
+    except NonConvergenceError as exc:
+        sys.stderr.write(f"non-convergence: {exc}\n")
+        return 2
+    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

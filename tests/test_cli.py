@@ -1,14 +1,21 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from orbitgrowth import RayConfig
-from orbitgrowth.cli import RunConfig, build_parser, main, run
+from pathlib import Path
+
+from orbitgrowth import ItineraryConfig, RayConfig
+from orbitgrowth.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def capture(capsys, argv, expect=0):
@@ -174,10 +181,6 @@ class TestClassesVerb:
         err = capsys.readouterr().err
         assert "period-40 angles" in err and "lower nu or depth" in err
 
-    def test_default_grouping_tol_is_the_library_default(self):
-        args = build_parser().parse_args(["classes"])
-        assert args.grouping_tol == RunConfig(verb="classes").grouping_tol == RayConfig().grouping_tol
-
     def test_byte_identical_reruns(self, capsys):
         argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "3"]
         assert capture(capsys, argv) == capture(capsys, argv)
@@ -312,12 +315,51 @@ class TestReproVerb:
 
 class TestConfigSurface:
     def test_illegal_format_rejected(self):
-        cfg = RunConfig(verb="stars", d=4, check="{E1}", fmt="svg")
-        assert run(cfg) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["stars", "--d", "4", "--check", "{E1}", "--format", "svg"])
+        assert exc.value.code == 2
 
-    def test_nonpositive_tolerance_rejected(self):
-        cfg = RunConfig(verb="classes", c=-2 + 0j, grouping_tol=0.0)
-        assert run(cfg) == 1
+    @pytest.mark.parametrize("argv", [
+        ["classes", "--c=-2+0j", "--grouping-tol", "0"],
+        ["rays", "--c=-2+0j", "--angles", "1/3", "--landing-tol", "0"],
+        ["itinerary", "--itinerary-tol", "0"],
+    ], ids=["classes-grouping_tol", "rays-landing_tol", "itinerary-itinerary_tol"])
+    def test_nonpositive_tolerance_rejected(self, capsys, argv):
+        assert main(argv) == 1
+        assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, dest, default", [
+        ("rays", "substeps", RayConfig().substeps),
+        ("rays", "landing_tol", RayConfig().landing_tol),
+        ("classes", "grouping_tol", RayConfig().grouping_tol),
+        ("itinerary", "dps", ItineraryConfig().dps),
+        ("itinerary", "itinerary_tol", ItineraryConfig().residual_tol),
+    ], ids=["rays-substeps", "rays-landing_tol", "classes-grouping_tol",
+            "itinerary-dps", "itinerary-itinerary_tol"])
+    def test_default_is_the_library_default(self, verb, dest, default):
+        assert getattr(build_parser().parse_args([verb]), dest) == default
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["rays", "--c=-2+0j", "--angles", "1/3"],
+        ["classes", "--nu", "3"],
+    ], ids=["rays", "classes"])
+    def test_nonpositive_depth_exits_one(self, capsys, argv, depth):
+        # --depth goes through RayConfig's validation like every other knob
+        assert main(argv + ["--depth", depth]) == 1
+        assert "depth and substeps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["repro", "--target", "stars"], 0),
+        (["classes", "--c=0.25+0j", "--nu", "1"], 2),
+    ], ids=["repro-stars", "classes-unreliable"])
+    def test_module_entry_point_exit_status(self, argv, code):
+        # python -m orbitgrowth.cli: the status main returns reaches the process
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "orbitgrowth.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        json.loads(proc.stdout)
 
     def test_parser_rejects_unknown_verb(self):
         with pytest.raises(SystemExit):
