@@ -201,8 +201,11 @@ def _cmd_itinerary(args: argparse.Namespace) -> int:
 def _cmd_rate(args: argparse.Namespace) -> int:
     pairs = []
     for tok in args.samples.split(","):
-        nu, count = tok.split(":")
-        pairs.append((int(nu), int(count)))
+        try:
+            nu, count = tok.split(":")
+            pairs.append((int(nu), int(count)))
+        except ValueError:
+            raise ValueError(f'--samples token {tok!r}: expected "nu:count,..."') from None
     est = rate_estimate(args.d, pairs)
     if args.fmt == "csv":
         _emit(_csv(est.rows(), ["nu", "count", "log_count_over_nu", "target", "margin"]),

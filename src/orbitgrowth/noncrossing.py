@@ -29,33 +29,48 @@ class PartitionViolation(ValueError):
 def find_violation(n: int, blocks) -> PartitionViolation | None:
     """Return the first structural violation of a partition of {1..n}, if any.
 
-    Raises ValueError if blocks is not a partition of {1..n} at all.
+    A linear nesting scan decides whether any two classes cross; the pairwise
+    search runs only then, to supply the first crossing witness.  Raises
+    ValueError if blocks is not a partition of {1..n} at all.
     """
     blocks = [sorted(b) for b in blocks]
-    seen: set[int] = set()
-    for b in blocks:
+    class_of: dict[int, int] = {}
+    for i, b in enumerate(blocks):
         if not b:
             raise ValueError("empty class in partition")
         for x in b:
             if not isinstance(x, int) or not 1 <= x <= n:
                 raise ValueError(f"element {x!r} outside 1..{n}")
-            if x in seen:
+            if x in class_of:
                 raise ValueError(f"element {x} appears twice")
-            seen.add(x)
-    if len(seen) != n:
-        raise ValueError(f"partition covers {len(seen)} of {n} elements")
+            class_of[x] = i
+    if len(class_of) != n:
+        raise ValueError(f"partition covers {len(class_of)} of {n} elements")
 
     for b in blocks:
         for x, y in zip(b, b[1:]):
             if y == x + 1:
                 return PartitionViolation("adjacency", (x, y))
 
+    # No two classes cross iff each element is in the innermost open class (a
+    # class is open from its first element to its last).
+    open_classes: list[int] = []
+    for x in range(1, n + 1):
+        i = class_of[x]
+        if x == blocks[i][0]:
+            open_classes.append(i)
+        elif open_classes[-1] != i:
+            break
+        if x == blocks[i][-1]:
+            open_classes.pop()
+    else:
+        return None
+
     # Two classes cross iff their merged, class-labelled sequence alternates
     # at least four times (contains the pattern ABAB).
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            merged = sorted((x, 0) for x in blocks[i]) + sorted((x, 1) for x in blocks[j])
-            merged.sort()
+            merged = sorted([(x, 0) for x in blocks[i]] + [(x, 1) for x in blocks[j]])
             runs: list[tuple[int, int]] = []  # (label, last element of run)
             for x, label in merged:
                 if runs and runs[-1][0] == label:

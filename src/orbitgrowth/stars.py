@@ -9,7 +9,9 @@ arc of a star onto a smaller circle.
 
 Internally every predicate works on an integer lattice (points scaled by a
 common denominator), which keeps the exhaustive degree-by-degree sweeps fast
-while staying exact.
+while staying exact.  The grid enumeration prunes with gap tests precomputed
+as one bitmask per star; the brute-force oracle searches every grid
+candidate on one lattice shared by the family and the grid.
 """
 
 from __future__ import annotations
@@ -123,10 +125,10 @@ class StarSet:
 
 # -- integer-lattice primitives ----------------------------------------------
 
-def _lattice(stars) -> tuple[int, list[tuple[int, ...]]]:
-    # The common denominator L of the stars' points, and each star's points
-    # as the sorted ticks k of k/L.
-    L = lcm(*(s._den for s in stars))
+def _lattice(stars, grid: int = 1) -> tuple[int, list[tuple[int, ...]]]:
+    # The common denominator L of the stars' points and of 1/grid, and each
+    # star's points as the sorted ticks k of k/L.
+    L = lcm(grid, *(s._den for s in stars))
     return L, [tuple(t * (L // s._den) for t in s._ticks) for s in stars]
 
 
@@ -146,25 +148,26 @@ def _pairwise_disjoint(stars) -> bool:
     return all(disjoint(a, b) for a, b in combinations(stars, 2))
 
 
-def _acyclic(tick_sets) -> bool:
+def _root(parent: dict[int, int], t: int) -> int:
+    while parent.get(t, t) != t:
+        t = parent[t]
+    return t
+
+
+def _forest(tick_sets) -> dict[int, int] | None:
     # The star-point incidence graph is a forest iff joining each star's
     # points by union-find never joins two points that are already connected.
-    # Ticks must share one lattice, so that equal ticks are equal points.
+    # Returns the union-find parent map, or None at the first cycle.  Ticks
+    # must share one lattice, so that equal ticks are equal points.
     parent: dict[int, int] = {}
-
-    def root(t: int) -> int:
-        while parent.get(t, t) != t:
-            t = parent[t]
-        return t
-
     for ticks in tick_sets:
-        first = root(ticks[0])
+        first = _root(parent, ticks[0])
         for t in ticks[1:]:
-            r = root(t)
+            r = _root(parent, t)
             if r == first:
-                return False
+                return None
             parent[r] = first
-    return True
+    return parent
 
 
 def has_cycle(star_set: StarSet) -> bool:
@@ -182,7 +185,7 @@ def has_cycle(star_set: StarSet) -> bool:
     """
     if not _pairwise_disjoint(star_set.stars):
         raise ValueError("has_cycle requires pairwise disjoint stars")
-    return not _acyclic(_lattice(star_set.stars)[1])
+    return _forest(_lattice(star_set.stars)[1]) is None
 
 
 def sum_multiplicities(star_set: StarSet) -> int:
@@ -198,23 +201,20 @@ def is_maximal(star_set: StarSet) -> bool:
     """
     if not _pairwise_disjoint(star_set.stars):
         return False
-    if not _acyclic(_lattice(star_set.stars)[1]):
+    if _forest(_lattice(star_set.stars)[1]) is None:
         return False
     return sum_multiplicities(star_set) == star_set.degree - 1
 
 
 @lru_cache(maxsize=None)
-def _candidate_pairs(d: int, grid_refinement: int) -> tuple[Star, ...]:
+def _candidate_pairs(d: int, grid_refinement: int) -> tuple[tuple[int, int], ...]:
+    # Every two-point star {k/grid, k/grid + j/d} as its sorted ticks over
+    # grid = d*grid_refinement, each once, in order of first appearance.
     grid = d * grid_refinement
-    pairs: dict[frozenset, Star] = {}
-    for k in range(grid):
-        a = Angle(k, grid)
-        for j in range(1, d):
-            b = Angle(Fraction(k, grid) + Fraction(j, d))
-            key = frozenset((a, b))
-            if key not in pairs:
-                pairs[key] = Star(d, key)
-    return tuple(pairs.values())
+    return tuple(dict.fromkeys(
+        tuple(sorted((k, (k + j * grid_refinement) % grid)))
+        for k in range(grid) for j in range(1, d)
+    ))
 
 
 def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> bool:
@@ -224,24 +224,24 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     {k/(d*grid_refinement)} and reports True iff none can be added while
     keeping the family pairwise disjoint and cycle-free.  Two-point
     candidates suffice: any addable star contains an addable pair.
+
+    The family's union-find forest is built once, on the lattice shared by
+    the family and the grid: a candidate closes a cycle iff its ticks share a root.
     """
     if grid_refinement < 1:
         raise ValueError("grid_refinement must be >= 1")
     if not _pairwise_disjoint(star_set.stars):
         raise ValueError("brute-force oracle requires pairwise disjoint stars")
-    if not _acyclic(_lattice(star_set.stars)[1]):
+    grid = star_set.degree * grid_refinement
+    M, family = _lattice(star_set.stars, grid)
+    parent = _forest(family)
+    if parent is None:
         raise ValueError("brute-force oracle requires an acyclic star family")
 
-    existing = {s._point_set for s in star_set.stars}
-    family = list(star_set.stars)
-    for candidate in _candidate_pairs(star_set.degree, grid_refinement):
-        if candidate._point_set in existing:
-            continue
-        if not all(disjoint(candidate, s) for s in family):
-            continue
-        if not _acyclic(_lattice(family + [candidate])[1]):
-            continue
-        return False  # found an extension: not maximal
+    for a, b in _candidate_pairs(star_set.degree, grid_refinement):
+        a, b = a * (M // grid), b * (M // grid)
+        if _root(parent, a) != _root(parent, b) and all(in_one_gap((a, b), t, M) for t in family):
+            return False  # found an extension: not maximal
     return True
 
 
@@ -337,20 +337,26 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
         comb for size in range(2, d + 1) for comb in combinations(range(d), size)
     ]
     star_objects = [Star(d, [Angle(k, d) for k in comb]) for comb in all_stars]
+    # Bit i of fits[j] is set iff star j lies in one gap of star i.
+    fits = [
+        sum(1 << i for i, cand in enumerate(all_stars) if in_one_gap(cand, e, d))
+        for e in all_stars
+    ]
 
     families: list[tuple[int, ...]] = []
 
-    def extend(start: int, fam_idx: list[int], fam: list[tuple[int, ...]]) -> None:
+    def extend(allowed: int, fam_idx: list[int], fam: list[tuple[int, ...]]) -> None:
+        # allowed: the candidates after the last member that fit every member.
         families.append(tuple(fam_idx))
-        for i in range(start, len(all_stars)):
-            cand = all_stars[i]
-            if all(in_one_gap(cand, e, d) for e in fam):
-                fam.append(cand)
-                fam_idx.append(i)
-                if _acyclic(fam):
-                    extend(i + 1, fam_idx, fam)
-                fam_idx.pop()
-                fam.pop()
+        while allowed:
+            i = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            fam.append(all_stars[i])
+            fam_idx.append(i)
+            if _forest(fam) is not None:
+                extend(allowed & fits[i], fam_idx, fam)
+            fam_idx.pop()
+            fam.pop()
 
-    extend(0, [], [])
+    extend((1 << len(all_stars)) - 1, [], [])
     return [StarSet(d, [star_objects[i] for i in idx]) for idx in families]

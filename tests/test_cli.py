@@ -273,6 +273,12 @@ class TestRateVerb:
     def test_bad_samples(self, capsys):
         assert main(["rate", "--d", "2", "--samples", "1:0"]) == 1
 
+    @pytest.mark.parametrize("samples", ["", "3", "3:x", "1:2:3"])
+    def test_malformed_samples_token_named(self, capsys, samples):
+        assert main(["rate", "--d", "2", "--samples", samples]) == 1
+        err = capsys.readouterr().err
+        assert repr(samples) in err and "nu:count,..." in err
+
 
 class TestReproVerb:
     def test_stars(self, capsys):

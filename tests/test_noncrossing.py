@@ -24,6 +24,52 @@ def motzkin(n):
     return m[n]
 
 
+def _pairwise_find_violation(n, blocks):
+    # Reference for find_violation: validation and adjacency as there, then
+    # the pairwise ABAB search over every pair of classes, with no nesting
+    # scan in front of it.
+    blocks = [sorted(b) for b in blocks]
+    seen = set()
+    for b in blocks:
+        if not b:
+            raise ValueError("empty class in partition")
+        for x in b:
+            if not isinstance(x, int) or not 1 <= x <= n:
+                raise ValueError(f"element {x!r} outside 1..{n}")
+            if x in seen:
+                raise ValueError(f"element {x} appears twice")
+            seen.add(x)
+    if len(seen) != n:
+        raise ValueError(f"partition covers {len(seen)} of {n} elements")
+    for b in blocks:
+        for x, y in zip(b, b[1:]):
+            if y == x + 1:
+                return PartitionViolation("adjacency", (x, y))
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            merged = sorted([(x, 0) for x in blocks[i]] + [(x, 1) for x in blocks[j]])
+            runs = []
+            for x, label in merged:
+                if runs and runs[-1][0] == label:
+                    runs[-1] = (label, x)
+                else:
+                    runs.append((label, x))
+            if len(runs) >= 4:
+                return PartitionViolation("crossing", tuple(x for _, x in runs[:4]))
+    return None
+
+
+def _set_partitions(n):
+    # Every set partition of {1..n}, blocks in order of their least element.
+    if n == 0:
+        yield []
+        return
+    for p in _set_partitions(n - 1):
+        for i in range(len(p)):
+            yield p[:i] + [p[i] + [n]] + p[i + 1:]
+        yield p + [[n]]
+
+
 class TestValidate:
     def test_valid_example(self):
         rel = validate(4, [[1, 3], [2], [4]])
@@ -53,6 +99,19 @@ class TestValidate:
             validate(3, [[1, 2], [3], []])
         with pytest.raises(ValueError):
             validate(3, [[0, 2], [1, 3]])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_find_violation_matches_pairwise_reference(self, n):
+        kinds = set()  # crossing witnesses exist from n = 4 on
+        for partition in _set_partitions(n):
+            for blocks in (partition, partition[::-1]):
+                got = find_violation(n, blocks)
+                want = _pairwise_find_violation(n, blocks)
+                assert (got is None) == (want is None), blocks
+                if got is not None:
+                    assert (got.kind, got.witness) == (want.kind, want.witness), blocks
+                    kinds.add(got.kind)
+        assert ("crossing" in kinds) == (n >= 4)
 
     def test_nested_blocks_allowed(self):
         # nesting without adjacency is fine; only interleaving crosses

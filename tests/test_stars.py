@@ -19,6 +19,8 @@ from orbitgrowth import (
     quotient,
     sum_multiplicities,
 )
+from orbitgrowth.circle import in_one_gap
+from orbitgrowth.stars import _forest
 
 E = named_example_stars()
 
@@ -220,6 +222,39 @@ class TestMaximality:
             StarSet(4, [star(2, 0, "1/2")])
 
 
+def _reference_bruteforce(star_set, grid_refinement):
+    # Reference for check_maximal_bruteforce: each grid pair built as a Star
+    # and tested on its own lattice, by disjoint() against every member and a
+    # fresh cycle test of the extended family.
+    d = star_set.degree
+    grid = d * grid_refinement
+    existing = {s._point_set for s in star_set.stars}
+    for k in range(grid):
+        for j in range(1, d):
+            candidate = star(d, Fraction(k, grid), Fraction(k, grid) + Fraction(j, d))
+            if candidate._point_set in existing:
+                continue
+            if not all(disjoint(candidate, s) for s in star_set.stars):
+                continue
+            if has_cycle(StarSet(d, [*star_set.stars, candidate])):
+                continue
+            return False
+    return True
+
+
+def _offgrid_families(d, m):
+    # Every disjoint, cycle-free family of one or two two-point stars on the
+    # finer grid {k/(d*m)}.
+    grid = d * m
+    pairs = {star(d, Fraction(k, grid), Fraction(k + j * m, grid))
+             for k in range(grid) for j in range(1, d)}
+    families = [StarSet(d, [p]) for p in pairs]
+    for a, b in combinations(sorted(pairs, key=lambda s: s.points), 2):
+        if disjoint(a, b) and not has_cycle(StarSet(d, [a, b])):
+            families.append(StarSet(d, [a, b]))
+    return families
+
+
 class TestBruteforceOracle:
     def test_maximal_family_unextendable(self):
         assert check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"]]), 2)
@@ -233,6 +268,26 @@ class TestBruteforceOracle:
     def test_precondition_checked(self):
         with pytest.raises(ValueError):
             check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_agrees_with_reference_on_grid_families(self, d):
+        for family in enumerate_grid_star_sets(d):
+            for refinement in (1, 2, 3):
+                assert (check_maximal_bruteforce(family, refinement)
+                        == _reference_bruteforce(family, refinement)), (family, refinement)
+
+    def test_agrees_with_reference_off_the_grid(self):
+        # denominators that do not divide d*g put the family and the grid on
+        # a lattice finer than the grid
+        families = [StarSet(4, [star(4, "1/8", "3/8")])]
+        families += [f for d, m in ((3, 2), (4, 2), (4, 3)) for f in _offgrid_families(d, m)]
+        verdicts = set()
+        for family in families:
+            for refinement in (1, 3, 5):
+                verdict = check_maximal_bruteforce(family, refinement)
+                assert verdict == _reference_bruteforce(family, refinement), (family, refinement)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_agrees_with_count_on_small_grids(self, d):
@@ -291,12 +346,36 @@ class TestQuotient:
                     assert is_maximal(image), (family, anchor, start, end)
 
 
+def _reference_grid_families(d):
+    # Reference for enumerate_grid_star_sets: each candidate is gap-tested
+    # against every member of the family, with no precomputed bitmasks.
+    all_stars = [comb for size in range(2, d + 1) for comb in combinations(range(d), size)]
+    families = []
+
+    def extend(start, fam):
+        families.append(StarSet(d, [Star(d, [Angle(k, d) for k in e]) for e in fam]))
+        for i in range(start, len(all_stars)):
+            cand = all_stars[i]
+            if all(in_one_gap(cand, e, d) for e in fam) and _forest(fam + [cand]) is not None:
+                extend(i + 1, fam + [cand])
+
+    extend(0, [])
+    return families
+
+
 class TestEnumeration:
     def test_counts(self):
         # disjoint acyclic families on the grid, empty family included
         assert len(enumerate_grid_star_sets(2)) == 2
         assert len(enumerate_grid_star_sets(3)) == 8
         assert len(enumerate_grid_star_sets(4)) == 46
+
+    def test_count_at_degree_seven(self):
+        assert len(enumerate_grid_star_sets(7)) == 18160
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_reference_in_order(self, d):
+        assert enumerate_grid_star_sets(d) == _reference_grid_families(d)
 
     def test_families_are_valid(self):
         for family in enumerate_grid_star_sets(4):
