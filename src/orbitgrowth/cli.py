@@ -21,6 +21,7 @@ from .circle import Angle, angle_from_string
 from .dynamics import UnicriticalMap, verify_disk_hypothesis
 from .itinerary import ItineraryConfig, NonConvergenceError, count_periodic, itinerary_point
 from .noncrossing import (
+    DEFAULT_CAP,
     NCRelation,
     PartitionViolation,
     enumerate_valid,
@@ -142,9 +143,8 @@ def _cmd_ncp(args: argparse.Namespace) -> int:
 
 def _cmd_rays(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    rc = RayConfig(landing_tol=args.landing_tol, substeps=args.substeps)
-    traces = trace_rays(m, [angle_from_string(a) for a in args.angles.split(",")],
-                        depth=args.depth, config=rc)
+    rc = RayConfig(depth=args.depth, substeps=args.substeps, landing_tol=args.landing_tol)
+    traces = trace_rays(m, [angle_from_string(a) for a in args.angles.split(",")], config=rc)
     if args.fmt == "svg":
         cloud = julia_cloud(m) if args.cloud else None
         _emit(render_ray_figure(traces, cloud), args.output)
@@ -155,9 +155,9 @@ def _cmd_rays(args: argparse.Namespace) -> int:
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    rc = RayConfig(landing_tol=args.landing_tol, grouping_tol=args.grouping_tol,
-                   substeps=args.substeps)
-    cls = classify_landing(m, args.nu, depth=args.depth, config=rc)
+    rc = RayConfig(depth=args.depth, substeps=args.substeps, landing_tol=args.landing_tol,
+                   grouping_tol=args.grouping_tol)
+    cls = classify_landing(m, args.nu, config=rc)
     if args.fmt == "svg":
         traces = [cls.traces[c[0]] for c in cls.classes]
         cloud = julia_cloud(m) if args.cloud else None
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=2)
         p.add_argument("--c", type=complex, default=0j,
                        help='parameter as a Python complex; quote negatives as --c="-0.11+0.6557j"')
-        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--depth", type=int, default=RayConfig.depth)
         p.add_argument("--substeps", type=int, default=RayConfig.substeps)
         p.add_argument("--landing-tol", type=float, default=RayConfig.landing_tol)
         p.add_argument("--cloud", action="store_true", help="add a Julia point cloud (svg)")
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tabulate every n from 1 up to --n")
     p.add_argument("--validate", dest="validate_blocks", default=None,
                    help='JSON {"n": 4, "blocks": [[1,3],[2],[4]]}')
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     common(p, _cmd_ncp, ("csv", "json"))
 
     p = sub.add_parser("rays", help="trace external rays")

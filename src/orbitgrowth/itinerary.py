@@ -21,7 +21,7 @@ acts as the left shift, so one engine serves one word and all d^k alike:
   within residual_tol and z_t .. z_(t+k) must follow the word's sectors, or
   the word is not converged.
 
-Both loops stop after `max_cycles`; `ItineraryResult.cycles` counts the
+Both loops stop after `MAX_CYCLES`; `ItineraryResult.cycles` counts the
 Newton steps of the word's representative.  The polish runs in mpmath
 because the residual of a double-precision point is amplified by |(f^k)'|
 (about 6^12 ~ 2e9 for the degree-2, c=-6 family at k=12), so float64 cannot
@@ -46,6 +46,9 @@ from .dynamics import UnicriticalMap, branch_roots, verify_disk_hypothesis
 # 1 GB; it admits k = 18 for d = 2 and k = 12 for d = 3.
 MAX_ITINERARY_ENTRIES = 10_000_000
 
+MAX_CYCLES = 400        # cap on seed sweeps and Newton steps; convergent words stop sooner
+DEDUP_TOL = 1e-10       # points this close are one: below any periodic-point separation
+
 
 class NonConvergenceError(RuntimeError):
     """An itinerary word found no periodic point that follows it within the
@@ -56,13 +59,11 @@ class NonConvergenceError(RuntimeError):
 class ItineraryConfig:
     dps: int = 40                 # working precision, decimal digits
     residual_tol: float = 1e-12   # bound certified on |f^k(z) - z|
-    max_cycles: int = 400
-    dedup_tol: float = 1e-10      # below any true separation of periodic points
 
     def __post_init__(self):
         if self.dps < 15:
             raise ValueError("dps below double precision is pointless")
-        if self.residual_tol <= 0 or self.dedup_tol <= 0:
+        if self.residual_tol <= 0:
             raise ValueError("tolerances must be positive")
 
     @property
@@ -139,7 +140,7 @@ def _solve(
 
     rows = np.arange(n)
     seeds = np.zeros(n, dtype=complex)
-    for _ in range(cfg.max_cycles):
+    for _ in range(MAX_CYCLES):
         prev = seeds
         for j in range(k - 1, -1, -1):
             seeds = branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
@@ -160,7 +161,7 @@ def _solve(
         for i, seed in enumerate(seeds.tolist()):
             z = mpc(seed)
             step = 0
-            for step in range(1, cfg.max_cycles + 1):
+            for step in range(1, MAX_CYCLES + 1):
                 w, dw = z, 1
                 for _ in range(k):
                     p = w ** (d - 1)
@@ -280,14 +281,14 @@ def count_periodic(
         word = tuple(i // m.d ** (k - 1 - j) % m.d + 1 for j in range(k))
         raise NonConvergenceError(
             f"itinerary {word} found no periodic point that follows it within "
-            f"{cfg.max_cycles} cycles (residual {residuals[i]:.3g})"
+            f"{MAX_CYCLES} cycles (residual {residuals[i]:.3g})"
         )
 
-    representatives = _dedup(np.array([complex(z) for z in points]), cfg.dedup_tol)
+    representatives = _dedup(np.array([complex(z) for z in points]), DEDUP_TOL)
     if len(representatives) < n:
         raise NonConvergenceError(
             f"{n} itineraries of length {k} gave only {len(representatives)} points "
-            f"{cfg.dedup_tol:g} apart"
+            f"{DEDUP_TOL:g} apart"
         )
     return PeriodicPointCount(
         k=k,

@@ -190,6 +190,6 @@ def enumerate_valid(n: int, cap: int = DEFAULT_CAP):
     yield from rec(1)
 
 
-def min_classes(n: int, cap: int = DEFAULT_CAP) -> int:
+def min_classes(n: int) -> int:
     """Exhaustive minimum of class_count over all valid partitions of {1..n}."""
-    return min(class_count(rel) for rel in enumerate_valid(n, cap=cap))
+    return min(class_count(rel) for rel in enumerate_valid(n))

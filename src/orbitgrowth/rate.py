@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .circle import _require_degree
+
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -53,8 +55,7 @@ def rate_estimate(d: int, samples) -> RateEstimate:
     >>> rate_estimate(2, [(k, 2**k) for k in range(1, 11)]).estimate == math.log(2)
     True
     """
-    if abs(d) < 2:
-        raise ValueError(f"degree must satisfy |d| >= 2, got {d}")
+    _require_degree(d)
     samples = tuple((int(nu), int(count)) for nu, count in samples)
     if not samples:
         raise ValueError("at least one (nu, count) sample is required")
@@ -88,8 +89,7 @@ def interval_class_bound(d: int, nu: int, eps) -> int:
     least floor(n/2)+1 classes among n of them -- packaged here as the closed
     form floor(eps * d^nu / 2).
     """
-    if abs(d) < 2:
-        raise ValueError(f"degree must satisfy |d| >= 2, got {d}")
+    _require_degree(d)
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
     eps = Fraction(eps)

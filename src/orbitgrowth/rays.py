@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +33,12 @@ TWO_PI = 2.0 * math.pi
 # the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
 
+NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
+MAX_NEWTON = 64         # Newton steps per pullback step; the nearest-root seed needs few
+DERIV_TOL = 1e-6        # |f'| below this at a sample flags a critical pullback
+UNRESOLVED_FRAC = 0.1   # a larger unresolved fraction makes a classification unreliable
+CLUSTER_SIZE = 5        # terminal samples whose diameter is a ray's residual
+
 
 def _size_error(what: str, depth: int) -> ValueError:
     return ValueError(
@@ -43,21 +49,17 @@ def _size_error(what: str, depth: int) -> ValueError:
 
 @dataclass
 class RayConfig:
-    """Tracing and grouping knobs; the defaults suit strongly repelling
-    landing points (nearly parabolic ones need far more depth)."""
+    """The settable tracing and grouping values (the module constants fix the
+    rest); the defaults suit strongly repelling landing points (nearly
+    parabolic ones need far more depth)."""
 
     depth: int = 48
     substeps: int = 8
     landing_tol: float = 1e-9
-    newton_tol: float = 1e-12
-    max_newton: int = 64
-    deriv_tol: float = 1e-6
     grouping_tol: float = 1e-9
-    unresolved_frac: float = 0.1
-    cluster_size: int = 5
 
     def __post_init__(self):
-        for name in ("landing_tol", "newton_tol", "deriv_tol", "grouping_tol"):
+        for name in ("landing_tol", "grouping_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.depth < 1 or self.substeps < 1:
@@ -137,8 +139,8 @@ def _trace_family(
 
         fz = z**d + c - w
         abs_fz = np.abs(fz)
-        for _ in range(config.max_newton):
-            bad = abs_fz > config.newton_tol
+        for _ in range(MAX_NEWTON):
+            bad = abs_fz > NEWTON_TOL
             if not bad.any():
                 break
             dfz = d * z ** (d - 1)
@@ -147,7 +149,7 @@ def _trace_family(
             fz = z**d + c - w
             abs_fz = np.abs(fz)
 
-        # fmin skips NaN, as the comparison with deriv_tol does
+        # fmin skips NaN, as the comparison with DERIV_TOL does
         np.fmin(min_abs, np.abs(z), out=min_abs)
         level_res = step_res[(j + s - 1) // s]    # the level of sublevel j
         np.maximum(level_res, abs_fz, out=level_res)
@@ -156,12 +158,12 @@ def _trace_family(
             samples[j // s] = z
 
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
-    critical_hit = d * min_abs ** (d - 1) < config.deriv_tol
-    tail = min(config.cluster_size, depth + 1)
+    critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
+    tail = min(CLUSTER_SIZE, depth + 1)
     finite = np.isfinite(samples).all(axis=0)
     with np.errstate(invalid="ignore"):
         diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
-    ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= config.newton_tol)
+    ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= NEWTON_TOL)
     landings = samples[depth].tolist()
     return {
         a: RayTrace(
@@ -200,7 +202,7 @@ def _diameters(rows: np.ndarray) -> np.ndarray:
 def trace_rays(
     m: UnicriticalMap,
     thetas: list[Angle | Fraction | str],
-    depth: int | None = None,
+    *,
     config: RayConfig | None = None,
 ) -> list[RayTrace]:
     """Trace the external rays at rational angles: one trace per angle, in
@@ -209,8 +211,6 @@ def trace_rays(
     """
     thetas = [t if isinstance(t, Angle) else Angle(Fraction(t)) for t in thetas]
     cfg = config or RayConfig()
-    if depth is not None:
-        cfg = replace(cfg, depth=depth)
     family: set[Angle] = set()
     for theta in thetas:
         if theta in family:     # the family is forward closed
@@ -228,11 +228,11 @@ def trace_rays(
 def trace_ray(
     m: UnicriticalMap,
     theta: Angle | Fraction | str,
-    depth: int | None = None,
+    *,
     config: RayConfig | None = None,
 ) -> RayTrace:
     """Trace the external ray at a rational angle: trace_rays with one angle."""
-    return trace_rays(m, [theta], depth, config)[0]
+    return trace_rays(m, [theta], config=config)[0]
 
 
 @dataclass
@@ -268,7 +268,7 @@ class LandingClassification:
 def classify_landing(
     m: UnicriticalMap,
     nu: int,
-    depth: int | None = None,
+    *,
     config: RayConfig | None = None,
 ) -> LandingClassification:
     """Group the angles of period dividing nu by the landing point of their rays.
@@ -279,8 +279,6 @@ def classify_landing(
     points of the nu-th iterate on the boundary.
     """
     cfg = config or RayConfig()
-    if depth is not None:
-        cfg = replace(cfg, depth=depth)
     # |d|^nu >= 2^nu, so past the limit's bit length d**nu need not be computed
     if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) * (cfg.depth + 1) > MAX_RAY_SAMPLES:
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg.depth)
@@ -325,7 +323,7 @@ def classify_landing(
         classes=classes,
         representatives=representatives,
         unresolved=unresolved,
-        unreliable=len(unresolved) > cfg.unresolved_frac * len(angles) or not invariant,
+        unreliable=len(unresolved) > UNRESOLVED_FRAC * len(angles) or not invariant,
         max_class_diameter=max_diam,
         traces=traces,
     )

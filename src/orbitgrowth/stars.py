@@ -225,15 +225,15 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     keeping the family pairwise disjoint and cycle-free.  Two-point
     candidates suffice: any addable star contains an addable pair.
 
-    The family's union-find forest is built once, on the lattice shared by
-    the family and the grid: a candidate closes a cycle iff its ticks share a root.
+    Disjointness and the union-find forest are checked once, on the lattice
+    shared by the family and the grid: a candidate closes a cycle iff its ticks share a root.
     """
     if grid_refinement < 1:
         raise ValueError("grid_refinement must be >= 1")
-    if not _pairwise_disjoint(star_set.stars):
-        raise ValueError("brute-force oracle requires pairwise disjoint stars")
     grid = star_set.degree * grid_refinement
     M, family = _lattice(star_set.stars, grid)
+    if not all(in_one_gap(a, b, M) for a, b in combinations(family, 2)):
+        raise ValueError("brute-force oracle requires pairwise disjoint stars")
     parent = _forest(family)
     if parent is None:
         raise ValueError("brute-force oracle requires an acyclic star family")

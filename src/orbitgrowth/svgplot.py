@@ -14,16 +14,16 @@ from .dynamics import UnicriticalMap, escape_radius
 from .rays import RayTrace
 
 _PALETTE = ("#c0392b", "#2471a3", "#229954", "#b7950b", "#7d3c98", "#117a65")
+CLOUD_POINTS, CLOUD_BURN, CLOUD_SEED = 4000, 30, 0   # kept points, discarded first steps, seed
+SIZE = 640              # figure width and height, in SVG user units
 
 
-def julia_cloud(
-    m: UnicriticalMap, n_points: int = 4000, burn: int = 30, seed: int = 0
-) -> list[complex]:
+def julia_cloud(m: UnicriticalMap) -> list[complex]:
     """Sample the Julia set by a seeded random inverse-branch walk."""
-    rng = random.Random(seed)
+    rng = random.Random(CLOUD_SEED)
     z = complex(escape_radius(m))
     out: list[complex] = []
-    for i in range(n_points + burn):
+    for i in range(CLOUD_POINTS + CLOUD_BURN):
         u = z - m.c
         r = abs(u) ** (1.0 / m.d)
         if r == 0.0:
@@ -32,16 +32,12 @@ def julia_cloud(
         a = cmath.phase(u)
         k = rng.randrange(m.d)
         z = r * cmath.exp(1j * (a + 2 * cmath.pi * k) / m.d)
-        if i >= burn:
+        if i >= CLOUD_BURN:
             out.append(z)
     return out
 
 
-def render_ray_figure(
-    traces: list[RayTrace],
-    cloud: list[complex] | None = None,
-    size: int = 640,
-) -> str:
+def render_ray_figure(traces: list[RayTrace], cloud: list[complex] | None = None) -> str:
     """Render ray polylines (and an optional point cloud) as an SVG document."""
     pts = [z for t in traces for z in t.points] + list(cloud or [])
     if not pts:
@@ -51,19 +47,19 @@ def render_ray_figure(
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     pad = 0.05 * span
     x0, y0 = min(xs) - pad, min(ys) - pad
-    scale = size / (span + 2 * pad)
+    scale = SIZE / (span + 2 * pad)
 
     def fx(z: complex) -> str:
         return f"{(z.real - x0) * scale:.2f}"
 
     def fy(z: complex) -> str:
         # SVG y axis points down
-        return f"{size - (z.imag - y0) * scale:.2f}"
+        return f"{SIZE - (z.imag - y0) * scale:.2f}"
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
+        f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
     ]
     for z in cloud or []:
         lines.append(f'<circle cx="{fx(z)}" cy="{fy(z)}" r="0.6" fill="#555555"/>')

@@ -340,8 +340,10 @@ class TestConfigSurface:
         ("classes", "grouping_tol", RayConfig().grouping_tol),
         ("itinerary", "dps", ItineraryConfig().dps),
         ("itinerary", "itinerary_tol", ItineraryConfig().residual_tol),
+        ("rays", "depth", RayConfig().depth),
+        ("classes", "depth", RayConfig().depth),
     ], ids=["rays-substeps", "rays-landing_tol", "classes-grouping_tol",
-            "itinerary-dps", "itinerary-itinerary_tol"])
+            "itinerary-dps", "itinerary-itinerary_tol", "rays-depth", "classes-depth"])
     def test_default_is_the_library_default(self, verb, dest, default):
         assert getattr(build_parser().parse_args([verb]), dest) == default
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 import random
@@ -15,8 +16,9 @@ from orbitgrowth import (
     count_periodic,
     itinerary_point,
 )
+from orbitgrowth import itinerary
 from orbitgrowth.dynamics import branch_roots
-from orbitgrowth.itinerary import _dedup, _snap_f64, _solve
+from orbitgrowth.itinerary import MAX_CYCLES, _dedup, _snap_f64, _solve
 
 
 def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
@@ -51,7 +53,7 @@ def reference_point(m, word, cfg=ItineraryConfig()):
         z = mpc(0)
         cycles = 0
         converged = False
-        for cycles in range(1, cfg.max_cycles + 1):
+        for cycles in range(1, MAX_CYCLES + 1):
             prev = z
             for sym in reversed(word):
                 z = branch_root(z - c, m.d, sym, snap)
@@ -90,7 +92,7 @@ def reference_solve(m, branches, cfg=ItineraryConfig()):
     rows = np.arange(n)
 
     seeds = np.zeros(n, dtype=complex)
-    for _ in range(cfg.max_cycles):
+    for _ in range(MAX_CYCLES):
         prev = seeds
         for j in range(k - 1, -1, -1):
             seeds = branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
@@ -107,7 +109,7 @@ def reference_solve(m, branches, cfg=ItineraryConfig()):
         for i, seed in enumerate(seeds.tolist()):
             z = mpc(seed)
             step = 0
-            for step in range(1, cfg.max_cycles + 1):
+            for step in range(1, MAX_CYCLES + 1):
                 w, dw = z, 1
                 for _ in range(k):
                     p = w ** (d - 1)
@@ -362,7 +364,7 @@ class TestNecklaceEngine:
     def test_one_polish_per_necklace(self, k, expected):
         res = count_periodic(M6, k, radius=4.0)
         assert res.polished == expected == necklaces(2, k)
-        assert expected <= res.newton_steps <= expected * ItineraryConfig().max_cycles
+        assert expected <= res.newton_steps <= expected * MAX_CYCLES
         assert "polished" not in res.to_dict() and "newton_steps" not in res.to_dict()
         # the guard digits keep every image as good as a polish of its own
         # word (at most 3e-32 at k = 12); without them it reads about 3e-24
@@ -381,9 +383,10 @@ class TestSectorCheck:
         with pytest.raises(NonConvergenceError, match="follows it"):
             count_periodic(M38, 3, radius=3.0)
 
-    def test_coinciding_points_raise(self):
+    def test_coinciding_points_raise(self, monkeypatch):
+        monkeypatch.setattr(itinerary, "DEDUP_TOL", 10.0)
         with pytest.raises(NonConvergenceError, match="gave only 1 points"):
-            count_periodic(M6, 3, radius=4.0, config=ItineraryConfig(dedup_tol=10.0))
+            count_periodic(M6, 3, radius=4.0)
 
 
 class TestDedup:
@@ -448,16 +451,19 @@ class TestCountPeriodic:
         with pytest.raises(ValueError):
             count_periodic(M6, 0, radius=4.0)
 
-    def test_nonconvergence_propagates(self):
-        tight = ItineraryConfig(max_cycles=1)
+    def test_nonconvergence_propagates(self, monkeypatch):
+        monkeypatch.setattr(itinerary, "MAX_CYCLES", 1)
         with pytest.raises(NonConvergenceError):
-            count_periodic(M6, 1, radius=4.0, config=tight)
+            count_periodic(M6, 1, radius=4.0)
 
     def test_config_validated(self):
         with pytest.raises(ValueError):
             ItineraryConfig(dps=5)
         with pytest.raises(ValueError):
             ItineraryConfig(residual_tol=-1.0)
+
+    def test_config_fields_are_the_settable_values(self):
+        assert [f.name for f in dataclasses.fields(ItineraryConfig)] == ["dps", "residual_tol"]
 
     def test_all_words_distinct_points(self):
         res = count_periodic(M6, 4, radius=4.0)

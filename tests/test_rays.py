@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import math
 import random
 import time
@@ -108,7 +110,7 @@ class TestTraceRay:
         assert t.hit_critical_pullback
 
     def test_points_run_inward(self):
-        t = trace_ray(CHEB, Angle(1, 3), depth=20)
+        t = trace_ray(CHEB, Angle(1, 3), config=RayConfig(depth=20))
         assert len(t.points) == 21
         assert abs(t.points[0]) == pytest.approx(4.0)
         mods = [abs(z) for z in t.points]
@@ -136,6 +138,16 @@ class TestTraceRay:
         with pytest.raises(ValueError):
             RayConfig(depth=0)
 
+    def test_config_fields_are_the_settable_values(self):
+        names = [f.name for f in dataclasses.fields(RayConfig)]
+        assert names == ["depth", "substeps", "landing_tol", "grouping_tol"]
+
+    @pytest.mark.parametrize("fn", [trace_rays, trace_ray, classify_landing])
+    def test_depth_is_set_only_through_config(self, fn):
+        params = inspect.signature(fn).parameters
+        assert "depth" not in params
+        assert params["config"].kind is inspect.Parameter.KEYWORD_ONLY
+
     def test_to_dict_shape(self):
         d = trace_ray(CHEB, Angle(1, 3)).to_dict()
         assert d["angle"] == "1/3"
@@ -153,10 +165,10 @@ class TestTraceRay:
 
     def test_excessive_depth_rejected(self):
         with pytest.raises(ValueError, match="lower nu or depth"):
-            trace_ray(CHEB, Angle(1, 3), depth=10**9)
+            trace_ray(CHEB, Angle(1, 3), config=RayConfig(depth=10**9))
 
     def test_insufficient_depth_reported_not_converged(self):
-        t = trace_ray(CHEB, Angle(1, 3), depth=12)
+        t = trace_ray(CHEB, Angle(1, 3), config=RayConfig(depth=12))
         assert not t.converged
         assert t.landing is None
         assert t.residual > 1e-9
@@ -203,7 +215,7 @@ class TestTraceRays:
         assert [len(orbit(Angle(p, 127), 2)) for p in (1, 3, 5)] == [7, 7, 7]
         start = time.perf_counter()
         with pytest.raises(ValueError, match="orbits of 1/127, 3/127, 5/127"):
-            trace_rays(CHEB, ["1/127", "3/127", "5/127"], depth=10**6)
+            trace_rays(CHEB, ["1/127", "3/127", "5/127"], config=RayConfig(depth=10**6))
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("thetas,size", [
@@ -219,10 +231,10 @@ class TestTraceRays:
 
         monkeypatch.setattr(rays, "_trace_family", stub)
         depth = rays.MAX_RAY_SAMPLES // size - 1
-        trace_rays(CHEB, thetas, depth=depth)
+        trace_rays(CHEB, thetas, config=RayConfig(depth=depth))
         assert [len(angles) for angles in traced] == [size]
         with pytest.raises(ValueError, match="lower nu or depth"):
-            trace_rays(CHEB, thetas, depth=depth + 1)
+            trace_rays(CHEB, thetas, config=RayConfig(depth=depth + 1))
 
 
 class TestClassifyLanding:
@@ -327,7 +339,7 @@ class TestClassifyLanding:
 
     def test_size_limit_counts_depth(self):
         with pytest.raises(ValueError, match="to depth 4000"):
-            classify_landing(CHEB, 13, depth=4000)
+            classify_landing(CHEB, 13, config=RayConfig(depth=4000))
 
     def test_to_dict_shape(self):
         d = classify_landing(CHEB, 2).to_dict()

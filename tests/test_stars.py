@@ -269,6 +269,13 @@ class TestBruteforceOracle:
         with pytest.raises(ValueError):
             check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]]))
 
+    def test_disjointness_precondition_checked(self):
+        # 1/8 is not a multiple of 1/(d*g) = 1/4, so the check runs on the
+        # eighths, the lattice shared by the family and the grid
+        interleaved = StarSet(4, [E["E4"], star(4, "1/8", "5/8")])
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            check_maximal_bruteforce(interleaved, 1)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_agrees_with_reference_on_grid_families(self, d):
         for family in enumerate_grid_star_sets(d):
