@@ -33,7 +33,7 @@ class Angle(Fraction):
             value = Fraction(numerator)
         else:
             value = Fraction(numerator, denominator)
-        return super().__new__(cls, value % 1)
+        return super().__new__(cls, value.numerator % value.denominator, value.denominator)
 
     def __repr__(self) -> str:
         return f"Angle({self.numerator}/{self.denominator})"
@@ -59,7 +59,8 @@ def multiply(theta: Angle, d: int) -> Angle:
     Angle(2/7)
     """
     _require_degree(d)
-    return Angle(d * Fraction(theta))
+    t = Fraction(theta)
+    return Angle(d * t.numerator, t.denominator)
 
 
 def circle_dist(a: Angle, b: Angle) -> Fraction:

@@ -15,7 +15,7 @@ class; classes are recovered by tolerance grouping of the landed endpoints.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,10 +27,10 @@ from .dynamics import UnicriticalMap, branch_roots, escape_radius
 TWO_PI = 2.0 * math.pi
 
 # Largest number of ray samples (rays traced times depth + 1) one call may
-# hold.  A sample costs about 113 bytes across the pullback arrays and the
-# per-ray lists of RayTrace (tracemalloc peak of classify_landing(z^2 - 2) at
-# nu = 12 and 14), so the limit keeps a call near 2 GB; it admits nu = 18 at
-# the default depth 48.
+# hold.  A sample costs about 117 bytes across the per-ray lists of RayTrace,
+# the samples array and the pullback's (s, n) level buffers (tracemalloc peak
+# of classify_landing(z^2 - 2) at nu = 12 and 14: 116.6 and 116.9 bytes), so
+# the limit keeps a call near 2 GB; it admits nu = 18 at the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
@@ -38,6 +38,7 @@ MAX_NEWTON = 64         # Newton steps per pullback step; the nearest-root seed 
 DERIV_TOL = 1e-6        # |f'| below this at a sample flags a critical pullback
 UNRESOLVED_FRAC = 0.1   # a larger unresolved fraction makes a classification unreliable
 CLUSTER_SIZE = 5        # terminal samples whose diameter is a ray's residual
+BLOCK_SAMPLES = 4096    # samples per pullback block, a bound that keeps a block in cache
 
 
 def _size_error(what: str, depth: int) -> ValueError:
@@ -108,54 +109,65 @@ def _trace_family(
     except KeyError as exc:
         raise ValueError(f"angle family not closed under multiplication: {exc}") from None
 
-    n = len(angles)
-    s = config.substeps
-    depth = config.depth
+    n, s, depth = len(angles), config.substeps, config.depth
     logR = math.log(escape_radius(m))
     phase = np.exp(2j * math.pi * np.array([float(a) for a in angles]))
 
-    # The window holds the last s rings, oldest first.  Ring i (0 <= i <= s)
-    # is sublevel i - s, at potential R^(d^((s-i)/s)); sublevels -s..0 sit on
-    # or above the escape circle, where the ray is (to first order) the
-    # straight angular ray itself.  Sublevel j pulls back sublevel j - s, one
-    # level up the ray and the oldest ring in the window, starting from
-    # sublevel j - 1, the newest; ring 0 is never read.
-    window: deque[np.ndarray] = deque(
-        (math.exp(logR * d ** ((s - i) / s)) * phase for i in range(s + 1)), maxlen=s
-    )
+    # Sublevel j pulls back sublevel j - s, one level up the ray, along the
+    # branch nearest sublevel j - 1.  So a level needs only the level above,
+    # all known when it starts, and only the branch pick chains its rows: it
+    # is pulled back in blocks of b rows, one set of numpy calls each, and
+    # its residuals are reduced once.  BLOCK_SAMPLES bounds a block's b * n
+    # samples, as larger blocks fall out of cache and run slower.  The level
+    # above level 1 is sublevels 1 - s..0, at potentials R^(d^((s-i)/s)) for
+    # i = 1..s, on or above the escape circle, where the ray is (to first
+    # order) the straight angular ray itself.
+    prev = np.array([math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)])
+    cur, res = np.empty_like(prev), np.empty((s, n))  # this level's rows and residuals
+    b = max(1, min(s, BLOCK_SAMPLES // n))
 
     samples = np.empty((depth + 1, n), dtype=complex)
-    samples[0] = window[-1]
+    samples[0] = prev[-1]
     step_res = np.zeros((depth + 1, n))
     min_abs = np.full(n, math.inf)
     rows = np.arange(n)
 
-    for j in range(1, depth * s + 1):
-        w = window[0][perm]             # sublevel j - s, one level up the ray
-        seeds = window[-1]              # sublevel j - 1
-        cand = branch_roots(w - c, d)
-        pick = np.argmin(np.abs(cand - seeds[:, None]), axis=1)
-        z = cand[rows, pick]
+    for level in range(1, depth + 1):
+        seeds, k = prev[-1], 0          # sublevel j - 1 for the level's first row
+        while k < s:
+            w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
+            z = cur[k:k + b]
+            cand = branch_roots(w - c, d)
+            picks = np.empty(w.shape, dtype=np.intp)
+            for i in range(len(w)):
+                picks[i] = np.argmin(np.abs(cand[i] - seeds[:, None]), axis=1)
+                seeds = z[i] = cand[i, rows, picks[i]]
 
-        fz = z**d + c - w
-        abs_fz = np.abs(fz)
-        for _ in range(MAX_NEWTON):
-            bad = abs_fz > NEWTON_TOL
-            if not bad.any():
-                break
-            dfz = d * z ** (d - 1)
-            safe = np.where(dfz != 0, dfz, 1.0)
-            z = z - np.where(bad & (dfz != 0), fz / safe, 0.0)
             fz = z**d + c - w
             abs_fz = np.abs(fz)
+            taken = len(w)
+            for _ in range(MAX_NEWTON):
+                bad = abs_fz > NEWTON_TOL
+                if not bad.any():
+                    break
+                dfz = d * z ** (d - 1)
+                safe = np.where(dfz != 0, dfz, 1.0)
+                z -= np.where(bad & (dfz != 0), fz / safe, 0.0)
+                fz = z**d + c - w
+                abs_fz = np.abs(fz)
+                # the picks were seeded with unpolished rows: from the first
+                # pick a polished seed changes, the rows are pulled back again
+                again = (np.argmin(np.abs(cand[1:] - z[:-1, :, None]), axis=2) != picks[1:]).any(1)
+                taken = 1 + int(again.argmax()) if again.any() else len(w)
+            res[k:k + taken] = abs_fz[:taken]
+            seeds = z[taken - 1]
+            k += taken
 
         # fmin skips NaN, as the comparison with DERIV_TOL does
-        np.fmin(min_abs, np.abs(z), out=min_abs)
-        level_res = step_res[(j + s - 1) // s]    # the level of sublevel j
-        np.maximum(level_res, abs_fz, out=level_res)
-        window.append(z)
-        if j % s == 0:
-            samples[j // s] = z
+        np.fmin(min_abs, np.fmin.reduce(np.abs(cur), axis=0), out=min_abs)
+        np.max(res, axis=0, out=step_res[level])
+        samples[level] = cur[-1]
+        prev, cur = cur, prev
 
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
@@ -284,12 +296,13 @@ def classify_landing(
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg.depth)
     angles = periodic_angles(m.d, nu)
     traces = _trace_family(m, angles, cfg)
+    ordered = list(traces.values())     # built in the order of angles
 
-    converged = np.array([traces[a].converged for a in angles], dtype=bool)
+    converged = np.array([t.converged for t in ordered], dtype=bool)
     landed_idx = np.flatnonzero(converged)
     landed = [angles[i] for i in landed_idx.tolist()]
     unresolved = [a for a, ok in zip(angles, converged.tolist()) if not ok]
-    points = np.array([traces[a].landing for a in landed], dtype=complex)
+    points = np.array([ordered[i].landing for i in landed_idx.tolist()], dtype=complex)
     labels = _single_linkage(points, cfg.grouping_tol)
 
     groups: dict[int, list[int]] = {}
@@ -298,7 +311,7 @@ def classify_landing(
     # labels are least member indices and `landed` is sorted, so each class
     # comes out sorted and the classes come out in order of their least angle
     classes = [[landed[i] for i in members] for members in groups.values()]
-    representatives = [traces[cls[0]].landing for cls in classes]
+    representatives = points[[members[0] for members in groups.values()]].tolist()
     max_diam = 0.0
     for size in {len(members) for members in groups.values()} - {1}:
         rows = points[[members for members in groups.values() if len(members) == size]]

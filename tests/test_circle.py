@@ -52,6 +52,22 @@ class TestAngle:
         assert 0 <= a.numerator < a.denominator or (a.numerator, a.denominator) == (0, 1)
         assert math.gcd(a.numerator, a.denominator) == 1
 
+    @pytest.mark.parametrize("args", [
+        (0,), (5,), (-3,), (3, 6), (9, 7), (-1, 4), (-9, 7), (7, -3), (-7, -3), (0, 5),
+        ("5/3",), ("-5/3",), (" 7 ",), ("0.75",), ("-2.5",), ("1e-3",),
+        (0.1,), (-0.1,), (2.75,), (-1e300,), (5e-324,),
+        (Fraction(-22, 7),), (Fraction(1, 3), Fraction(1, 2)), (Angle(2, 3),),
+    ])
+    def test_equals_fraction_mod_one(self, args):
+        a, expected = Angle(*args), Fraction(*args) % 1
+        assert type(a) is Angle
+        assert (a.numerator, a.denominator) == (expected.numerator, expected.denominator)
+
+    @given(st.integers(), st.integers().filter(bool))
+    def test_integer_pairs_equal_fraction_mod_one(self, p, q):
+        a, expected = Angle(p, q), Fraction(p, q) % 1
+        assert (a.numerator, a.denominator) == (expected.numerator, expected.denominator)
+
 
 class TestMultiply:
     def test_orbit_one_seventh(self):
@@ -70,6 +86,18 @@ class TestMultiply:
 
     def test_negative_degree(self):
         assert multiply(Angle(1, 3), -2) == Angle(1, 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_matches_exact_product_on_periodic_angles(self, d):
+        # every angle of period at most 10 under doubling, and of period nu
+        # under d while d^nu <= 2^10
+        angles = {a for base in {2, d} for nu in range(1, 11) if base**nu <= 2**10
+                  for a in periodic_angles(base, nu)}
+        for a in angles:
+            image, expected = multiply(a, d), Angle(d * Fraction(a))
+            assert type(image) is Angle
+            assert (image.numerator, image.denominator) == (expected.numerator,
+                                                            expected.denominator)
 
     @given(rational_angles(), st.integers(min_value=-5, max_value=5).filter(lambda d: abs(d) >= 2))
     def test_semigroup_action(self, a, d):

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import inspect
 import math
 import random
 import time
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from orbitgrowth import (
 )
 from orbitgrowth import rays
 from orbitgrowth.circle import in_one_gap, orbit
+from orbitgrowth.dynamics import branch_roots, escape_radius
 from orbitgrowth.rays import _single_linkage
 
 CHEB = UnicriticalMap(2, -2 + 0j)
@@ -34,6 +37,14 @@ CUBIC = UnicriticalMap(3, 0.3 + 0.5j)
 def trace_fields(t):
     return (str(t.angle), t.points, t.step_residuals, t.landing, t.residual,
             t.converged, t.hit_critical_pullback)
+
+
+def trace_bits(t):
+    """Every field of a trace, its sample and residual lists as the bit
+    patterns of their floats: equal bits mean equal reprs."""
+    return (repr(t.angle), repr(t.landing), repr(t.residual), t.converged,
+            t.hit_critical_pullback, np.array(t.points).tobytes(),
+            np.array(t.step_residuals).tobytes())
 
 
 def traces_digest(traces):
@@ -60,6 +71,120 @@ def reference_noncrossing(classes):
                                and points.isdisjoint(other)):
                 return False
     return True
+
+
+def reference_trace_family(m, angles, config):
+    """The former pullback, one sublevel per step over a window of the last s
+    rings; the module's constants are read at call time."""
+    d, c = m.d, complex(m.c)
+    index = {a: i for i, a in enumerate(angles)}
+    try:
+        perm = np.array([index[multiply(a, d)] for a in angles])
+    except KeyError as exc:
+        raise ValueError(f"angle family not closed under multiplication: {exc}") from None
+
+    n = len(angles)
+    s = config.substeps
+    depth = config.depth
+    logR = math.log(escape_radius(m))
+    phase = np.exp(2j * math.pi * np.array([float(a) for a in angles]))
+
+    # The window holds the last s rings, oldest first.  Ring i (0 <= i <= s)
+    # is sublevel i - s, at potential R^(d^((s-i)/s)); sublevels -s..0 sit on
+    # or above the escape circle, where the ray is (to first order) the
+    # straight angular ray itself.  Sublevel j pulls back sublevel j - s, one
+    # level up the ray and the oldest ring in the window, starting from
+    # sublevel j - 1, the newest; ring 0 is never read.
+    window: deque[np.ndarray] = deque(
+        (math.exp(logR * d ** ((s - i) / s)) * phase for i in range(s + 1)), maxlen=s
+    )
+
+    samples = np.empty((depth + 1, n), dtype=complex)
+    samples[0] = window[-1]
+    step_res = np.zeros((depth + 1, n))
+    min_abs = np.full(n, math.inf)
+    rows = np.arange(n)
+
+    for j in range(1, depth * s + 1):
+        w = window[0][perm]             # sublevel j - s, one level up the ray
+        seeds = window[-1]              # sublevel j - 1
+        cand = branch_roots(w - c, d)
+        pick = np.argmin(np.abs(cand - seeds[:, None]), axis=1)
+        z = cand[rows, pick]
+
+        fz = z**d + c - w
+        abs_fz = np.abs(fz)
+        for _ in range(rays.MAX_NEWTON):
+            bad = abs_fz > rays.NEWTON_TOL
+            if not bad.any():
+                break
+            dfz = d * z ** (d - 1)
+            safe = np.where(dfz != 0, dfz, 1.0)
+            z = z - np.where(bad & (dfz != 0), fz / safe, 0.0)
+            fz = z**d + c - w
+            abs_fz = np.abs(fz)
+
+        # fmin skips NaN, as the comparison with DERIV_TOL does
+        np.fmin(min_abs, np.abs(z), out=min_abs)
+        level_res = step_res[(j + s - 1) // s]    # the level of sublevel j
+        np.maximum(level_res, abs_fz, out=level_res)
+        window.append(z)
+        if j % s == 0:
+            samples[j // s] = z
+
+    # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
+    critical_hit = d * min_abs ** (d - 1) < rays.DERIV_TOL
+    tail = min(rays.CLUSTER_SIZE, depth + 1)
+    finite = np.isfinite(samples).all(axis=0)
+    with np.errstate(invalid="ignore"):
+        diam = np.where(finite, rays._diameters(samples[depth + 1 - tail:].T), math.inf)
+    ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= rays.NEWTON_TOL)
+    landings = samples[depth].tolist()
+    return {
+        a: rays.RayTrace(
+            angle=a,
+            points=points,
+            landing=landing if converged else None,
+            converged=converged,
+            residual=residual,
+            step_residuals=residuals,
+            hit_critical_pullback=hit,
+        )
+        for a, points, landing, converged, residual, residuals, hit in zip(
+            angles,
+            samples.T.tolist(),
+            landings,
+            ok.tolist(),
+            diam.tolist(),
+            step_res.T.tolist(),
+            critical_hit.tolist(),
+        )
+    }
+
+
+@functools.lru_cache
+def closed_family(d, n):
+    """n angles closed under multiplication by d: the largest set of periodic
+    angles that fits (or the fixed angle 0), then preimages of its angles,
+    breadth first."""
+    nu = max((k for k in range(1, n.bit_length() + 1) if d**k - 1 <= n), default=None)
+    family = periodic_angles(d, nu) if nu else [Angle(0)]
+    members = set(family)
+    for a in family:                    # grows as preimages are added
+        for j in range(d):
+            if len(family) == n:
+                return tuple(sorted(family))
+            p = Angle((Fraction(a) + j) / d)
+            if p not in members:
+                members.add(p)
+                family.append(p)
+    return tuple(sorted(family))
+
+
+# Cantor Julia sets: rays run close to precritical points, where the branch
+# pick's seed decides which preimage continues the ray
+BLOCK_MAPS = {2: UnicriticalMap(2, 0.3 + 1j), 3: UnicriticalMap(3, 1 + 1j),
+              4: UnicriticalMap(4, 1.5 + 0j), 5: UnicriticalMap(5, 3 + 0j)}
 
 
 LATTICES = {q: [Angle(p, q) for p in range(q)] for q in (2, 3, 4, 6, 8, 12, 16, 24)}
@@ -235,6 +360,40 @@ class TestTraceRays:
         assert [len(angles) for angles in traced] == [size]
         with pytest.raises(ValueError, match="lower nu or depth"):
             trace_rays(CHEB, thetas, config=RayConfig(depth=depth + 1))
+
+
+class TestBlockPullback:
+    """The pullback in blocks of sublevels matches the one-sublevel steps of
+    reference_trace_family in every field, bit for bit."""
+
+    @pytest.mark.parametrize("d", sorted(BLOCK_MAPS))
+    @pytest.mark.parametrize("substeps", [1, 3, 4, 8])
+    @pytest.mark.parametrize("n,depth", [(3, 48), (7, 48), (63, 48), (1023, 16),
+                                         (rays.BLOCK_SAMPLES + 5, 8)])
+    def test_matches_one_sublevel_steps(self, d, substeps, n, depth):
+        # b = min(s, BLOCK_SAMPLES // n) rows per block: whole levels up to
+        # n = 1023, two blocks a level at n = 1023 and s = 8, one row per
+        # block past BLOCK_SAMPLES
+        angles = list(closed_family(d, n))
+        assert len(angles) == n
+        config = RayConfig(depth=depth, substeps=substeps)
+        expected = reference_trace_family(BLOCK_MAPS[d], angles, config)
+        traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
+        assert list(traced) == list(expected) == angles
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    @pytest.mark.parametrize("d,n,depth", [(2, 1023, 8), (3, 63, 24), (5, 7, 48)])
+    def test_matches_when_newton_runs_on_every_block(self, monkeypatch, d, n, depth):
+        # no residual meets a zero tolerance, so every block runs Newton and
+        # its picks are first seeded with unpolished rows; on z^5 + 3 the
+        # polish changes a pick, which the block must then make again
+        monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
+        angles = list(closed_family(d, n))
+        config = RayConfig(depth=depth, substeps=8)
+        expected = reference_trace_family(BLOCK_MAPS[d], angles, config)
+        traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
+        assert not any(t.converged for t in expected.values())
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
 class TestClassifyLanding:
