@@ -27,10 +27,11 @@ from .dynamics import UnicriticalMap, branch_roots, escape_radius
 TWO_PI = 2.0 * math.pi
 
 # Largest number of ray samples (rays traced times depth + 1) one call may
-# hold.  A sample costs about 117 bytes across the per-ray lists of RayTrace,
-# the samples array and the pullback's (s, n) level buffers (tracemalloc peak
-# of classify_landing(z^2 - 2) at nu = 12 and 14: 116.6 and 116.9 bytes), so
-# the limit keeps a call near 2 GB; it admits nu = 18 at the default depth 48.
+# hold.  A sample costs about 113 bytes in the samples array and the per-ray
+# lists of RayTrace, built after the pullback's (s, n) level buffers are freed
+# (tracemalloc peak of classify_landing(z^2 - 2): 112.7 bytes at nu = 12 and
+# 112.9 at nu = 14), so the limit keeps a call near 2 GB; it admits nu = 18
+# at the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
@@ -116,14 +117,14 @@ def _trace_family(
     # Sublevel j pulls back sublevel j - s, one level up the ray, along the
     # branch nearest sublevel j - 1.  So a level needs only the level above,
     # all known when it starts, and only the branch pick chains its rows: it
-    # is pulled back in blocks of b rows, one set of numpy calls each, and
-    # its residuals are reduced once.  BLOCK_SAMPLES bounds a block's b * n
-    # samples, as larger blocks fall out of cache and run slower.  The level
-    # above level 1 is sublevels 1 - s..0, at potentials R^(d^((s-i)/s)) for
-    # i = 1..s, on or above the escape circle, where the ray is (to first
-    # order) the straight angular ray itself.
+    # is pulled back in blocks of b rows, one set of numpy calls each, whose
+    # residuals and |z| fold into per-ray maxima and minima in any order.
+    # BLOCK_SAMPLES bounds a block's b * n samples, as larger blocks fall out
+    # of cache and run slower.  The level above level 1 is sublevels 1 - s..0,
+    # at potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape
+    # circle, where the ray is (to first order) the straight angular ray.
     prev = np.array([math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)])
-    cur, res = np.empty_like(prev), np.empty((s, n))  # this level's rows and residuals
+    cur = np.empty_like(prev)
     b = max(1, min(s, BLOCK_SAMPLES // n))
 
     samples = np.empty((depth + 1, n), dtype=complex)
@@ -159,16 +160,16 @@ def _trace_family(
                 # pick a polished seed changes, the rows are pulled back again
                 again = (np.argmin(np.abs(cand[1:] - z[:-1, :, None]), axis=2) != picks[1:]).any(1)
                 taken = 1 + int(again.argmax()) if again.any() else len(w)
-            res[k:k + taken] = abs_fz[:taken]
+            np.maximum(step_res[level], abs_fz[:taken].max(axis=0), out=step_res[level])
+            # fmin skips NaN, as the comparison with DERIV_TOL does
+            np.fmin(min_abs, np.fmin.reduce(np.abs(z[:taken]), axis=0), out=min_abs)
             seeds = z[taken - 1]
             k += taken
 
-        # fmin skips NaN, as the comparison with DERIV_TOL does
-        np.fmin(min_abs, np.fmin.reduce(np.abs(cur), axis=0), out=min_abs)
-        np.max(res, axis=0, out=step_res[level])
         samples[level] = cur[-1]
         prev, cur = cur, prev
 
+    del prev, cur
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
     tail = min(CLUSTER_SIZE, depth + 1)

@@ -396,6 +396,19 @@ class TestBlockPullback:
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
+    @pytest.mark.parametrize("n,depth", [(1023, 16), (rays.BLOCK_SAMPLES + 5, 8)])
+    def test_matches_when_the_critical_flag_splits_the_family(self, monkeypatch, n, depth):
+        # a tolerance that flags some rays and not others checks that min |z|
+        # is taken over every block of every level
+        monkeypatch.setattr(rays, "DERIV_TOL", 1.0)
+        angles = list(closed_family(2, n))
+        config = RayConfig(depth=depth, substeps=8)
+        expected = reference_trace_family(BLOCK_MAPS[2], angles, config)
+        traced = rays._trace_family(BLOCK_MAPS[2], angles, config)
+        flags = {t.hit_critical_pullback for t in expected.values()}
+        assert flags == {True, False}
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
 class TestClassifyLanding:
     def test_nu2_classes(self):
         cls = classify_landing(CHEB, 2)
