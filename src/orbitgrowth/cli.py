@@ -232,12 +232,13 @@ def _repro_colanding() -> tuple[dict, int]:
         "c": [m.c.real, m.c.imag],
         "nu": 3,
         "classes": [[str(a) for a in c] for c in cls.classes],
-        "orbit_identified": joined is not None and triple == set(joined) & triple,
+        "orbit_identified": joined is not None,
         "identified_class": None if joined is None else [str(a) for a in joined],
         "noncrossing": classes_noncrossing(cls.classes),
         "unresolved": [str(a) for a in cls.unresolved],
     }
-    return report, 0 if joined is not None and not cls.unreliable else 2
+    ok = joined is not None and report["noncrossing"] and not cls.unreliable
+    return report, 0 if ok else 2
 
 
 def _repro_chebyshev() -> tuple[dict, int]:
@@ -279,6 +280,7 @@ def _repro_stars() -> tuple[dict, int]:
         report["maximal_E1_E2_E3"]
         and report["cycle_E1_E2_E3_E5"]
         and report["E3_E4_disjoint"]
+        and report["E3_E4_acyclic"]
         and not report["E3_E4_maximal"]
         and report["oracle_agrees"]
     )
@@ -313,11 +315,8 @@ _REPRO = {
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    if args.target is None and args.figure not in (None, 1):
-        raise ValueError(f"unknown figure {args.figure}")
-    target = args.target or "colanding"
-    report, code = _REPRO[target]()
-    _emit(_json({"target": target, "report": report}), args.output)
+    report, code = _REPRO[args.target]()
+    _emit(_json({"target": args.target, "report": report}), args.output)
     return code
 
 
@@ -392,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_rate, ("json", "csv"))
 
     p = sub.add_parser("repro", help="re-run the documented worked examples")
-    p.add_argument("--target", choices=_REPRO, default=None)
-    p.add_argument("--figure", type=int, default=None,
-                   help="numeric shorthand: 1 = colanding")
+    p.add_argument("--target", choices=_REPRO, default="colanding")
     common(p, _cmd_repro)
 
     return parser

@@ -47,6 +47,41 @@ def _roots_of_unity(d: int) -> np.ndarray:
     return roots
 
 
+def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage components of points at radius tol.
+
+    Points within tol of each other, and chains of such points, share a
+    component; each point is labelled with the least index in its component.
+    The points are swept in order of real part, each paired with its
+    successors at offsets 1, 2, ... until no pair at the current offset is
+    within tol in real part.  Since |Re(p - q)| <= |p - q| this finds every
+    close pair, in O(n) memory and O(n log n) time plus the pairs that are
+    close in real part.
+    """
+    n = len(points)
+    order = np.argsort(points.real, kind="stable")
+    xs = points.real[order]
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for offset in range(1, n):
+        near = np.flatnonzero(xs[offset:] - xs[:-offset] <= tol)
+        if near.size == 0:
+            break
+        i, j = order[near], order[near + offset]
+        close = np.abs(points[i] - points[j]) <= tol
+        for a, b in zip(i[close].tolist(), j[close].tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(x) for x in range(n)], dtype=np.intp)
+
+
 def escape_radius(m: UnicriticalMap) -> float:
     """R with |z| >= R implying |f(z)| >= 2|z|: R = max(2, (2+|c|)^(1/(d-1)))."""
     return max(2.0, (2.0 + abs(m.c)) ** (1.0 / (m.d - 1)))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mpc, mpf, workdps
 
-from .dynamics import UnicriticalMap, branch_roots, verify_disk_hypothesis
+from .dynamics import UnicriticalMap, _single_linkage, branch_roots, verify_disk_hypothesis
 
 # Largest d^k * (k + d) count_periodic accepts: its d^k words each hold a
 # point, and their ~d^k/k representatives 2k orbit points with d roots each.
@@ -255,12 +255,13 @@ def count_periodic(
 ) -> PeriodicPointCount:
     """Count fixed points of f^k by sweeping all d^k itinerary words.
 
-    Points closer than the deduplication tolerance are merged (a safety net:
-    under the disk hypothesis distinct words give distinct points).  Raises
+    Returns the d^k points in order of (real, imaginary) part.  Raises
     NonConvergenceError if any word fails to converge to a point whose orbit
-    follows it, or if fewer than d^k distinct points remain, so a broken
-    word-point bijection is reported, never counted short.  Raises
-    ValueError above MAX_ITINERARY_ENTRIES.
+    follows it, or if any two points lie within DEDUP_TOL, directly or by a
+    chain (the single-linkage sweep that groups landing points): under the
+    disk hypothesis distinct words give distinct points, so a broken
+    word-point bijection is reported, never merged or counted short.
+    Raises ValueError above MAX_ITINERARY_ENTRIES.
     """
     if k < 1:
         raise ValueError(f"word length must be >= 1, got {k}")
@@ -284,41 +285,19 @@ def count_periodic(
             f"{MAX_CYCLES} cycles (residual {residuals[i]:.3g})"
         )
 
-    representatives = _dedup(np.array([complex(z) for z in points]), DEDUP_TOL)
-    if len(representatives) < n:
+    pts = np.array([complex(z) for z in points])
+    distinct = int(np.count_nonzero(_single_linkage(pts, DEDUP_TOL) == np.arange(n)))
+    if distinct < n:
         raise NonConvergenceError(
-            f"{n} itineraries of length {k} gave only {len(representatives)} points "
+            f"{n} itineraries of length {k} gave only {distinct} points "
             f"{DEDUP_TOL:g} apart"
         )
     return PeriodicPointCount(
         k=k,
-        count=len(representatives),
-        points=[points[i] for i in representatives],
+        count=n,
+        points=[points[i] for i in np.lexsort((pts.imag, pts.real)).tolist()],
         max_residual=float(residuals.max()),
         polished=len(steps),
         newton_steps=sum(steps),
     )
 
-
-def _dedup(pts: np.ndarray, tol: float) -> list[int]:
-    """Indices of representative points, in order of (real, imaginary) part.
-
-    Taken in that order, each point not yet within tol of a representative
-    becomes one and takes every point within tol of it.  The points before it
-    are all taken by then, and the points within tol after it have real parts
-    at most tol above its own, so each representative is compared only with
-    the window of real parts up to 2 tol above it (twice tol against
-    rounding).
-    """
-    order = np.lexsort((pts.imag, pts.real))
-    xs = pts.real[order]
-    ends = np.searchsorted(xs, xs + 2 * tol, side="right")
-    taken = np.zeros(len(pts), dtype=bool)   # by sorted position
-    representatives = []
-    for pos, i in enumerate(order.tolist()):
-        if taken[pos]:
-            continue
-        window = slice(pos, ends[pos])
-        taken[window] |= np.abs(pts[order[window]] - pts[i]) <= tol
-        representatives.append(i)
-    return representatives

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import Angle, multiply, orbit, periodic_angles
-from .dynamics import UnicriticalMap, branch_roots, escape_radius
+from .dynamics import UnicriticalMap, _single_linkage, branch_roots, escape_radius
 
 TWO_PI = 2.0 * math.pi
 
@@ -341,41 +341,6 @@ def classify_landing(
         max_class_diameter=max_diam,
         traces=traces,
     )
-
-
-def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
-    """Single-linkage components of points at radius tol.
-
-    Points within tol of each other, and chains of such points, share a
-    component; each point is labelled with the least index in its component.
-    The points are swept in order of real part, each paired with its
-    successors at offsets 1, 2, ... until no pair at the current offset is
-    within tol in real part.  Since |Re(p - q)| <= |p - q| this finds every
-    close pair, in O(n) memory and O(n log n) time plus the pairs that are
-    close in real part.
-    """
-    n = len(points)
-    order = np.argsort(points.real, kind="stable")
-    xs = points.real[order]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for offset in range(1, n):
-        near = np.flatnonzero(xs[offset:] - xs[:-offset] <= tol)
-        if near.size == 0:
-            break
-        i, j = order[near], order[near + offset]
-        close = np.abs(points[i] - points[j]) <= tol
-        for a, b in zip(i[close].tolist(), j[close].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(x) for x in range(n)], dtype=np.intp)
 
 
 def classes_noncrossing(classes: list[list[Angle]]) -> bool:

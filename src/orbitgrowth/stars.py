@@ -118,10 +118,6 @@ class StarSet:
     def to_list(self) -> list[dict]:
         return [s.to_dict() for s in self.stars]
 
-    @classmethod
-    def from_list(cls, degree: int, data: list[dict]) -> "StarSet":
-        return cls(degree, [Star.from_dict(d) for d in data])
-
 
 # -- integer-lattice primitives ----------------------------------------------
 

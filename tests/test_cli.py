@@ -13,6 +13,7 @@ import pytest
 from pathlib import Path
 
 from orbitgrowth import ItineraryConfig, RayConfig
+from orbitgrowth import cli
 from orbitgrowth.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -302,12 +303,13 @@ class TestReproVerb:
         assert report["counts"] == [[k, 2**k] for k in range(1, 7)]
         assert report["rate_attained"] is True
 
-    def test_figure_one_alias_runs_colanding(self, capsys):
-        out = capture(capsys, ["repro", "--figure", "1"])
+    def test_colanding(self, capsys):
+        out = capture(capsys, ["repro", "--target", "colanding"])
         report = json.loads(out)
         assert report["target"] == "colanding"
         assert report["report"]["orbit_identified"] is True
         assert report["report"]["noncrossing"] is True
+        assert build_parser().parse_args(["repro"]).target == "colanding"
 
     def test_colanding_golden_digest(self, capsys):
         out = capture(capsys, ["repro", "--target", "colanding"])
@@ -315,8 +317,15 @@ class TestReproVerb:
             "becb20c7dab5bc07892f32e4e1e603470d4dedfffca14d08f8542c6a31e0cd5c"
         )
 
-    def test_unknown_figure(self, capsys):
-        assert main(["repro", "--figure", "7"]) == 1
+    def test_crossing_classes_fail_colanding(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "classes_noncrossing", lambda classes: False)
+        out = capture(capsys, ["repro", "--target", "colanding"], expect=2)
+        assert json.loads(out)["report"]["noncrossing"] is False
+
+    def test_cyclic_pair_fails_stars(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "has_cycle", lambda star_set: True)
+        out = capture(capsys, ["repro", "--target", "stars"], expect=1)
+        assert json.loads(out)["report"]["E3_E4_acyclic"] is False
 
 
 class TestConfigSurface:

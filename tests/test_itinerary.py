@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from orbitgrowth import (
 )
 from orbitgrowth import itinerary
 from orbitgrowth.dynamics import branch_roots
-from orbitgrowth.itinerary import MAX_CYCLES, _dedup, _snap_f64, _solve
+from orbitgrowth.itinerary import MAX_CYCLES, _snap_f64, _solve
 
 
 def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
@@ -390,9 +391,25 @@ class TestSectorCheck:
 
 
 class TestDedup:
-    def test_sweep_matches_all_pairs(self):
+    def test_sweep_matches_all_pairs(self, monkeypatch):
+        """count_periodic's distinctness check, fed random cluster sets as its
+        solved points, against the all-pairs reference: it raises exactly when
+        the reference merges two points, and otherwise returns every point in
+        the reference's order.  The reference's representatives are pairwise
+        more than tol apart, so they are fed as well, as a distinct set."""
         rng = random.Random(7)
         tol = 1e-3
+        monkeypatch.setattr(itinerary, "DEDUP_TOL", tol)
+        monkeypatch.setattr(itinerary, "_require_hypothesis", lambda m, radius: None)
+
+        def count(pts):
+            n = len(pts)
+            solved = ([mpc(z) for z in pts.tolist()], np.zeros(n), np.ones(n, dtype=bool), [1])
+            monkeypatch.setattr(itinerary, "_solve", lambda *args: solved)
+            # one word of length 1 per point: a stand-in map of degree n
+            return count_periodic(SimpleNamespace(d=n), 1, radius=1.0)
+
+        merged = 0
         for _ in range(300):
             centers = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                        for _ in range(rng.randint(1, 12))]
@@ -403,7 +420,19 @@ class TestDedup:
                     pts.append(z + complex(step * rng.choice([-1, 1]), rng.choice([0.0, step])))
                     z = pts[-1]
             pts = np.array(pts)
-            assert _dedup(pts, tol) == reference_dedup(pts, tol)
+            expected = reference_dedup(pts, tol)
+            if len(expected) < len(pts):
+                merged += 1
+                with pytest.raises(NonConvergenceError, match="gave only"):
+                    count(pts)
+            shuffled = list(expected)
+            rng.shuffle(shuffled)
+            points = [complex(z) for z in count(pts[shuffled]).points]
+            assert points == pts[expected].tolist()
+        assert 0 < merged < 300
+        # equal real parts, as in a conjugate pair, are ordered by imaginary part
+        points = count(np.array([1 + 2j, 1 + 0j, 1 - 1j, 0.5 + 3j])).points
+        assert [complex(z) for z in points] == [0.5 + 3j, 1 - 1j, 1 + 0j, 1 + 2j]
 
 
 class TestSizeGuard:

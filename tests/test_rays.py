@@ -27,8 +27,7 @@ from orbitgrowth import (
 )
 from orbitgrowth import rays
 from orbitgrowth.circle import in_one_gap, orbit
-from orbitgrowth.dynamics import branch_roots, escape_radius
-from orbitgrowth.rays import _single_linkage
+from orbitgrowth.dynamics import _single_linkage, branch_roots, escape_radius
 
 CHEB = UnicriticalMap(2, -2 + 0j)
 CUBIC = UnicriticalMap(3, 0.3 + 0.5j)
