@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,10 +28,11 @@ from .dynamics import UnicriticalMap, _single_linkage, branch_roots, escape_radi
 TWO_PI = 2.0 * math.pi
 
 # Largest number of ray samples (rays traced times depth + 1) one call may
-# hold.  A sample costs about 113 bytes in the samples array and the per-ray
-# lists of RayTrace, built after the pullback's (s, n) level buffers are freed
-# (tracemalloc peak of classify_landing(z^2 - 2): 112.7 bytes at nu = 12 and
-# 112.9 at nu = 14), so the limit keeps a call near 2 GB; it admits nu = 18
+# hold.  A family keeps its samples as arrays, 24 bytes a sample (complex
+# point and float residual); with the pullback's level buffers and the angles
+# a sample costs about 38 bytes at peak and 29 retained (tracemalloc of
+# classify_landing(z^2 - 2): peak 38.1 and 37.4 bytes, retained 29.0 and 29.3,
+# at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits nu = 18
 # at the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
 
@@ -45,7 +47,7 @@ BLOCK_SAMPLES = 4096    # samples per pullback block, a bound that keeps a block
 def _size_error(what: str, depth: int) -> ValueError:
     return ValueError(
         f"tracing {what} to depth {depth} needs more than {MAX_RAY_SAMPLES} ray "
-        f"samples (about 2 GB); lower nu or depth"
+        f"samples (about 700 MB); lower nu or depth"
     )
 
 
@@ -99,9 +101,7 @@ def chebyshev_oracle(theta: Angle | Fraction) -> float:
     return 2.0 * math.cos(TWO_PI * float(theta))
 
 
-def _trace_family(
-    m: UnicriticalMap, angles: list[Angle], config: RayConfig
-) -> dict[Angle, RayTrace]:
+def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> _FamilyTraces:
     """Trace all rays of a multiplication-closed family of angles at once."""
     d, c = m.d, complex(m.c)
     index = {a: i for i, a in enumerate(angles)}
@@ -177,27 +177,37 @@ def _trace_family(
     with np.errstate(invalid="ignore"):
         diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
     ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= NEWTON_TOL)
-    landings = samples[depth].tolist()
-    return {
-        a: RayTrace(
-            angle=a,
-            points=points,
-            landing=landing if converged else None,
+    return _FamilyTraces(angles, index, samples, step_res, ok, diam, critical_hit)
+
+
+class _FamilyTraces(Mapping):
+    """A traced family as its arrays, one column per ray, in the family's
+    angle order.  Looking up an angle builds its RayTrace from its column,
+    afresh on each lookup, so the samples stay in the arrays and not in
+    per-ray lists of boxed numbers."""
+
+    def __init__(self, angles, index, samples, step_res, ok, diam, critical_hit):
+        self.angles, self.index, self.samples, self.step_res = angles, index, samples, step_res
+        self.ok, self.diam, self.critical_hit = ok, diam, critical_hit
+
+    def __getitem__(self, angle: Angle | Fraction) -> RayTrace:
+        i = self.index[angle]
+        converged = bool(self.ok[i])
+        return RayTrace(
+            angle=self.angles[i],
+            points=self.samples[:, i].tolist(),
+            landing=complex(self.samples[-1, i]) if converged else None,
             converged=converged,
-            residual=residual,
-            step_residuals=residuals,
-            hit_critical_pullback=hit,
+            residual=float(self.diam[i]),
+            step_residuals=self.step_res[:, i].tolist(),
+            hit_critical_pullback=bool(self.critical_hit[i]),
         )
-        for a, points, landing, converged, residual, residuals, hit in zip(
-            angles,
-            samples.T.tolist(),
-            landings,
-            ok.tolist(),
-            diam.tolist(),
-            step_res.T.tolist(),
-            critical_hit.tolist(),
-        )
-    }
+
+    def __iter__(self):
+        return iter(self.angles)
+
+    def __len__(self) -> int:
+        return len(self.angles)
 
 
 def _diameters(rows: np.ndarray) -> np.ndarray:
@@ -250,7 +260,11 @@ def trace_ray(
 
 @dataclass
 class LandingClassification:
-    """Landing classes of the period-nu angles: angles grouped by endpoint."""
+    """Landing classes of the period-nu angles: angles grouped by endpoint.
+
+    `traces` reads each ray's RayTrace from the family's arrays, built anew on
+    each access: two lookups give equal but not identical objects, and
+    changing one changes nothing held here."""
 
     map: UnicriticalMap
     nu: int
@@ -259,7 +273,7 @@ class LandingClassification:
     unresolved: list[Angle]
     unreliable: bool
     max_class_diameter: float
-    traces: dict[Angle, RayTrace] = field(repr=False, default_factory=dict)
+    traces: Mapping[Angle, RayTrace] = field(repr=False, default_factory=dict)
 
     @property
     def class_count(self) -> int:
@@ -297,13 +311,10 @@ def classify_landing(
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg.depth)
     angles = periodic_angles(m.d, nu)
     traces = _trace_family(m, angles, cfg)
-    ordered = list(traces.values())     # built in the order of angles
-
-    converged = np.array([t.converged for t in ordered], dtype=bool)
-    landed_idx = np.flatnonzero(converged)
+    landed_idx = np.flatnonzero(traces.ok)
     landed = [angles[i] for i in landed_idx.tolist()]
-    unresolved = [a for a, ok in zip(angles, converged.tolist()) if not ok]
-    points = np.array([ordered[i].landing for i in landed_idx.tolist()], dtype=complex)
+    unresolved = [a for a, ok in zip(angles, traces.ok.tolist()) if not ok]
+    points = traces.samples[-1, landed_idx]
     labels = _single_linkage(points, cfg.grouping_tol)
 
     groups: dict[int, list[int]] = {}

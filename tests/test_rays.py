@@ -501,6 +501,21 @@ class TestClassifyLanding:
             tracemalloc.stop()
         assert peak < 100e6
 
+    def test_traces_held_as_arrays(self):
+        # per-ray lists of boxed complex and float took about 82 bytes a
+        # sample retained and 113 at peak; the family's arrays take 24
+        classify_landing(CHEB, 4)
+        samples = (2**12 - 1) * (RayConfig().depth + 1)
+        tracemalloc.start()
+        try:
+            cls = classify_landing(CHEB, 12)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cls.class_count == 2**11
+        assert retained <= 40 * samples
+        assert peak <= 50 * samples
+
     @pytest.mark.parametrize("nu", [40, 10**9])
     def test_oversized_input_rejected_at_once(self, nu):
         start = time.perf_counter()
@@ -524,6 +539,34 @@ class TestClassifyLanding:
     def test_traces_golden_digest(self, m, nu, digest):
         # pins the pullback's output bit for bit
         assert traces_digest(classify_landing(m, nu).traces.values()) == digest
+
+
+class TestTracesMapping:
+    @pytest.mark.parametrize("m,nu", [(CHEB, 6), (CUBIC, 3)])
+    def test_mapping_contract(self, m, nu):
+        cls = classify_landing(m, nu)
+        angles = periodic_angles(m.d, nu)
+        assert len(cls.traces) == len(angles)
+        assert list(cls.traces) == angles
+        assert [t.angle for t in cls.traces.values()] == angles
+        found = cls.traces[Fraction(angles[5])]
+        assert type(found.angle) is Angle and found.angle == angles[5]
+        assert cls.traces.get(Angle(1, 4)) is None
+        assert Angle(1, 4) not in cls.traces
+        copied = {**cls.traces}
+        assert list(copied) == angles
+        for a in (angles[0], angles[1], angles[len(angles) // 2], angles[-1]):
+            expected = trace_bits(trace_ray(m, a))
+            assert trace_bits(cls.traces[a]) == trace_bits(copied[a]) == expected
+
+    def test_each_lookup_builds_a_new_trace(self):
+        cls = classify_landing(CHEB, 3)
+        first = cls.traces[Angle(1, 7)]
+        assert first == cls.traces[Angle(1, 7)] and first is not cls.traces[Angle(1, 7)]
+        first.points.clear()
+        first.landing = None
+        assert len(cls.traces[Angle(1, 7)].points) == RayConfig().depth + 1
+        assert cls.traces[Angle(1, 7)].landing is not None
 
 
 def _brute_force_linkage(points: np.ndarray, tol: float) -> np.ndarray:
