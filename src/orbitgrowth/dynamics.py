@@ -24,20 +24,34 @@ class UnicriticalMap:
         return z**self.d + self.c
 
 
-def branch_roots(u: np.ndarray, d: int) -> np.ndarray:
-    """All d inverse-branch roots of each u, in sector order, on a new last axis.
+def principal_root(u: np.ndarray, d: int) -> np.ndarray:
+    """Root 0 of the d inverse-branch roots of each u; root j is this times
+    _roots_of_unity(d)[j], |u|^(1/d) exp(i (arg u + 2 pi j) / d) with arg u in
+    [0, 2 pi).  So root j's argument lies in [2 pi j/d, 2 pi (j+1)/d): the
+    positive real axis of u is the branch cut, and u on it maps to sector 0.
 
-    Root i (0-based) is |u|^(1/d) exp(i (arg u + 2 pi i) / d) with arg u in
-    [0, 2 pi), so its argument lies in [2 pi i/d, 2 pi (i+1)/d): the positive
-    real axis of u is the branch cut, and u on it maps to the lower sector.
-
-    >>> np.round(branch_roots(np.array([9 + 0j]), 2), 12).tolist()
-    [[(3+0j), (-3+0j)]]
+    >>> (principal_root(np.array([9 + 0j]), 2) * _roots_of_unity(2)).round(12).tolist()
+    [(3+0j), (-3+0j)]
     """
     r = np.abs(u) ** (1.0 / d)
     ang = np.arctan2(u.imag, u.real)
-    ang = np.where(ang < 0.0, ang + 2.0 * math.pi, ang)
-    return (r * np.exp(1j * ang / d))[..., None] * _roots_of_unity(d)
+    ang += (ang < 0.0) * (2.0 * math.pi)
+    return r * np.exp(1j * (ang * (1.0 / d)))
+
+
+def nearest_branch(p: np.ndarray, seeds: np.ndarray, d: int) -> np.ndarray:
+    """The branch j whose root p * _roots_of_unity(d)[j] lies nearest seeds,
+    over the broadcast shape of p and seeds: np.argmin's pick over the d
+    distances, where a tie goes to the lower branch and a NaN (here put below
+    every distance) to the first NaN, by a strict running minimum over d
+    contiguous slices."""
+    roots = _roots_of_unity(d).reshape(-1, *[1] * max(p.ndim, seeds.ndim))
+    dist = np.fmax(np.abs(p * roots - seeds), -1.0)
+    picks = np.zeros(dist.shape[1:], dtype=np.intp)
+    for j in range(1, d):
+        picks = np.where(dist[j] < dist[0], j, picks)
+        np.minimum(dist[0], dist[j], out=dist[0])
+    return picks
 
 
 @lru_cache(maxsize=16)

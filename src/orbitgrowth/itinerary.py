@@ -12,7 +12,7 @@ acts as the left shift, so one engine serves one word and all d^k alike:
 
 * Seed: each word's representative is its smallest rotation (by base-d
   code); the composed inverse branches run in float64 over all of them at
-  once (dynamics.branch_roots) until no cycle moves by 1e-13.
+  once (dynamics.principal_root) until no cycle moves by 1e-13.
 * Polish: each representative takes Newton steps on F(z) = f^k(z) - z in
   mpmath until a step is below the displacement tolerance, at `dps` plus
   k log10(d R^(d-1)) guard digits, as |f'| <= d R^(d-1) on the disk |z| <= R.
@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mpc, mpf, workdps
 
-from .dynamics import UnicriticalMap, _single_linkage, branch_roots, verify_disk_hypothesis
+from .dynamics import (UnicriticalMap, _roots_of_unity, _single_linkage, nearest_branch,
+                       principal_root, verify_disk_hypothesis)
 
 # Largest d^k * (k + d) count_periodic accepts: its d^k words each hold a
 # point, and their ~d^k/k representatives 2k orbit points with d roots each.
@@ -138,12 +139,12 @@ def _solve(
         branches[:, j] = reps // top
         reps = reps % top * d + reps // top
 
-    rows = np.arange(n)
+    roots = _roots_of_unity(d)
     seeds = np.zeros(n, dtype=complex)
     for _ in range(MAX_CYCLES):
         prev = seeds
         for j in range(k - 1, -1, -1):
-            seeds = branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
+            seeds = principal_root(_snap_f64(seeds - c64), d) * roots[branches[:, j]]
         if np.abs(seeds - prev).max() < 1e-13:
             break
 
@@ -164,7 +165,8 @@ def _solve(
             for step in range(1, MAX_CYCLES + 1):
                 w, dw = z, 1
                 for _ in range(k):
-                    p = w ** (d - 1)
+                    # mpmath rounds w**2 as w * w, but w**3 not as two products
+                    p = w if d == 2 else w * w if d == 3 else w ** (d - 1)
                     w, dw = p * w + c, d * p * dw
                 delta = (w - z) / (dw - 1)
                 z -= delta
@@ -175,7 +177,7 @@ def _solve(
                 z = mpc(z.real, 0)
             orbit = [z]
             for _ in range(2 * k - 1):
-                orbit.append(orbit[-1] ** d + c)
+                orbit.append((orbit[-1] * orbit[-1] if d == 2 else orbit[-1] ** d) + c)
             orbits[i] = [complex(w) for w in orbit]
             residuals[i] = [float(abs(orbit[t + k] - orbit[t])) for t in range(k)]
             points.append(orbit[:k])
@@ -185,8 +187,7 @@ def _solve(
     # of z_(j+1) - c that the symbol picks, under the seed's tie snap;
     # misses[:, j] counts the failures among z_0 .. z_(j-1), so a word at
     # offset t follows its sectors when none of z_t .. z_(t+k-1) fails.
-    roots = branch_roots(_snap_f64(orbits[:, 1:] - c64), d)
-    picked = np.abs(roots - orbits[:, :-1, None]).argmin(axis=2)
+    picked = nearest_branch(principal_root(_snap_f64(orbits[:, 1:] - c64), d), orbits[:, :-1], d)
     misses = np.zeros((n, 2 * k), dtype=int)
     np.cumsum(picked != branches[:, np.arange(2 * k - 1) % k], axis=1, out=misses[:, 1:])
     follows = misses[word_rep, offset + k] == misses[word_rep, offset]

@@ -23,15 +23,16 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import Angle, multiply, orbit, periodic_angles
-from .dynamics import UnicriticalMap, _single_linkage, branch_roots, escape_radius
+from .dynamics import (UnicriticalMap, _roots_of_unity, _single_linkage, escape_radius,
+                       nearest_branch, principal_root)
 
 TWO_PI = 2.0 * math.pi
 
 # Largest number of ray samples (rays traced times depth + 1) one call may
 # hold.  A family keeps its samples as arrays, 24 bytes a sample (complex
 # point and float residual); with the pullback's level buffers and the angles
-# a sample costs about 38 bytes at peak and 29 retained (tracemalloc of
-# classify_landing(z^2 - 2): peak 38.1 and 37.4 bytes, retained 29.0 and 29.3,
+# a sample costs about 37 bytes at peak and 29 retained (tracemalloc of
+# classify_landing(z^2 - 2): peak 37.3 and 37.0 bytes, retained 29.0 and 29.3,
 # at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits nu = 18
 # at the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
@@ -116,9 +117,12 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
 
     # Sublevel j pulls back sublevel j - s, one level up the ray, along the
     # branch nearest sublevel j - 1.  So a level needs only the level above,
-    # all known when it starts, and only the branch pick chains its rows: it
-    # is pulled back in blocks of b rows, one set of numpy calls each, whose
-    # residuals and |z| fold into per-ray maxima and minima in any order.
+    # all known when it starts, and only the branch pick chains its rows.  A
+    # row's d roots are its principal root times the d roots of unity, so one
+    # call picks each row's branch for every branch of the row before, and
+    # the chain is one lookup in that table a row.  A level is pulled back in
+    # blocks of b rows, one set of numpy calls each, whose residuals and |z|
+    # fold into per-ray maxima and minima in any order.
     # BLOCK_SAMPLES bounds a block's b * n samples, as larger blocks fall out
     # of cache and run slower.  The level above level 1 is sublevels 1 - s..0,
     # at potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape
@@ -132,17 +136,24 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     step_res = np.zeros((depth + 1, n))
     min_abs = np.full(n, math.inf)
     rows = np.arange(n)
+    roots = _roots_of_unity(d)
 
     for level in range(1, depth + 1):
         seeds, k = prev[-1], 0          # sublevel j - 1 for the level's first row
         while k < s:
             w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
             z = cur[k:k + b]
-            cand = branch_roots(w - c, d)
-            picks = np.empty(w.shape, dtype=np.intp)
-            for i in range(len(w)):
-                picks[i] = np.argmin(np.abs(cand[i] - seeds[:, None]), axis=1)
-                seeds = z[i] = cand[i, rows, picks[i]]
+            p = principal_root(w - c, d)
+            # table[i, r] is row r's pick when row r - 1 takes branch i; row 0's
+            # seeds stand for every i (one copy when row 0 is the whole block)
+            prior = np.empty((d if len(w) > 1 else 1, *w.shape), dtype=complex)
+            prior[:, 0] = seeds
+            np.multiply(p[:-1], roots[:len(prior), None, None], out=prior[:, 1:])
+            table = nearest_branch(p, prior, d)
+            picks = table[0].copy()
+            for i in range(1, len(w)):
+                picks[i] = table[picks[i - 1], i, rows]
+            np.multiply(p, roots[picks], out=z)
 
             fz = z**d + c - w
             abs_fz = np.abs(fz)
@@ -158,7 +169,7 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                 abs_fz = np.abs(fz)
                 # the picks were seeded with unpolished rows: from the first
                 # pick a polished seed changes, the rows are pulled back again
-                again = (np.argmin(np.abs(cand[1:] - z[:-1, :, None]), axis=2) != picks[1:]).any(1)
+                again = (nearest_branch(p[1:], z[:-1], d) != picks[1:]).any(1)
                 taken = 1 + int(again.argmax()) if again.any() else len(w)
             np.maximum(step_res[level], abs_fz[:taken].max(axis=0), out=step_res[level])
             # fmin skips NaN, as the comparison with DERIV_TOL does

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitgrowth import UnicriticalMap, escape_radius, verify_disk_hypothesis
-from orbitgrowth.dynamics import branch_roots
+from orbitgrowth.dynamics import _roots_of_unity, nearest_branch, principal_root
 
 
 def reference_branch_roots(u, d):
@@ -76,6 +77,7 @@ class TestDiskHypothesis:
 class TestBranchRoots:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_bit_identical_to_reference(self, d):
+        # the d roots as the principal root times the roots of unity
         rng = np.random.default_rng(d)
         u = rng.normal(size=300) * 10.0 ** rng.integers(-8, 4, size=300) \
             + 1j * rng.normal(size=300)
@@ -85,6 +87,85 @@ class TestBranchRoots:
                  complex(-2.5, -0.0), complex(0.0, 0.0), complex(0.0, -0.0)]
         u = np.concatenate([u, edges]).reshape(2, -1)
         for _ in range(2):    # the second call reads the cached roots of unity
-            got, want = branch_roots(u, d), reference_branch_roots(u, d)
+            got = principal_root(u, d)[..., None] * _roots_of_unity(d)
+            want = reference_branch_roots(u, d)
             assert got.shape == want.shape == (2, u.shape[1], d)
             assert got.tobytes() == want.tobytes()
+
+
+# float components that reach the branch cut (+0.0, -0.0), overflow and
+# underflow in |u| and the powers of |u|, and the non-finite values
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 1e-300, -1e-300, 1.7e308,
+               5e-324, math.inf, -math.inf, math.nan]
+components = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+complex_arrays = st.lists(st.builds(complex, components, components), min_size=1, max_size=40)
+EDGE_POINTS = [complex(a, b) for a in EDGE_FLOATS for b in (0.0, -0.0)] + [1e300j, 1e-300j]
+
+
+def as_array(values):
+    """The values, then the fixed edge points, as a 2-row array."""
+    u = np.array(values + EDGE_POINTS + values[:1] * (len(values) % 2))
+    return u.reshape(2, -1)
+
+
+class TestPrincipalRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(values=complex_arrays, d=st.integers(2, 7))
+    def test_times_roots_of_unity_is_the_reference_bitwise(self, values, d):
+        u = as_array(values)
+        with np.errstate(all="ignore"):
+            p = principal_root(u, d)
+            want = reference_branch_roots(u, d)
+            for j in range(d):
+                assert (p * _roots_of_unity(d)[j]).tobytes() == want[..., j].tobytes()
+
+    def test_positive_real_axis_is_the_lower_sector(self):
+        for imag in (0.0, -0.0):
+            p = principal_root(np.array([complex(9.0, imag)]), 2)
+            assert p.tolist() == [3 + 0j]
+
+    def test_zero(self):
+        assert principal_root(np.zeros(3, dtype=complex), 4).tolist() == [0j] * 3
+
+
+class TestNearestBranch:
+    @settings(max_examples=200, deadline=None)
+    @given(values=complex_arrays, seeds=complex_arrays, d=st.integers(2, 7))
+    def test_is_argmin_over_the_reference_roots(self, values, seeds, d):
+        u = as_array(values)
+        s = np.resize(np.array(seeds), u.shape)
+        s[0, :3] = [0, math.nan, complex(0, math.inf)]
+        with np.errstate(all="ignore"):
+            want = np.argmin(np.abs(reference_branch_roots(u, d) - s[..., None]), axis=-1)
+            assert nearest_branch(principal_root(u, d), s, d).tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=complex_arrays, seeds=complex_arrays, d=st.integers(2, 7))
+    def test_is_argmin_for_any_root_and_seed(self, p, seeds, d):
+        p, s = as_array(p), np.resize(np.array(seeds), (2, 1, 1))
+        with np.errstate(all="ignore"):
+            want = np.argmin(np.abs(p[..., None] * _roots_of_unity(d) - s[..., None]), axis=-1)
+            assert nearest_branch(p, s, d).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("d,u,seed,pick", [
+        (2, 9 + 0j, -4j, 0),      # the roots 3 and -3 (to rounding) sit 5 from -4i
+        (4, 81 + 0j, 6 + 6j, 0),  # a seed on the bisector of roots 0 and 1
+        (4, 81 + 0j, -6 + 6j, 1),  # ... and of roots 1 and 2
+        (3, 0j, 1 + 1j, 0),       # u = 0 puts every root at 0
+        (7, 0j, 0j, 0),
+    ])
+    def test_ties_go_to_the_lower_branch(self, d, u, seed, pick):
+        p = principal_root(np.array([u]), d)
+        dist = np.abs(p * _roots_of_unity(d) - seed)
+        assert np.count_nonzero(dist == dist.min()) >= 2 and dist[pick] == dist.min()
+        assert nearest_branch(p, np.array([seed]), d).tolist() == [pick]
+
+    def test_first_nan_wins(self):
+        # overflow in root 1 and an infinite seed give root 1 a NaN distance
+        # while root 0's is infinite: argmin takes the NaN
+        p = np.array([1.7e308 + 1.7e308j, complex(math.nan, 0.0)])
+        s = np.array([complex(0.0, math.inf), 1.0])
+        with np.errstate(all="ignore"):
+            dist = np.abs(p[:, None] * _roots_of_unity(8) - s[:, None])
+            assert not np.isnan(dist[0, 0]) and np.isnan(dist[0, 1]) and np.isnan(dist[1]).all()
+            assert nearest_branch(p, s, 8).tolist() == [1, 0]

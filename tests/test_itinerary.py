@@ -18,8 +18,9 @@ from orbitgrowth import (
     itinerary_point,
 )
 from orbitgrowth import itinerary
-from orbitgrowth.dynamics import branch_roots
+from orbitgrowth.dynamics import _roots_of_unity, principal_root
 from orbitgrowth.itinerary import MAX_CYCLES, _snap_f64, _solve
+from test_dynamics import reference_branch_roots
 
 
 def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
@@ -96,7 +97,7 @@ def reference_solve(m, branches, cfg=ItineraryConfig()):
     for _ in range(MAX_CYCLES):
         prev = seeds
         for j in range(k - 1, -1, -1):
-            seeds = branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
+            seeds = reference_branch_roots(_snap_f64(seeds - c64), d)[rows, branches[:, j]]
         if np.abs(seeds - prev).max() < 1e-13:
             break
 
@@ -132,7 +133,7 @@ def reference_solve(m, branches, cfg=ItineraryConfig()):
 
     follows = np.ones(n, dtype=bool)
     for j in range(k):
-        roots = branch_roots(_snap_f64(orbits[:, j + 1] - c64), d)
+        roots = reference_branch_roots(_snap_f64(orbits[:, j + 1] - c64), d)
         follows &= np.abs(roots - orbits[:, j, None]).argmin(axis=1) == branches[:, j]
     converged = settled & follows & (np.array(residuals) <= cfg.residual_tol)
     return points, residuals, steps, converged
@@ -198,7 +199,7 @@ class TestBranchRoot:
         rng = np.random.default_rng(d)
         u = rng.normal(size=200) + 1j * rng.normal(size=200)
         u[:3] = [4.0, -4.0, 0.0]
-        roots = branch_roots(u, d)
+        roots = principal_root(u, d)[:, None] * _roots_of_unity(d)
         with workdps(40):
             for row, x in zip(roots, u.tolist()):
                 ref = [complex(branch_root(mpc(x), d, i, mpf("1e-30"))) for i in range(1, d + 1)]

@@ -27,7 +27,8 @@ from orbitgrowth import (
 )
 from orbitgrowth import rays
 from orbitgrowth.circle import in_one_gap, orbit
-from orbitgrowth.dynamics import _single_linkage, branch_roots, escape_radius
+from orbitgrowth.dynamics import _single_linkage, escape_radius
+from test_dynamics import reference_branch_roots
 
 CHEB = UnicriticalMap(2, -2 + 0j)
 CUBIC = UnicriticalMap(3, 0.3 + 0.5j)
@@ -107,7 +108,7 @@ def reference_trace_family(m, angles, config):
     for j in range(1, depth * s + 1):
         w = window[0][perm]             # sublevel j - s, one level up the ray
         seeds = window[-1]              # sublevel j - 1
-        cand = branch_roots(w - c, d)
+        cand = reference_branch_roots(w - c, d)
         pick = np.argmin(np.abs(cand - seeds[:, None]), axis=1)
         z = cand[rows, pick]
 
