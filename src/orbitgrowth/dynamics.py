@@ -41,12 +41,16 @@ def principal_root(u: np.ndarray, d: int) -> np.ndarray:
 
 def nearest_branch(p: np.ndarray, seeds: np.ndarray, d: int) -> np.ndarray:
     """The branch j whose root p * _roots_of_unity(d)[j] lies nearest seeds,
-    over the broadcast shape of p and seeds: np.argmin's pick over the d
-    distances, where a tie goes to the lower branch and a NaN (here put below
-    every distance) to the first NaN, by a strict running minimum over d
-    contiguous slices."""
+    over the broadcast shape of p and seeds, by np.argmin's rules: a tie goes
+    to the lower branch and a NaN distance to the first NaN.  argmin walks the
+    short branch axis one sample at a time, so past 128 d^2 samples a strict
+    running minimum over the d contiguous slices (NaN put below every
+    distance) takes its place."""
     roots = _roots_of_unity(d).reshape(-1, *[1] * max(p.ndim, seeds.ndim))
-    dist = np.fmax(np.abs(p * roots - seeds), -1.0)
+    dist = np.abs(p * roots - seeds)
+    if dist[0].size < 128 * d * d:
+        return dist.argmin(axis=0)
+    np.fmax(dist, -1.0, out=dist)
     picks = np.zeros(dist.shape[1:], dtype=np.intp)
     for j in range(1, d):
         picks = np.where(dist[j] < dist[0], j, picks)

@@ -165,8 +165,7 @@ def _solve(
             for step in range(1, MAX_CYCLES + 1):
                 w, dw = z, 1
                 for _ in range(k):
-                    # mpmath rounds w**2 as w * w, but w**3 not as two products
-                    p = w if d == 2 else w * w if d == 3 else w ** (d - 1)
+                    p = w ** (d - 1)
                     w, dw = p * w + c, d * p * dw
                 delta = (w - z) / (dw - 1)
                 z -= delta
@@ -177,7 +176,7 @@ def _solve(
                 z = mpc(z.real, 0)
             orbit = [z]
             for _ in range(2 * k - 1):
-                orbit.append((orbit[-1] * orbit[-1] if d == 2 else orbit[-1] ** d) + c)
+                orbit.append(orbit[-1] ** d + c)
             orbits[i] = [complex(w) for w in orbit]
             residuals[i] = [float(abs(orbit[t + k] - orbit[t])) for t in range(k)]
             points.append(orbit[:k])

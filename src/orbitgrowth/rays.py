@@ -32,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 # hold.  A family keeps its samples as arrays, 24 bytes a sample (complex
 # point and float residual); with the pullback's level buffers and the angles
 # a sample costs about 37 bytes at peak and 29 retained (tracemalloc of
-# classify_landing(z^2 - 2): peak 37.3 and 37.0 bytes, retained 29.0 and 29.3,
+# classify_landing(z^2 - 2): peak 36.8 and 36.6 bytes, retained 29.0 and 29.3,
 # at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits nu = 18
 # at the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
@@ -117,14 +117,16 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
 
     # Sublevel j pulls back sublevel j - s, one level up the ray, along the
     # branch nearest sublevel j - 1.  So a level needs only the level above,
-    # all known when it starts, and only the branch pick chains its rows.  A
-    # row's d roots are its principal root times the d roots of unity, so one
-    # call picks each row's branch for every branch of the row before, and
-    # the chain is one lookup in that table a row.  A level is pulled back in
-    # blocks of b rows, one set of numpy calls each, whose residuals and |z|
-    # fold into per-ray maxima and minima in any order.
+    # all known when it starts, and only the branch pick chains its rows: it
+    # is pulled back in blocks of b rows, one set of numpy calls each, whose
+    # residuals and |z| fold into per-ray maxima and minima in any order.
     # BLOCK_SAMPLES bounds a block's b * n samples, as larger blocks fall out
-    # of cache and run slower.  The level above level 1 is sublevels 1 - s..0,
+    # of cache and run slower.  A row's d roots are its principal root times
+    # the d roots of unity, so one call can pick each row's branch for every
+    # branch of the row before, and the chain is then one lookup in that
+    # table a row.  The table costs d^2 distances a sample, so past
+    # BLOCK_SAMPLES of them the rows are picked one at a time instead, at d
+    # distances a sample.  The level above level 1 is sublevels 1 - s..0,
     # at potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape
     # circle, where the ray is (to first order) the straight angular ray.
     prev = np.array([math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)])
@@ -144,15 +146,21 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
             w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
             z = cur[k:k + b]
             p = principal_root(w - c, d)
-            # table[i, r] is row r's pick when row r - 1 takes branch i; row 0's
-            # seeds stand for every i (one copy when row 0 is the whole block)
-            prior = np.empty((d if len(w) > 1 else 1, *w.shape), dtype=complex)
-            prior[:, 0] = seeds
-            np.multiply(p[:-1], roots[:len(prior), None, None], out=prior[:, 1:])
-            table = nearest_branch(p, prior, d)
-            picks = table[0].copy()
-            for i in range(1, len(w)):
-                picks[i] = table[picks[i - 1], i, rows]
+            if len(w) > 1 and d * d * w.size <= BLOCK_SAMPLES:
+                # table[i, r] is row r's pick when row r - 1 takes branch i;
+                # row 0's seeds stand for every i
+                prior = np.empty((d, *w.shape), dtype=complex)
+                prior[:, 0] = seeds
+                np.multiply(p[:-1], roots[:, None, None], out=prior[:, 1:])
+                table = nearest_branch(p, prior, d)
+                picks = table[0].copy()
+                for i in range(1, len(w)):
+                    picks[i] = table[picks[i - 1], i, rows]
+            else:
+                picks = np.empty(w.shape, dtype=np.intp)
+                for i in range(len(w)):
+                    picks[i] = nearest_branch(p[i], seeds, d)
+                    seeds = p[i] * roots[picks[i]]
             np.multiply(p, roots[picks], out=z)
 
             fz = z**d + c - w

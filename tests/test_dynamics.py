@@ -128,6 +128,12 @@ class TestPrincipalRoot:
         assert principal_root(np.zeros(3, dtype=complex), 4).tolist() == [0j] * 3
 
 
+def long_copies(u, s, d):
+    """u and s repeated to 2 x 128 d^2 samples, past the size where
+    nearest_branch turns from argmin to its running minimum."""
+    return np.resize(u, (2, 128 * d * d)), np.resize(s, (2, 128 * d * d))
+
+
 class TestNearestBranch:
     @settings(max_examples=200, deadline=None)
     @given(values=complex_arrays, seeds=complex_arrays, d=st.integers(2, 7))
@@ -136,16 +142,19 @@ class TestNearestBranch:
         s = np.resize(np.array(seeds), u.shape)
         s[0, :3] = [0, math.nan, complex(0, math.inf)]
         with np.errstate(all="ignore"):
-            want = np.argmin(np.abs(reference_branch_roots(u, d) - s[..., None]), axis=-1)
-            assert nearest_branch(principal_root(u, d), s, d).tolist() == want.tolist()
+            for u, s in [(u, s), long_copies(u, s, d)]:
+                want = np.argmin(np.abs(reference_branch_roots(u, d) - s[..., None]), axis=-1)
+                assert nearest_branch(principal_root(u, d), s, d).tolist() == want.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(p=complex_arrays, seeds=complex_arrays, d=st.integers(2, 7))
     def test_is_argmin_for_any_root_and_seed(self, p, seeds, d):
         p, s = as_array(p), np.resize(np.array(seeds), (2, 1, 1))
         with np.errstate(all="ignore"):
-            want = np.argmin(np.abs(p[..., None] * _roots_of_unity(d) - s[..., None]), axis=-1)
-            assert nearest_branch(p, s, d).tolist() == want.tolist()
+            for p in (p, long_copies(p, p, d)[0]):
+                want = np.argmin(np.abs(p[..., None] * _roots_of_unity(d) - s[..., None]),
+                                 axis=-1)
+                assert nearest_branch(p, s, d).tolist() == want.tolist()
 
     @pytest.mark.parametrize("d,u,seed,pick", [
         (2, 9 + 0j, -4j, 0),      # the roots 3 and -3 (to rounding) sit 5 from -4i

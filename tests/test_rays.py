@@ -517,6 +517,21 @@ class TestClassifyLanding:
         assert retained <= 40 * samples
         assert peak <= 50 * samples
 
+    def test_large_degree_memory_is_linear_in_d(self):
+        # a block's picks hold d distances a sample, d * b * n <= d * BLOCK_SAMPLES
+        # of them, 48 bytes each at most; a table of d^2 distances a sample
+        # peaked at 192 MB here
+        d = 100
+        m = UnicriticalMap(d, 0.3 + 0.5j)
+        tracemalloc.start()
+        try:
+            classify_landing(m, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = (d - 1) * (RayConfig().depth + 1)
+        assert peak <= 50 * samples + 48 * d * rays.BLOCK_SAMPLES
+
     @pytest.mark.parametrize("nu", [40, 10**9])
     def test_oversized_input_rejected_at_once(self, nu):
         start = time.perf_counter()
