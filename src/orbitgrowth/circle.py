@@ -29,10 +29,10 @@ class Angle(Fraction):
     __slots__ = ()
 
     def __new__(cls, numerator=0, denominator=None):
-        if denominator is None:
-            value = Fraction(numerator)
-        else:
-            value = Fraction(numerator, denominator)
+        if isinstance(numerator, int) and isinstance(denominator, int):
+            # (n % den) / den is n/den mod 1 for either sign of den: one normalisation
+            return super().__new__(cls, numerator % denominator, denominator)
+        value = Fraction(numerator) if denominator is None else Fraction(numerator, denominator)
         return super().__new__(cls, value.numerator % value.denominator, value.denominator)
 
     def __repr__(self) -> str:
@@ -59,7 +59,7 @@ def multiply(theta: Angle, d: int) -> Angle:
     Angle(2/7)
     """
     _require_degree(d)
-    t = Fraction(theta)
+    t = theta if isinstance(theta, Fraction) else Fraction(theta)
     return Angle(d * t.numerator, t.denominator)
 
 

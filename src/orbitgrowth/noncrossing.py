@@ -161,18 +161,13 @@ def enumerate_valid(n: int, cap: int = DEFAULT_CAP):
     blocks: list[list[int]] = []
 
     def placement_ok(block_idx: int, t: int) -> bool:
-        block = blocks[block_idx]
-        if block[-1] == t - 1:
+        last = blocks[block_idx][-1]
+        if last == t - 1:
             return False  # adjacency
-        # Crossing is created iff some x in the target block has, in another
-        # block, both an element below x and one strictly between x and t.
-        for x in block:
-            for other_idx, other in enumerate(blocks):
-                if other_idx == block_idx:
-                    continue
-                if other[0] < x and any(x < y < t for y in other):
-                    return False
-        return True
+        # Crossing is created iff the target block's last element lies
+        # strictly inside another block's span: no two blocks cross before t
+        # is placed, so any crossing t creates involves that last element.
+        return not any(other[0] < last < other[-1] for other in blocks)
 
     def rec(t: int):
         if t == n + 1:

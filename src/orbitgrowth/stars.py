@@ -10,8 +10,8 @@ arc of a star onto a smaller circle.
 Internally every predicate works on an integer lattice (points scaled by a
 common denominator), which keeps the exhaustive degree-by-degree sweeps fast
 while staying exact.  The grid enumeration prunes with gap tests precomputed
-as one bitmask per star; the brute-force oracle searches every grid
-candidate on one lattice shared by the family and the grid.
+as one bitmask per star; the brute-force oracle ANDs cached per-star masks of
+the grid candidates, on one lattice shared by the family and the grid.
 """
 
 from __future__ import annotations
@@ -150,12 +150,12 @@ def _root(parent: dict[int, int], t: int) -> int:
     return t
 
 
-def _forest(tick_sets) -> dict[int, int] | None:
+def _forest(tick_sets, parent: dict[int, int] | None = None) -> dict[int, int] | None:
     # The star-point incidence graph is a forest iff joining each star's
     # points by union-find never joins two points that are already connected.
-    # Returns the union-find parent map, or None at the first cycle.  Ticks
-    # must share one lattice, so that equal ticks are equal points.
-    parent: dict[int, int] = {}
+    # Returns the parent map (a copy of `parent` extended), or None at the
+    # first cycle.  Ticks must share one lattice: equal ticks, equal points.
+    parent = {} if parent is None else dict(parent)
     for ticks in tick_sets:
         first = _root(parent, ticks[0])
         for t in ticks[1:]:
@@ -213,6 +213,15 @@ def _candidate_pairs(d: int, grid_refinement: int) -> tuple[tuple[int, int], ...
     ))
 
 
+@lru_cache(maxsize=1024)
+def _gap_mask(d: int, grid_refinement: int, M: int, ticks: tuple[int, ...]) -> int:
+    # Bit i is set iff ticks (a star on the lattice M) lies in one closed gap
+    # of _candidate_pairs(d, grid_refinement)[i] scaled to M.
+    scale = M // (d * grid_refinement)
+    return sum(1 << i for i, (a, b) in enumerate(_candidate_pairs(d, grid_refinement))
+               if in_one_gap((a * scale, b * scale), ticks, M))
+
+
 def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> bool:
     """Maximality by direct search: is any grid two-point star addable?
 
@@ -221,12 +230,14 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     keeping the family pairwise disjoint and cycle-free.  Two-point
     candidates suffice: any addable star contains an addable pair.
 
-    Disjointness and the union-find forest are checked once, on the lattice
-    shared by the family and the grid: a candidate closes a cycle iff its ticks share a root.
+    On the lattice shared by the family and the grid, the candidates disjoint
+    from every member are the AND of the members' cached gap masks, and one of
+    them is addable iff its ticks have different union-find roots.
     """
     if grid_refinement < 1:
         raise ValueError("grid_refinement must be >= 1")
-    grid = star_set.degree * grid_refinement
+    d = star_set.degree
+    grid = d * grid_refinement
     M, family = _lattice(star_set.stars, grid)
     if not all(in_one_gap(a, b, M) for a, b in combinations(family, 2)):
         raise ValueError("brute-force oracle requires pairwise disjoint stars")
@@ -234,9 +245,15 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     if parent is None:
         raise ValueError("brute-force oracle requires an acyclic star family")
 
-    for a, b in _candidate_pairs(star_set.degree, grid_refinement):
-        a, b = a * (M // grid), b * (M // grid)
-        if _root(parent, a) != _root(parent, b) and all(in_one_gap((a, b), t, M) for t in family):
+    pairs = _candidate_pairs(d, grid_refinement)
+    fits = (1 << len(pairs)) - 1
+    for ticks in family:
+        fits &= _gap_mask(d, grid_refinement, M, ticks)
+    scale = M // grid
+    while fits:
+        a, b = pairs[(fits & -fits).bit_length() - 1]
+        fits &= fits - 1
+        if _root(parent, a * scale) != _root(parent, b * scale):
             return False  # found an extension: not maximal
     return True
 
@@ -341,18 +358,16 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
 
     families: list[tuple[int, ...]] = []
 
-    def extend(allowed: int, fam_idx: list[int], fam: list[tuple[int, ...]]) -> None:
-        # allowed: the candidates after the last member that fit every member.
-        families.append(tuple(fam_idx))
+    def extend(allowed: int, fam_idx: tuple[int, ...], parent: dict[int, int]) -> None:
+        # allowed: the candidates after the last member that fit every member;
+        # parent: the union-find forest of the members' points.
+        families.append(fam_idx)
         while allowed:
             i = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
-            fam.append(all_stars[i])
-            fam_idx.append(i)
-            if _forest(fam) is not None:
-                extend(allowed & fits[i], fam_idx, fam)
-            fam_idx.pop()
-            fam.pop()
+            joined = _forest((all_stars[i],), parent)
+            if joined is not None:
+                extend(allowed & fits[i], fam_idx + (i,), joined)
 
-    extend((1 << len(all_stars)) - 1, [], [])
+    extend((1 << len(all_stars)) - 1, (), {})
     return [StarSet(d, [star_objects[i] for i in idx]) for idx in families]

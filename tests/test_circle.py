@@ -68,6 +68,20 @@ class TestAngle:
         a, expected = Angle(p, q), Fraction(p, q) % 1
         assert (a.numerator, a.denominator) == (expected.numerator, expected.denominator)
 
+    def test_integer_pairs_every_sign(self):
+        # two ints take one normalisation, of (p % q) / q; every sign of p and
+        # q and a zero numerator give Fraction(p, q) % 1, and a zero
+        # denominator still raises
+        for p in range(-13, 14):
+            for q in (-12, -7, -4, -1, 1, 3, 6, 12):
+                a, expected = Angle(p, q), Fraction(p, q) % 1
+                assert type(a) is Angle
+                assert (a.numerator, a.denominator) == (expected.numerator,
+                                                        expected.denominator), (p, q)
+        for p in (-1, 0, 1):
+            with pytest.raises(ZeroDivisionError):
+                Angle(p, 0)
+
 
 class TestMultiply:
     def test_orbit_one_seventh(self):
@@ -86,6 +100,13 @@ class TestMultiply:
 
     def test_negative_degree(self):
         assert multiply(Angle(1, 3), -2) == Angle(1, 3)
+
+    def test_any_rational_input(self):
+        # a Fraction is read as it is, anything else through Fraction
+        for theta in (Fraction(9, 7), Fraction(-1, 7), Angle(2, 7), 3, "9/7"):
+            image = multiply(theta, 2)
+            assert type(image) is Angle
+            assert image == Fraction(2) * Fraction(theta) % 1
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_matches_exact_product_on_periodic_angles(self, d):

@@ -296,6 +296,23 @@ class TestReferenceEngine:
         for z in count_periodic(M6, 5, radius=4.0).points:
             assert z.imag == 0
 
+    def test_sector_check_snaps_rounding_noise(self, monkeypatch):
+        # The polish's snap leaves each real point 1e-18 (relative) below the
+        # axis, so every image z_(j+1) - c = z_j^2 of a positive z_j carries
+        # about -1e-17 across the branch cut.  The sector-following check
+        # must snap that tie to sector 0, as the seeding does; without the
+        # snap, every word through a positive point fails the check.
+        def noisy_mpc(*args):
+            if len(args) == 2 and args[1] == 0:
+                return mpc(args[0], -mpf("1e-18") * abs(args[0]))
+            return mpc(*args)
+
+        monkeypatch.setattr(itinerary, "mpc", noisy_mpc)
+        for word in [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]:
+            res = itinerary_point(M6, word, radius=4.0)
+            assert res.point.imag != 0 and res.residual < 1e-15, word
+            assert res.converged, word
+
 
 NECKLACE_MAPS = [
     (UnicriticalMap(2, -6 + 0j), 4.0),

@@ -59,6 +59,35 @@ def _pairwise_find_violation(n, blocks):
     return None
 
 
+def _all_elements_enumerate_valid(n):
+    # Reference for enumerate_valid: the same restricted-growth walk, with a
+    # crossing test over every element x of the target block (some other
+    # block has an element below x and one strictly between x and t).
+    blocks = []
+
+    def placement_ok(block_idx, t):
+        block = blocks[block_idx]
+        if block[-1] == t - 1:
+            return False
+        return not any(other[0] < x and any(x < y < t for y in other)
+                       for x in block for i, other in enumerate(blocks) if i != block_idx)
+
+    def rec(t):
+        if t == n + 1:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for idx in range(len(blocks)):
+            if placement_ok(idx, t):
+                blocks[idx].append(t)
+                yield from rec(t + 1)
+                blocks[idx].pop()
+        blocks.append([t])
+        yield from rec(t + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
 def _set_partitions(n):
     # Every set partition of {1..n}, blocks in order of their least element.
     if n == 0:
@@ -176,6 +205,11 @@ class TestEnumeration:
                 sorted(tuple(sorted(n + 1 - x for x in b)) for b in blocks)
             )
             assert mirrored in rels
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_all_elements_reference_in_order(self, n):
+        got = [rel.blocks for rel in enumerate_valid(n)]
+        assert got == [tuple(sorted(p)) for p in _all_elements_enumerate_valid(n)]
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from orbitgrowth import (
     sum_multiplicities,
 )
 from orbitgrowth.circle import in_one_gap
-from orbitgrowth.stars import _forest
+from orbitgrowth.stars import _forest, _gap_mask
 
 E = named_example_stars()
 
@@ -296,6 +296,35 @@ class TestBruteforceOracle:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
+    def test_validation_runs_with_masks_cached(self):
+        # the maximal family caches the masks of E1, E2 and E3 (and of the
+        # interleaved family's E4 and 1/8..5/8 on the eighths below), and the
+        # precondition errors must not depend on what is cached
+        interleaved = StarSet(4, [E["E4"], star(4, "1/8", "5/8")])
+        cyclic = StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]])
+        for refinement in (1, 2):
+            assert check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"]]), refinement)
+            assert not check_maximal_bruteforce(StarSet(4, [E["E4"]]), refinement)
+            assert not check_maximal_bruteforce(StarSet(4, [star(4, "1/8", "5/8")]), refinement)
+            with pytest.raises(ValueError, match="pairwise disjoint"):
+                check_maximal_bruteforce(interleaved, refinement)
+            with pytest.raises(ValueError, match="acyclic"):
+                check_maximal_bruteforce(cyclic, refinement)
+
+    def test_masks_keyed_by_lattice(self):
+        # {1/4, 3/4} has the ticks (1, 3) over the quarters (3, 9 over the
+        # twelfths) and {1/8, 3/8} the same over the eighths (the 24ths), so a
+        # mask cached for one must never be read for the other
+        grid_family = StarSet(4, [E["E1"], E["E2"], star(4, "1/4", "3/4")])
+        offgrid_family = StarSet(4, [star(4, "1/8", "3/8")])
+        for refinement in (1, 3):
+            for order in ((grid_family, offgrid_family, grid_family),
+                          (offgrid_family, grid_family, offgrid_family)):
+                _gap_mask.cache_clear()
+                for family in order:
+                    assert (check_maximal_bruteforce(family, refinement)
+                            == _reference_bruteforce(family, refinement)), (family, refinement)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_agrees_with_count_on_small_grids(self, d):
         for family in enumerate_grid_star_sets(d):
@@ -370,6 +399,28 @@ def _reference_grid_families(d):
     return families
 
 
+def _forest_per_candidate_grid_families(d):
+    # Reference for enumerate_grid_star_sets as it was before the forest was
+    # carried down the recursion: the same gap bitmasks, and a fresh _forest
+    # of the whole extended family for every candidate.
+    all_stars = [comb for size in range(2, d + 1) for comb in combinations(range(d), size)]
+    fits = [sum(1 << i for i, cand in enumerate(all_stars) if in_one_gap(cand, e, d))
+            for e in all_stars]
+    families = []
+
+    def extend(allowed, fam_idx, fam):
+        families.append(StarSet(d, [Star(d, [Angle(k, d) for k in all_stars[i]])
+                                    for i in fam_idx]))
+        while allowed:
+            i = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            if _forest(fam + [all_stars[i]]) is not None:
+                extend(allowed & fits[i], fam_idx + [i], fam + [all_stars[i]])
+
+    extend((1 << len(all_stars)) - 1, [], [])
+    return families
+
+
 class TestEnumeration:
     def test_counts(self):
         # disjoint acyclic families on the grid, empty family included
@@ -383,6 +434,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_matches_reference_in_order(self, d):
         assert enumerate_grid_star_sets(d) == _reference_grid_families(d)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_per_candidate_forest_in_order(self, d):
+        assert enumerate_grid_star_sets(d) == _forest_per_candidate_grid_families(d)
 
     def test_families_are_valid(self):
         for family in enumerate_grid_star_sets(4):
