@@ -215,8 +215,8 @@ def _candidate_pairs(d: int, grid_refinement: int) -> tuple[tuple[int, int], ...
 
 @lru_cache(maxsize=1024)
 def _gap_mask(d: int, grid_refinement: int, M: int, ticks: tuple[int, ...]) -> int:
-    # Bit i is set iff ticks (a star on the lattice M) lies in one closed gap
-    # of _candidate_pairs(d, grid_refinement)[i] scaled to M.
+    # Bit i: ticks (a star on the lattice M) lie in one closed gap of candidate
+    # i scaled to M.  1024 masks hold a d <= 8 sweep at g = 1, 2, 3 (741 stars).
     scale = M // (d * grid_refinement)
     return sum(1 << i for i, (a, b) in enumerate(_candidate_pairs(d, grid_refinement))
                if in_one_gap((a * scale, b * scale), ticks, M))

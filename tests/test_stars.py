@@ -20,7 +20,7 @@ from orbitgrowth import (
     sum_multiplicities,
 )
 from orbitgrowth.circle import in_one_gap
-from orbitgrowth.stars import _forest, _gap_mask
+from orbitgrowth.stars import _forest, _gap_mask, _lattice
 
 E = named_example_stars()
 
@@ -297,15 +297,22 @@ class TestBruteforceOracle:
         assert verdicts == {True, False}
 
     def test_validation_runs_with_masks_cached(self):
-        # the maximal family caches the masks of E1, E2 and E3 (and of the
-        # interleaved family's E4 and 1/8..5/8 on the eighths below), and the
-        # precondition errors must not depend on what is cached
+        # valid families first cache the mask of every star of the two invalid
+        # ones, on their lattices; the precondition errors must still be raised
         interleaved = StarSet(4, [E["E4"], star(4, "1/8", "5/8")])
         cyclic = StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]])
         for refinement in (1, 2):
             assert check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"]]), refinement)
-            assert not check_maximal_bruteforce(StarSet(4, [E["E4"]]), refinement)
+            assert not check_maximal_bruteforce(StarSet(4, [E["E5"]]), refinement)
+            assert not check_maximal_bruteforce(StarSet(4, [E["E4"], star(4, "1/8", "3/8")]),
+                                                refinement)
             assert not check_maximal_bruteforce(StarSet(4, [star(4, "1/8", "5/8")]), refinement)
+            misses = _gap_mask.cache_info().misses
+            for family in (interleaved, cyclic):
+                M, ticks = _lattice(family.stars, 4 * refinement)
+                for t in ticks:
+                    _gap_mask(4, refinement, M, t)
+            assert _gap_mask.cache_info().misses == misses
             with pytest.raises(ValueError, match="pairwise disjoint"):
                 check_maximal_bruteforce(interleaved, refinement)
             with pytest.raises(ValueError, match="acyclic"):
@@ -384,7 +391,9 @@ class TestQuotient:
 
 def _reference_grid_families(d):
     # Reference for enumerate_grid_star_sets: each candidate is gap-tested
-    # against every member of the family, with no precomputed bitmasks.
+    # against every member of the family, with no precomputed bitmasks, and
+    # joins after a fresh _forest of the whole extended family, with no
+    # forest carried down the recursion.
     all_stars = [comb for size in range(2, d + 1) for comb in combinations(range(d), size)]
     families = []
 
@@ -396,28 +405,6 @@ def _reference_grid_families(d):
                 extend(i + 1, fam + [cand])
 
     extend(0, [])
-    return families
-
-
-def _forest_per_candidate_grid_families(d):
-    # Reference for enumerate_grid_star_sets as it was before the forest was
-    # carried down the recursion: the same gap bitmasks, and a fresh _forest
-    # of the whole extended family for every candidate.
-    all_stars = [comb for size in range(2, d + 1) for comb in combinations(range(d), size)]
-    fits = [sum(1 << i for i, cand in enumerate(all_stars) if in_one_gap(cand, e, d))
-            for e in all_stars]
-    families = []
-
-    def extend(allowed, fam_idx, fam):
-        families.append(StarSet(d, [Star(d, [Angle(k, d) for k in all_stars[i]])
-                                    for i in fam_idx]))
-        while allowed:
-            i = (allowed & -allowed).bit_length() - 1
-            allowed &= allowed - 1
-            if _forest(fam + [all_stars[i]]) is not None:
-                extend(allowed & fits[i], fam_idx + [i], fam + [all_stars[i]])
-
-    extend((1 << len(all_stars)) - 1, [], [])
     return families
 
 
@@ -434,10 +421,6 @@ class TestEnumeration:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_matches_reference_in_order(self, d):
         assert enumerate_grid_star_sets(d) == _reference_grid_families(d)
-
-    @pytest.mark.parametrize("d", range(2, 7))
-    def test_matches_per_candidate_forest_in_order(self, d):
-        assert enumerate_grid_star_sets(d) == _forest_per_candidate_grid_families(d)
 
     def test_families_are_valid(self):
         for family in enumerate_grid_star_sets(4):
