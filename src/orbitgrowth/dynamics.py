@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,22 +39,33 @@ def principal_root(u: np.ndarray, d: int) -> np.ndarray:
     return r * np.exp(1j * (ang * (1.0 / d)))
 
 
-def nearest_branch(p: np.ndarray, seeds: np.ndarray, d: int) -> np.ndarray:
+def nearest_branch(p: np.ndarray, seeds: np.ndarray, d: int, out: np.ndarray | None = None,
+                   cand: np.ndarray | None = None) -> np.ndarray:
     """The branch j whose root p * _roots_of_unity(d)[j] lies nearest seeds,
     over the broadcast shape of p and seeds, by np.argmin's rules: a tie goes
-    to the lower branch and a NaN distance to the first NaN.  argmin walks the
-    short branch axis one sample at a time, so past 128 d^2 samples a strict
-    running minimum over the d contiguous slices (NaN put below every
-    distance) takes its place."""
-    roots = _roots_of_unity(d).reshape(-1, *[1] * max(p.ndim, seeds.ndim))
-    dist = np.abs(p * roots - seeds)
-    if dist[0].size < 128 * d * d:
-        return dist.argmin(axis=0)
-    np.fmax(dist, -1.0, out=dist)
-    picks = np.zeros(dist.shape[1:], dtype=np.intp)
-    for j in range(1, d):
-        picks = np.where(dist[j] < dist[0], j, picks)
-        np.minimum(dist[0], dist[j], out=dist[0])
+    to the lower branch and a NaN distance to the first NaN.  Below 128 d^2
+    samples argmin scans each sample's d distances side by side; past that a
+    strict running minimum over d contiguous slices (NaN put below every
+    distance) takes its place.  out, if given, receives the picked roots; cand,
+    if given, is p[..., None] * the roots, kept by a caller that picks again
+    from p (the running minimum forms its own)."""
+    roots, shape = _roots_of_unity(d), np.broadcast(p, seeds).shape
+    if math.prod(shape) < 128 * d * d:
+        cand = p[..., None] * roots if cand is None else cand
+        picks = np.abs(cand - seeds[..., None]).argmin(axis=-1)
+    else:
+        # in place, as the large temporaries cost more than the arithmetic
+        diff = np.empty((d, *shape), dtype=complex)
+        np.multiply(p, roots.reshape(-1, *[1] * len(shape)), out=diff)
+        dist = np.abs(np.subtract(diff, seeds, out=diff))
+        np.fmax(dist, -1.0, out=dist)
+        picks = np.zeros(dist.shape[1:], dtype=np.intp)
+        for j in range(1, d):
+            # j tops every earlier pick, so it wins just where dist[j] is less
+            np.maximum(picks, (dist[j] < dist[0]) * j, out=picks)
+            np.minimum(dist[0], dist[j], out=dist[0])
+    if out is not None:
+        np.multiply(p, roots[picks], out=out)
     return picks
 
 
@@ -124,12 +135,7 @@ class DiskHypothesisReport:
         return self.ok
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "radius": self.radius,
-            "critical_value_margin": self.critical_value_margin,
-            "pullback_margin": self.pullback_margin,
-        }
+        return asdict(self)
 
 
 def verify_disk_hypothesis(m: UnicriticalMap, radius: float) -> DiskHypothesisReport:

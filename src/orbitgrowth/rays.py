@@ -31,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 # Largest number of ray samples (rays traced times depth + 1) one call may
 # hold.  A family keeps its samples as arrays, 24 bytes a sample (complex
 # point and float residual); with the pullback's level buffers and the angles
-# a sample costs about 37 bytes at peak and 29 retained (tracemalloc of
-# classify_landing(z^2 - 2): peak 36.8 and 36.6 bytes, retained 29.0 and 29.3,
+# a sample costs about 36 bytes at peak and 28 retained (tracemalloc of
+# classify_landing(z^2 - 2): peak 35.8 and 35.6 bytes, retained 27.9 and 28.2,
 # at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits nu = 18
 # at the default depth 48.
 MAX_RAY_SAMPLES = 18_000_000
@@ -67,8 +67,9 @@ class RayConfig:
         for name in ("landing_tol", "grouping_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.depth < 1 or self.substeps < 1:
-            raise ValueError("depth and substeps must be >= 1")
+        if not all(isinstance(n, (int, np.integer)) and n >= 1
+                   for n in (self.depth, self.substeps)):
+            raise ValueError("depth and substeps must be >= 1 and integers")
 
 
 @dataclass
@@ -103,17 +104,20 @@ def chebyshev_oracle(theta: Angle | Fraction) -> float:
 
 
 def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> _FamilyTraces:
-    """Trace all rays of a multiplication-closed family of angles at once."""
+    """Trace all rays of a sorted, multiplication-closed family of angles at once."""
     d, c = m.d, complex(m.c)
-    index = {a: i for i, a in enumerate(angles)}
-    try:
-        perm = np.array([index[multiply(a, d)] for a in angles])
-    except KeyError as exc:
-        raise ValueError(f"angle family not closed under multiplication: {exc}") from None
+    # angle k/lcm is found by bisecting the sorted ticks k, with no Fraction hashed
+    lcm = math.lcm(*(a.denominator for a in angles))
+    dtype = np.int64 if lcm <= 2**53 else object    # so k / lcm rounds as float(a) does
+    ticks, images = (np.array([a.numerator * (lcm // a.denominator) for a in family], dtype)
+                     for family in (angles, [multiply(a, d) for a in angles]))
+    perm = np.searchsorted(ticks, images)
+    if (np.append(ticks, -1)[perm] != images).any():
+        raise ValueError("angle family not sorted or not closed under multiplication")
 
     n, s, depth = len(angles), config.substeps, config.depth
     logR = math.log(escape_radius(m))
-    phase = np.exp(2j * math.pi * np.array([float(a) for a in angles]))
+    phase = np.exp(2j * math.pi * (ticks / lcm).astype(float))   # float(a), bit for bit
 
     # Sublevel j pulls back sublevel j - s, one level up the ray, along the
     # branch nearest sublevel j - 1.  So a level needs only the level above,
@@ -126,12 +130,13 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # branch of the row before, and the chain is then one lookup in that
     # table a row.  The table costs d^2 distances a sample, so past
     # BLOCK_SAMPLES of them the rows are picked one at a time instead, at d
-    # distances a sample.  The level above level 1 is sublevels 1 - s..0,
-    # at potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape
-    # circle, where the ray is (to first order) the straight angular ray.
+    # distances a sample, each call writing its picks' roots into the row that
+    # seeds the next.  The level above level 1 is sublevels 1 - s..0, at
+    # potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape circle,
+    # where the ray is (to first order) the straight angular ray.
     prev = np.array([math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)])
     cur = np.empty_like(prev)
-    b = max(1, min(s, BLOCK_SAMPLES // n))
+    b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
 
     samples = np.empty((depth + 1, n), dtype=complex)
     samples[0] = prev[-1]
@@ -156,16 +161,16 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                 picks = table[0].copy()
                 for i in range(1, len(w)):
                     picks[i] = table[picks[i - 1], i, rows]
+                np.multiply(p, roots[picks], out=z)
             else:
                 picks = np.empty(w.shape, dtype=np.intp)
                 for i in range(len(w)):
-                    picks[i] = nearest_branch(p[i], seeds, d)
-                    seeds = p[i] * roots[picks[i]]
-            np.multiply(p, roots[picks], out=z)
+                    picks[i] = nearest_branch(p[i], seeds, d, out=z[i])
+                    seeds = z[i]
 
-            fz = z**d + c - w
-            abs_fz = np.abs(fz)
-            taken = len(w)
+            fz = z**d
+            abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
+            taken, cand = len(w), None
             for _ in range(MAX_NEWTON):
                 bad = abs_fz > NEWTON_TOL
                 if not bad.any():
@@ -177,7 +182,8 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                 abs_fz = np.abs(fz)
                 # the picks were seeded with unpolished rows: from the first
                 # pick a polished seed changes, the rows are pulled back again
-                again = (nearest_branch(p[1:], z[:-1], d) != picks[1:]).any(1)
+                cand = p[1:, :, None] * roots if cand is None else cand   # once a block
+                again = (nearest_branch(p[1:], z[:-1], d, cand=cand) != picks[1:]).any(1)
                 taken = 1 + int(again.argmax()) if again.any() else len(w)
             np.maximum(step_res[level], abs_fz[:taken].max(axis=0), out=step_res[level])
             # fmin skips NaN, as the comparison with DERIV_TOL does
@@ -196,7 +202,7 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     with np.errstate(invalid="ignore"):
         diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
     ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= NEWTON_TOL)
-    return _FamilyTraces(angles, index, samples, step_res, ok, diam, critical_hit)
+    return _FamilyTraces(angles, lcm, ticks, samples, step_res, ok, diam, critical_hit)
 
 
 class _FamilyTraces(Mapping):
@@ -205,12 +211,20 @@ class _FamilyTraces(Mapping):
     afresh on each lookup, so the samples stay in the arrays and not in
     per-ray lists of boxed numbers."""
 
-    def __init__(self, angles, index, samples, step_res, ok, diam, critical_hit):
-        self.angles, self.index, self.samples, self.step_res = angles, index, samples, step_res
-        self.ok, self.diam, self.critical_hit = ok, diam, critical_hit
+    def __init__(self, angles, lcm, ticks, samples, step_res, ok, diam, critical_hit):
+        self.angles, self.lcm, self.ticks, self.samples = angles, lcm, ticks, samples
+        self.step_res, self.ok, self.diam, self.critical_hit = step_res, ok, diam, critical_hit
 
     def __getitem__(self, angle: Angle | Fraction) -> RayTrace:
-        i = self.index[angle]
+        # any number equal to a member finds it; a string, which Fraction parses, does not
+        try:
+            q = angle if isinstance(angle, Fraction) else Fraction(angle)
+            tick, rest = divmod(q.numerator * self.lcm, q.denominator)
+            i = int(self.ticks.searchsorted(tick))
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(angle) from None
+        if rest or i == len(self.ticks) or self.ticks[i] != tick or isinstance(angle, str):
+            raise KeyError(angle)
         converged = bool(self.ok[i])
         return RayTrace(
             angle=self.angles[i],
@@ -355,11 +369,10 @@ def classify_landing(
     class_of[landed_idx] = labels
     image_class = class_of[(m.d * landed_idx) % len(angles)]
     mapped = image_class >= 0
-    image_of: dict[int, int] = {}
-    invariant = all(
-        image_of.setdefault(label, image) == image
-        for label, image in zip(labels[mapped].tolist(), image_class[mapped].tolist())
-    )
+    # a class's images all go to its one slot, so they agree iff each reads back
+    image_of = np.empty(len(angles), dtype=np.intp)
+    image_of[labels[mapped]] = image_class[mapped]
+    invariant = bool((image_of[labels[mapped]] == image_class[mapped]).all())
 
     return LandingClassification(
         map=m,

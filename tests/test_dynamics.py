@@ -156,6 +156,26 @@ class TestNearestBranch:
                                  axis=-1)
                 assert nearest_branch(p, s, d).tolist() == want.tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=complex_arrays, seeds=complex_arrays, d=st.integers(2, 7))
+    def test_out_receives_the_picked_root_bitwise(self, p, seeds, d):
+        # exact ties in every array: 3 and -3 (to rounding) sit 5 from -4i at
+        # d = 2, and p = 0 puts every root at 0
+        p = as_array(p)
+        s = np.resize(np.array(seeds), p.shape)
+        p[:, :2], s[:, :2] = [3, 0], [-4j, 1 + 1j]
+        s[0, 2:5] = [0, math.nan, complex(0, math.inf)]
+        roots = _roots_of_unity(d)
+        with np.errstate(all="ignore"):
+            for p, s in [(p, s), long_copies(p, s, d)]:
+                cand = p[..., None] * roots
+                pick = np.argmin(np.abs(cand - s[..., None]), axis=-1)
+                out = np.full(p.shape, complex(math.nan, 7.0))
+                assert nearest_branch(p, s, d, out=out).tolist() == pick.tolist()
+                assert out.tobytes() == (p * roots[pick]).tobytes()
+                assert out.tobytes() == np.take_along_axis(cand, pick[..., None], -1).tobytes()
+                assert nearest_branch(p, s, d, cand=cand).tolist() == pick.tolist()
+
     @pytest.mark.parametrize("d,u,seed,pick", [
         (2, 9 + 0j, -4j, 0),      # the roots 3 and -3 (to rounding) sit 5 from -4i
         (4, 81 + 0j, 6 + 6j, 0),  # a seed on the bisector of roots 0 and 1

@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 from collections import deque
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,15 @@ class TestTraceRay:
         with pytest.raises(ValueError):
             RayConfig(depth=0)
 
+    @pytest.mark.parametrize("field", ["depth", "substeps"])
+    def test_non_integer_depth_and_substeps_rejected(self, field):
+        # a float was accepted, and tracing then failed inside numpy with a
+        # TypeError; numpy integers stay accepted
+        for value in (2.5, 2.0):
+            with pytest.raises(ValueError, match="integers"):
+                RayConfig(**{field: value})
+        assert getattr(RayConfig(**{field: np.int64(3)}), field) == 3
+
     def test_config_fields_are_the_settable_values(self):
         names = [f.name for f in dataclasses.fields(RayConfig)]
         assert names == ["depth", "substeps", "landing_tol", "grouping_tol"]
@@ -314,6 +324,28 @@ class TestTraceRays:
         alone = [trace_ray(m, t) for t in thetas]
         assert [t.angle for t in together] == [Angle(Fraction(t)) for t in thetas]
         assert [trace_fields(t) for t in together] == [trace_fields(t) for t in alone]
+
+    def test_no_angles(self):
+        # the block size was BLOCK_SAMPLES divided by the family size, here 0
+        assert trace_rays(CHEB, []) == []
+
+    def test_ticks_past_float64_precision(self):
+        # 2^61 - 1 is prime and 2 has order 61 modulo it: no float64 holds the
+        # family's lattice size exactly, so its ticks stay Python ints
+        angles = sorted(orbit(Angle(1, 2**61 - 1), 2))
+        config = RayConfig(depth=8)
+        expected = reference_trace_family(CHEB, angles, config)
+        traced = rays._trace_family(CHEB, angles, config)
+        assert len(angles) == 61 and traced.ticks.dtype == object
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    @pytest.mark.parametrize("angles", [
+        [Angle(1, 3)],                          # 2/3 is missing
+        [Angle(2, 3), Angle(1, 3)],             # closed, but not sorted
+    ])
+    def test_family_must_be_sorted_and_closed(self, angles):
+        with pytest.raises(ValueError, match="not sorted or not closed"):
+            rays._trace_family(CHEB, angles, RayConfig(depth=4))
 
     def test_golden_digest(self):
         # recorded from trace_ray, one angle at a time
@@ -574,6 +606,24 @@ class TestTracesMapping:
         for a in (angles[0], angles[1], angles[len(angles) // 2], angles[-1]):
             expected = trace_bits(trace_ray(m, a))
             assert trace_bits(cls.traces[a]) == trace_bits(copied[a]) == expected
+
+    def test_lookup_finds_what_a_dict_of_angles_finds(self):
+        # ticks 0, 1 and 2 on the lattice 1/4; a key is turned into its tick
+        angles = [Angle(0), Angle(1, 4), Angle(1, 2)]
+        traces = rays._trace_family(CHEB, angles, RayConfig(depth=8))
+        by_angle = {a: a for a in angles}       # the former index
+        hits = [Angle(1, 4), Fraction(1, 4), 0.25, 0.5, np.float64(0.5), 0, -0.0,
+                np.int64(0), Fraction(0), Decimal("0.5")]
+        misses = [Fraction(3, 2), Fraction(5, 4), Fraction(-1, 2), Fraction(1, 3), Angle(3, 4),
+                  "1/2", "0", 1, 1.0, 0.1, math.nan, math.inf, None, (1, 4)]
+        for key in hits:
+            assert by_angle[key] == key
+            assert key in traces and traces[key].angle == key
+            assert type(traces[key].angle) is Angle
+        for key in misses:
+            assert key not in by_angle and key not in traces
+            with pytest.raises(KeyError):
+                traces[key]
 
     def test_each_lookup_builds_a_new_trace(self):
         cls = classify_landing(CHEB, 3)
