@@ -128,7 +128,7 @@ def _cmd_ncp(args: argparse.Namespace) -> int:
         relations = list(enumerate_valid(n, cap=args.cap))
         lo = min(len(r.blocks) for r in relations)
         bound = min_classes_bound(n)
-        ok = lo == bound and all(len(r.blocks) >= bound for r in relations)
+        ok = lo == bound
         rows.append(
             {"n": n, "valid_relations": len(relations), "min_classes": lo,
              "bound": bound, "status": "PASS" if ok else "FAIL"}
@@ -222,14 +222,20 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The worked examples' inputs.  The acceptance criteria read these and call
+# _REPRO, so each example and its pass rule is written here only.
+CHEBYSHEV = UnicriticalMap(2, -2 + 0j)
+CANTOR = UnicriticalMap(2, -6 + 0j)
+COLANDING_MAP = UnicriticalMap(2, complex(-0.110, 0.6557))
+COLANDING_CONFIG = RayConfig(depth=3200, substeps=4, landing_tol=1e-8, grouping_tol=1e-4)
+COLANDING_TRIPLE = (Angle(1, 7), Angle(2, 7), Angle(4, 7))
+
+
 def _repro_colanding() -> tuple[dict, int]:
-    m = UnicriticalMap(2, complex(-0.110, 0.6557))
-    rc = RayConfig(depth=3200, substeps=4, landing_tol=1e-8, grouping_tol=1e-4)
-    cls = classify_landing(m, 3, config=rc)
-    triple = {Angle(1, 7), Angle(2, 7), Angle(4, 7)}
-    joined = next((c for c in cls.classes if set(c) >= triple), None)
+    cls = classify_landing(COLANDING_MAP, 3, config=COLANDING_CONFIG)
+    joined = next((c for c in cls.classes if set(c) >= set(COLANDING_TRIPLE)), None)
     report = {
-        "c": [m.c.real, m.c.imag],
+        "c": [COLANDING_MAP.c.real, COLANDING_MAP.c.imag],
         "nu": 3,
         "classes": [[str(a) for a in c] for c in cls.classes],
         "orbit_identified": joined is not None,
@@ -237,25 +243,21 @@ def _repro_colanding() -> tuple[dict, int]:
         "noncrossing": classes_noncrossing(cls.classes),
         "unresolved": [str(a) for a in cls.unresolved],
     }
-    ok = joined is not None and report["noncrossing"] and not cls.unreliable
+    ok = (joined is not None and report["noncrossing"] and not cls.unresolved
+          and not cls.unreliable)
     return report, 0 if ok else 2
 
 
 def _repro_chebyshev() -> tuple[dict, int]:
-    m = UnicriticalMap(2, -2 + 0j)
-    cls = classify_landing(m, 3)
-    errors = {
-        str(a): abs(t.landing - chebyshev_oracle(a))
-        for a, t in cls.traces.items()
-        if t.converged
-    }
+    cls = classify_landing(CHEBYSHEV, 3)
+    errors = [abs(t.landing - chebyshev_oracle(a)) for a, t in cls.traces.items() if t.converged]
     report = {
-        "c": [-2.0, 0.0],
+        "c": [CHEBYSHEV.c.real, CHEBYSHEV.c.imag],
         "nu": 3,
         "classes": [[str(a) for a in c] for c in cls.classes],
         "class_count": cls.class_count,
         "expected_class_count": 2 ** (3 - 1),
-        "max_oracle_error": max(errors.values()),
+        "max_oracle_error": max(errors),
         "unresolved": [str(a) for a in cls.unresolved],
     }
     ok = cls.class_count == 4 and not cls.unresolved and report["max_oracle_error"] < 1e-6
@@ -265,37 +267,27 @@ def _repro_chebyshev() -> tuple[dict, int]:
 def _repro_stars() -> tuple[dict, int]:
     e = named_example_stars()
     maximal = StarSet(4, [e["E1"], e["E2"], e["E3"]])
-    cycle = StarSet(4, [e["E1"], e["E2"], e["E3"], e["E5"]])
     partial = StarSet(4, [e["E3"], e["E4"]])
     report = {
         "maximal_E1_E2_E3": is_maximal(maximal),
-        "cycle_E1_E2_E3_E5": has_cycle(cycle),
+        "cycle_E1_E2_E3_E5": has_cycle(StarSet(4, [e["E1"], e["E2"], e["E3"], e["E5"]])),
         "E3_E4_disjoint": disjoint(e["E3"], e["E4"]),
         "E3_E4_acyclic": not has_cycle(partial),
         "E3_E4_maximal": is_maximal(partial),
         "oracle_agrees": check_maximal_bruteforce(maximal, 2) is True
         and check_maximal_bruteforce(partial, 2) is False,
     }
-    ok = (
-        report["maximal_E1_E2_E3"]
-        and report["cycle_E1_E2_E3_E5"]
-        and report["E3_E4_disjoint"]
-        and report["E3_E4_acyclic"]
-        and not report["E3_E4_maximal"]
-        and report["oracle_agrees"]
-    )
+    ok = not report["E3_E4_maximal"] and all(
+        v for k, v in report.items() if k != "E3_E4_maximal")
     return report, 0 if ok else 1
 
 
 def _repro_cantor() -> tuple[dict, int]:
-    m = UnicriticalMap(2, -6 + 0j)
-    hyp = verify_disk_hypothesis(m, 4.0)
-    counts = []
-    for k in range(1, 7):
-        counts.append((k, count_periodic(m, k, radius=4.0).count))
+    hyp = verify_disk_hypothesis(CANTOR, 4.0)
+    counts = [(k, count_periodic(CANTOR, k, radius=4.0).count) for k in range(1, 7)]
     est = rate_estimate(2, counts)
     report = {
-        "c": [-6.0, 0.0],
+        "c": [CANTOR.c.real, CANTOR.c.imag],
         "hypothesis": hyp.to_dict(),
         "counts": [list(p) for p in counts],
         "rate_estimate": est.estimate,

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Every tolerance is pinned here; the time budgets are
-asserted along with the results.
+lines and timings.  The worked examples' inputs and pass rules are the
+`repro` targets in `orbitgrowth.cli`: criteria 1, 5 and 7 run them through
+`_REPRO` and pin the documented values of their reports, and the other
+criteria's sweeps read the same maps.  Every tolerance is pinned here; the
+time budgets are asserted along with the results.
 """
 
 import math
@@ -14,28 +17,19 @@ from mpmath import mpc, workdps
 
 from orbitgrowth import (
     Angle,
-    RayConfig,
-    StarSet,
-    UnicriticalMap,
     chebyshev_oracle,
     check_maximal_bruteforce,
-    classes_noncrossing,
     classify_landing,
     count_periodic,
-    disjoint,
     enumerate_grid_star_sets,
-    has_cycle,
     is_maximal,
     multiply,
-    named_example_stars,
     rate_estimate,
+    trace_rays,
     verify_disk_hypothesis,
 )
-
-CHEB = UnicriticalMap(2, -2 + 0j)
-FIGURE_MAP = UnicriticalMap(2, complex(-0.110, 0.6557))
-FIGURE_CONFIG = RayConfig(depth=3200, substeps=4, landing_tol=1e-8, grouping_tol=1e-4)
-CANTOR = UnicriticalMap(2, -6 + 0j)
+from orbitgrowth.cli import (_REPRO, CANTOR, CHEBYSHEV, COLANDING_CONFIG, COLANDING_MAP,
+                             COLANDING_TRIPLE)
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float | None = None):
@@ -48,16 +42,10 @@ def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float | Non
 
 def test_criterion_1_star_examples():
     start = time.time()
-    e = named_example_stars()
-    maximal = is_maximal(StarSet(4, [e["E1"], e["E2"], e["E3"]]))
-    cycle = has_cycle(StarSet(4, [e["E1"], e["E2"], e["E3"], e["E5"]]))
-    pair = StarSet(4, [e["E3"], e["E4"]])
-    pair_ok = (
-        disjoint(e["E3"], e["E4"])
-        and not has_cycle(pair)
-        and not is_maximal(pair)
-    )
-    ok = maximal is True and cycle is True and pair_ok
+    report, code = _REPRO["stars"]()
+    ok = code == 0 and report == {
+        "maximal_E1_E2_E3": True, "cycle_E1_E2_E3_E5": True, "E3_E4_disjoint": True,
+        "E3_E4_acyclic": True, "E3_E4_maximal": False, "oracle_agrees": True}
     _report(1, ok, "degree-4 star examples give the documented exact booleans",
             time.time() - start, budget=1.0)
 
@@ -100,7 +88,7 @@ def test_criterion_4_chebyshev_oracle():
     worst = 0.0
     ok = True
     for nu in (2, 3, 5, 7):
-        cls = classify_landing(CHEB, nu)
+        cls = classify_landing(CHEBYSHEV, nu)
         ok = ok and not cls.unresolved
         for a, t in cls.traces.items():
             worst = max(worst, abs(t.landing - chebyshev_oracle(a)))
@@ -115,17 +103,14 @@ def test_criterion_4_chebyshev_oracle():
 
 def test_criterion_5_colanding_orbit():
     start = time.time()
-    cls = classify_landing(FIGURE_MAP, 3, config=FIGURE_CONFIG)
-    triple = {Angle(1, 7), Angle(2, 7), Angle(4, 7)}
-    joined = next((c for c in cls.classes if triple <= set(c)), None)
-    noncrossing = classes_noncrossing(cls.classes)
+    report, code = _REPRO["colanding"]()
     # independent check: the common landing point is the repelling fixed
     # point (1 - sqrt(1-4c))/2 of the quadratic
-    alpha = (1 - np.sqrt(complex(1 - 4 * FIGURE_MAP.c))) / 2
-    near_alpha = joined is not None and all(
-        abs(cls.traces[a].landing - alpha) < 1e-4 for a in triple
-    )
-    ok = joined is not None and noncrossing and near_alpha and not cls.unresolved
+    alpha = (1 - np.sqrt(complex(1 - 4 * COLANDING_MAP.c))) / 2
+    traces = trace_rays(COLANDING_MAP, COLANDING_TRIPLE, config=COLANDING_CONFIG)
+    near_alpha = all(t.converged and abs(t.landing - alpha) < 1e-4 for t in traces)
+    ok = (code == 0 and report["orbit_identified"] is True and report["noncrossing"] is True
+          and report["unresolved"] == [] and near_alpha)
     _report(5, ok, "angles 1/7, 2/7, 4/7 fall in one landing class; classes do not cross",
             time.time() - start, budget=60.0)
 
@@ -170,15 +155,16 @@ def test_criterion_7_growth_rate():
     start = time.time()
     observed = []
     for nu in range(2, 11):
-        cls = classify_landing(CHEB, nu)
+        cls = classify_landing(CHEBYSHEV, nu)
         assert not cls.unresolved
         observed.append((nu, cls.class_count))
     est = rate_estimate(2, observed)
     cheb_ok = est.estimate >= math.log(2) - 0.08
 
-    counts = [(k, count_periodic(CANTOR, k, radius=4.0).count) for k in range(1, 7)]
-    exact = rate_estimate(2, counts)
-    exact_ok = exact.estimate == math.log(2)
+    report, code = _REPRO["cantor"]()
+    exact_ok = (code == 0 and report["hypothesis"]["ok"] is True
+                and report["counts"] == [[k, 2**k] for k in range(1, 7)]
+                and report["rate_estimate"] == math.log(2) and report["rate_attained"] is True)
     ok = cheb_ok and exact_ok
     _report(7, ok,
             f"class-count estimate {est.estimate:.4f} >= log 2 - 0.08; "
@@ -188,9 +174,8 @@ def test_criterion_7_growth_rate():
 def test_criterion_8_semiconjugacy():
     start = time.time()
     worst = 0.0
-    runs = [
-        (CHEB, nu, None) for nu in (2, 3, 5, 7)
-    ] + [(FIGURE_MAP, 3, FIGURE_CONFIG)]
+    runs = [(CHEBYSHEV, nu, None) for nu in (2, 3, 5, 7)]
+    runs.append((COLANDING_MAP, 3, COLANDING_CONFIG))
     for m, nu, config in runs:
         cls = classify_landing(m, nu, config=config)
         for a, t in cls.traces.items():

@@ -413,12 +413,18 @@ class TestBlockPullback:
     def test_matches_when_newton_runs_on_every_block(self, monkeypatch, d, n, depth):
         # no residual meets a zero tolerance, so every block runs Newton and
         # its picks are first seeded with unpolished rows; on z^5 + 3 the
-        # polish changes a pick, which the block must then make again
+        # polish changes a pick, which the block must then make again.  Each
+        # block takes one principal root and each re-pull one more: two
+        # blocks a level at n = 1023, one at n = 63, and one re-pull on z^5 + 3
         monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
         angles = list(closed_family(d, n))
         config = RayConfig(depth=depth, substeps=8)
         expected = reference_trace_family(BLOCK_MAPS[d], angles, config)
+        calls = []
+        root = rays.principal_root
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
         traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
+        assert len(calls) == {2: 16, 3: 24, 5: 49}[d]
         assert not any(t.converged for t in expected.values())
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
