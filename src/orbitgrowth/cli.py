@@ -79,6 +79,9 @@ def _parse_star_spec(d: int, text: str) -> StarSet:
         except KeyError as exc:
             raise ValueError(f"unknown star name {exc}; known: E1..E5") from None
     data = json.loads(text)
+    if not (isinstance(data, list) and all(
+            isinstance(pts, list) and all(isinstance(p, str) for p in pts) for pts in data)):
+        raise ValueError('--check expects JSON [["p/q", ...], ...] or a named set')
     return StarSet(d, [Star(d, [angle_from_string(p) for p in pts]) for pts in data])
 
 
@@ -112,6 +115,8 @@ def _cmd_stars(args: argparse.Namespace) -> int:
 def _cmd_ncp(args: argparse.Namespace) -> int:
     if args.validate_blocks is not None:
         data = json.loads(args.validate_blocks)
+        if not isinstance(data, dict):
+            raise ValueError('--validate expects JSON {"n": ..., "blocks": [[...], ...]}')
         try:
             rel = NCRelation(data["n"], data["blocks"])
         except PartitionViolation as exc:
@@ -122,7 +127,7 @@ def _cmd_ncp(args: argparse.Namespace) -> int:
                      "class_count": len(rel.blocks)}), args.output)
         return 0
 
-    ns = range(1, args.n + 1) if args.exhaustive else [args.n]
+    ns = range(1, args.n + 1) if args.exhaustive and args.n >= 1 else [args.n]
     rows = []
     for n in ns:
         relations = list(enumerate_valid(n, cap=args.cap))
@@ -257,10 +262,10 @@ def _repro_chebyshev() -> tuple[dict, int]:
         "classes": [[str(a) for a in c] for c in cls.classes],
         "class_count": cls.class_count,
         "expected_class_count": 2 ** (3 - 1),
-        "max_oracle_error": max(errors),
+        "max_oracle_error": max(errors, default=None),
         "unresolved": [str(a) for a in cls.unresolved],
     }
-    ok = cls.class_count == 4 and not cls.unresolved and report["max_oracle_error"] < 1e-6
+    ok = cls.class_count == 4 and not cls.unresolved and errors and max(errors) < 1e-6
     return report, 0 if ok else 2
 
 

@@ -39,20 +39,17 @@ def principal_root(u: np.ndarray, d: int) -> np.ndarray:
     return r * np.exp(1j * (ang * (1.0 / d)))
 
 
-def nearest_branch(p: np.ndarray, seeds: np.ndarray, d: int, out: np.ndarray | None = None,
-                   cand: np.ndarray | None = None) -> np.ndarray:
+def nearest_branch(p: np.ndarray, seeds: np.ndarray, d: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The branch j whose root p * _roots_of_unity(d)[j] lies nearest seeds,
     over the broadcast shape of p and seeds, by np.argmin's rules: a tie goes
     to the lower branch and a NaN distance to the first NaN.  Below 128 d^2
     samples argmin scans each sample's d distances side by side; past that a
     strict running minimum over d contiguous slices (NaN put below every
-    distance) takes its place.  out, if given, receives the picked roots; cand,
-    if given, is p[..., None] * the roots, kept by a caller that picks again
-    from p (the running minimum forms its own)."""
+    distance) takes its place.  out, if given, receives the picked roots."""
     roots, shape = _roots_of_unity(d), np.broadcast(p, seeds).shape
     if math.prod(shape) < 128 * d * d:
-        cand = p[..., None] * roots if cand is None else cand
-        picks = np.abs(cand - seeds[..., None]).argmin(axis=-1)
+        picks = np.abs(p[..., None] * roots - seeds[..., None]).argmin(axis=-1)
     else:
         # in place, as the large temporaries cost more than the arithmetic
         diff = np.empty((d, *shape), dtype=complex)

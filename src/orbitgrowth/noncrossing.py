@@ -33,7 +33,10 @@ def find_violation(n: int, blocks) -> PartitionViolation | None:
     search runs only then, to supply the first crossing witness.  Raises
     ValueError if blocks is not a partition of {1..n} at all.
     """
-    blocks = [sorted(b) for b in blocks]
+    try:
+        blocks = [sorted(b) for b in blocks]
+    except TypeError:
+        raise ValueError("blocks must be collections of integers") from None
     class_of: dict[int, int] = {}
     for i, b in enumerate(blocks):
         if not b:
@@ -89,8 +92,8 @@ class NCRelation:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
         violation = find_violation(n, blocks)
         if violation is not None:
             raise violation

@@ -168,23 +168,21 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                     picks[i] = nearest_branch(p[i], seeds, d, out=z[i])
                     seeds = z[i]
 
-            fz = z**d
-            abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
-            taken, cand = len(w), None
-            for _ in range(MAX_NEWTON):
+            for step in range(MAX_NEWTON + 1):
+                fz = z**d
+                abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
                 bad = abs_fz > NEWTON_TOL
-                if not bad.any():
+                if step == MAX_NEWTON or not bad.any():
                     break
                 dfz = d * z ** (d - 1)
                 safe = np.where(dfz != 0, dfz, 1.0)
                 z -= np.where(bad & (dfz != 0), fz / safe, 0.0)
-                fz = z**d + c - w
-                abs_fz = np.abs(fz)
+            taken = len(w)
+            if step:
                 # the picks were seeded with unpolished rows: from the first
                 # pick a polished seed changes, the rows are pulled back again
-                cand = p[1:, :, None] * roots if cand is None else cand   # once a block
-                again = (nearest_branch(p[1:], z[:-1], d, cand=cand) != picks[1:]).any(1)
-                taken = 1 + int(again.argmax()) if again.any() else len(w)
+                again = (nearest_branch(p[1:], z[:-1], d) != picks[1:]).any(1)
+                taken = 1 + int(again.argmax()) if again.any() else taken
             np.maximum(step_res[level], abs_fz[:taken].max(axis=0), out=step_res[level])
             # fmin skips NaN, as the comparison with DERIV_TOL does
             np.fmin(min_abs, np.fmin.reduce(np.abs(z[:taken]), axis=0), out=min_abs)

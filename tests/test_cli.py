@@ -92,6 +92,10 @@ class TestNcpVerb:
 
     def test_cap_guard(self, capsys):
         assert main(["ncp", "--n", "13"]) == 1
+        # n below 1 is refused with or without --exhaustive
+        assert main(["ncp", "--n", "0"]) == 1
+        assert main(["ncp", "--n", "0", "--exhaustive"]) == 1
+        assert capsys.readouterr().out == ""
 
 
 class TestRaysVerb:
@@ -333,13 +337,16 @@ class TestReproVerb:
          lambda r: r["E3_E4_acyclic"] is False),
         ("chebyshev", "chebyshev_oracle", lambda f: lambda a: f(a) + 1e-3, 2,
          lambda r: r["max_oracle_error"] > 1e-6),
+        ("chebyshev", "classify_landing",
+         lambda f: lambda *args, **kw: dataclasses.replace(f(*args, **kw), traces={}), 2,
+         lambda r: r["max_oracle_error"] is None),
         ("cantor", "count_periodic", _one_short_at_four, 2,
          lambda r: r["counts"][3] == [4, 15]),
         ("cantor", "verify_disk_hypothesis",
          lambda f: lambda m, radius: dataclasses.replace(f(m, radius), ok=False), 2,
          lambda r: r["hypothesis"]["ok"] is False),
     ], ids=["crossing-classes", "unresolved-ray", "cyclic-pair", "oracle-off",
-            "count-short", "hypothesis-fails"])
+            "no-ray-lands", "count-short", "hypothesis-fails"])
     def test_failed_property_exit_code(self, capsys, monkeypatch, target, name, fake, code,
                                        shown):
         # each property a report states decides the exit code, and the
@@ -409,6 +416,19 @@ class TestConfigSurface:
 
     def test_zero_denominator_angle_exits_one(self):
         assert main(["rays", "--d", "2", "--c=-2+0j", "--angles", "1/0"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["stars", "--d", "2", "--check", "[1]"],
+        ["stars", "--d", "2", "--check", "[[0.5, 0]]"],
+        ["ncp", "--validate", "[1]"],
+        ["ncp", "--validate", '{"n": "4", "blocks": [[1]]}'],
+        ["ncp", "--validate", '{"n": 4, "blocks": [5]}'],
+    ], ids=["star-not-a-list", "angle-not-a-string", "ncp-not-an-object", "n-not-an-int",
+            "block-not-a-list"])
+    def test_malformed_json_exits_one(self, capsys, argv):
+        # well-formed JSON of the wrong shape is a validation failure, not a traceback
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unwritable_output_exits_one(self):
         argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "2",

@@ -174,7 +174,6 @@ class TestNearestBranch:
                 assert nearest_branch(p, s, d, out=out).tolist() == pick.tolist()
                 assert out.tobytes() == (p * roots[pick]).tobytes()
                 assert out.tobytes() == np.take_along_axis(cand, pick[..., None], -1).tobytes()
-                assert nearest_branch(p, s, d, cand=cand).tolist() == pick.tolist()
 
     @pytest.mark.parametrize("d,u,seed,pick", [
         (2, 9 + 0j, -4j, 0),      # the roots 3 and -3 (to rounding) sit 5 from -4i

@@ -128,6 +128,10 @@ class TestValidate:
             validate(3, [[1, 2], [3], []])
         with pytest.raises(ValueError):
             validate(3, [[0, 2], [1, 3]])
+        with pytest.raises(ValueError, match="collections of integers"):
+            find_violation(4, [5])
+        with pytest.raises(ValueError, match="integer >= 1"):
+            validate("4", [[1]])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_find_violation_matches_pairwise_reference(self, n):

@@ -415,16 +415,23 @@ class TestBlockPullback:
         # its picks are first seeded with unpolished rows; on z^5 + 3 the
         # polish changes a pick, which the block must then make again.  Each
         # block takes one principal root and each re-pull one more: two
-        # blocks a level at n = 1023, one at n = 63, and one re-pull on z^5 + 3
+        # blocks a level at n = 1023, one at n = 63, and one re-pull on z^5 + 3.
+        # The picks are checked once a block, after its polish, in one
+        # nearest_branch call: at n = 1023 and n = 63 a block picks its 4 and
+        # 8 rows one at a time (5 and 9 calls), and at n = 7 from one table
+        # (2 calls), as does its re-pull
         monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
         angles = list(closed_family(d, n))
         config = RayConfig(depth=depth, substeps=8)
         expected = reference_trace_family(BLOCK_MAPS[d], angles, config)
-        calls = []
-        root = rays.principal_root
+        calls, picks = [], []
+        root, nearest = rays.principal_root, rays.nearest_branch
         monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
+        monkeypatch.setattr(rays, "nearest_branch",
+                            lambda *args, **kw: picks.append(1) or nearest(*args, **kw))
         traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
         assert len(calls) == {2: 16, 3: 24, 5: 49}[d]
+        assert len(picks) == {2: 80, 3: 216, 5: 98}[d]
         assert not any(t.converged for t in expected.values())
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
