@@ -5,6 +5,10 @@ attained by putting all odd numbers in one class and each even number in its
 own.  The module validates partitions against both conditions (with explicit
 witnesses), builds the extremal example, and enumerates every valid partition
 for small n so the class-count bound can be checked exhaustively.
+
+Validation decides both conditions in one pass over 1..n; enumeration keeps
+the classes the next element may join on a stack of open classes (the
+first-block decomposition of non-crossing partitions).
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ class PartitionViolation(ValueError):
 def find_violation(n: int, blocks) -> PartitionViolation | None:
     """Return the first structural violation of a partition of {1..n}, if any.
 
-    A linear nesting scan decides whether any two classes cross; the pairwise
-    search runs only then, to supply the first crossing witness.  Raises
-    ValueError if blocks is not a partition of {1..n} at all.
+    One pass over 1..n decides whether any class holds two neighbours or any
+    two classes cross; the ordered scans run only then, to name the first
+    witness: an adjacent pair in block order, else the first crossing pair of
+    classes.  Raises ValueError if blocks is not a partition of {1..n} at all
+    (bool elements included).
     """
     try:
         blocks = [sorted(b) for b in blocks]
@@ -42,32 +48,38 @@ def find_violation(n: int, blocks) -> PartitionViolation | None:
         if not b:
             raise ValueError("empty class in partition")
         for x in b:
-            if not isinstance(x, int) or not 1 <= x <= n:
-                raise ValueError(f"element {x!r} outside 1..{n}")
+            if type(x) is bool or not isinstance(x, int) or not 1 <= x <= n:
+                raise ValueError(f"element {x!r} is not an integer in 1..{n}")
             if x in class_of:
                 raise ValueError(f"element {x} appears twice")
             class_of[x] = i
     if len(class_of) != n:
         raise ValueError(f"partition covers {len(class_of)} of {n} elements")
 
+    # No class holds x - 1 and x, and no two classes cross iff each element
+    # is in the innermost open class (a class is open from its first element
+    # to its last).
+    open_classes: list[int] = []
+    prev = -1
+    for x in range(1, n + 1):
+        i = class_of[x]
+        if i == prev:
+            break
+        b = blocks[i]
+        if x == b[0]:
+            open_classes.append(i)
+        elif open_classes[-1] != i:
+            break
+        if x == b[-1]:
+            open_classes.pop()
+        prev = i
+    else:
+        return None
+
     for b in blocks:
         for x, y in zip(b, b[1:]):
             if y == x + 1:
                 return PartitionViolation("adjacency", (x, y))
-
-    # No two classes cross iff each element is in the innermost open class (a
-    # class is open from its first element to its last).
-    open_classes: list[int] = []
-    for x in range(1, n + 1):
-        i = class_of[x]
-        if x == blocks[i][0]:
-            open_classes.append(i)
-        elif open_classes[-1] != i:
-            break
-        if x == blocks[i][-1]:
-            open_classes.pop()
-    else:
-        return None
 
     # Two classes cross iff their merged, class-labelled sequence alternates
     # at least four times (contains the pattern ABAB).
@@ -92,7 +104,7 @@ class NCRelation:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is bool or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
         violation = find_violation(n, blocks)
         if violation is not None:
@@ -151,10 +163,13 @@ def extremal_example(n: int) -> NCRelation:
 def enumerate_valid(n: int, cap: int = DEFAULT_CAP):
     """Yield every valid partition of {1..n}, each exactly once.
 
-    Enumeration walks restricted-growth strings, pruning both conditions as
-    each element is placed, so the order is deterministic (lexicographic in
-    the growth string).  Guarded by `cap` because the count grows like the
-    Motzkin numbers.
+    Enumeration walks restricted-growth strings, placing 1..n in turn, so the
+    order is deterministic (lexicographic in the growth string).  The classes
+    that the next element t may join are kept on a stack of open classes:
+    joining one closes every class opened after it, since a later element in
+    one of those would cross it, and the top class holds t - 1, which t may
+    not join.  Guarded by `cap` because the count grows like the Motzkin
+    numbers.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -163,29 +178,19 @@ def enumerate_valid(n: int, cap: int = DEFAULT_CAP):
 
     blocks: list[list[int]] = []
 
-    def placement_ok(block_idx: int, t: int) -> bool:
-        last = blocks[block_idx][-1]
-        if last == t - 1:
-            return False  # adjacency
-        # Crossing is created iff the target block's last element lies
-        # strictly inside another block's span: no two blocks cross before t
-        # is placed, so any crossing t creates involves that last element.
-        return not any(other[0] < last < other[-1] for other in blocks)
-
-    def rec(t: int):
+    def rec(t: int, open_blocks: tuple[list[int], ...]):
         if t == n + 1:
-            yield NCRelation(n, [list(b) for b in blocks])
+            yield NCRelation(n, blocks)
             return
-        for idx in range(len(blocks)):
-            if placement_ok(idx, t):
-                blocks[idx].append(t)
-                yield from rec(t + 1)
-                blocks[idx].pop()
+        for k, block in enumerate(open_blocks[:-1]):
+            block.append(t)
+            yield from rec(t + 1, open_blocks[:k + 1])
+            block.pop()
         blocks.append([t])
-        yield from rec(t + 1)
+        yield from rec(t + 1, open_blocks + (blocks[-1],))
         blocks.pop()
 
-    yield from rec(1)
+    yield from rec(1, ())
 
 
 def min_classes(n: int) -> int:

@@ -9,9 +9,13 @@ arc of a star onto a smaller circle.
 
 Internally every predicate works on an integer lattice (points scaled by a
 common denominator), which keeps the exhaustive degree-by-degree sweeps fast
-while staying exact.  The grid enumeration prunes with gap tests precomputed
-as one bitmask per star; the brute-force oracle ANDs cached per-star masks of
-the grid candidates, on one lattice shared by the family and the grid.
+while staying exact.  A family is validated once, on its own lattice: its
+ticks, whether its stars are pairwise disjoint and its union-find forest are
+computed together and cached for the last few families, and has_cycle,
+is_maximal and the brute-force oracle read them.  The grid enumeration prunes
+with gap tests precomputed as one bitmask per star; the brute-force oracle
+ANDs cached per-star masks of the grid candidates, keyed by the members' ticks
+on the lattice shared by the family and the grid.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class DegenerateArcError(ValueError):
 class Star:
     """A validated d-star: cyclically sorted angles, pairwise j/d apart."""
 
-    __slots__ = ("degree", "points", "_den", "_ticks", "_point_set")
+    __slots__ = ("degree", "points", "_den", "_ticks", "_point_set", "_hash", "_order")
 
     def __init__(self, degree: int, points) -> None:
         if degree < 2:
@@ -50,6 +54,10 @@ class Star:
         self._den = lcm(*(p.denominator for p in pts))
         self._ticks = tuple(p.numerator * (self._den // p.denominator) for p in pts)
         self._point_set = frozenset(pts)
+        self._hash = hash((degree, self.points))
+        # Orders stars as `points` does (float() is monotone), but compares
+        # floats first and Fractions only on a tie.
+        self._order = tuple([(float(p), p) for p in pts])
 
     def __eq__(self, other) -> bool:
         return (
@@ -59,7 +67,7 @@ class Star:
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.points))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Star(d={self.degree}, {{{', '.join(map(str, self.points))}}})"
@@ -89,7 +97,7 @@ class StarSet:
     def __init__(self, degree: int, stars=()) -> None:
         if degree < 2:
             raise ValueError(f"degree must be >= 2, got {degree}")
-        stars = tuple(sorted(set(stars), key=lambda s: s.points))
+        stars = tuple(sorted(set(stars), key=lambda s: s._order))
         for s in stars:
             if s.degree != degree:
                 raise ValueError(f"star {s!r} has degree {s.degree}, expected {degree}")
@@ -121,11 +129,12 @@ class StarSet:
 
 # -- integer-lattice primitives ----------------------------------------------
 
-def _lattice(stars, grid: int = 1) -> tuple[int, list[tuple[int, ...]]]:
-    # The common denominator L of the stars' points and of 1/grid, and each
-    # star's points as the sorted ticks k of k/L.
-    L = lcm(grid, *(s._den for s in stars))
-    return L, [tuple(t * (L // s._den) for t in s._ticks) for s in stars]
+def _lattice(stars) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # The common denominator L of the stars' points, and each star's points
+    # as the sorted ticks k of k/L.
+    L = lcm(*[s._den for s in stars])
+    return L, tuple([s._ticks if s._den == L else tuple([t * (L // s._den) for t in s._ticks])
+                     for s in stars])
 
 
 def disjoint(e1: Star, e2: Star) -> bool:
@@ -138,10 +147,6 @@ def disjoint(e1: Star, e2: Star) -> bool:
         raise ValueError(f"degree mismatch: {e1.degree} vs {e2.degree}")
     L, (t1, t2) = _lattice((e1, e2))
     return in_one_gap(t1, t2, L)
-
-
-def _pairwise_disjoint(stars) -> bool:
-    return all(disjoint(a, b) for a, b in combinations(stars, 2))
 
 
 def _root(parent: dict[int, int], t: int) -> int:
@@ -166,6 +171,21 @@ def _forest(tick_sets, parent: dict[int, int] | None = None) -> dict[int, int] |
     return parent
 
 
+@lru_cache(maxsize=64)
+def _structure(stars: tuple[Star, ...]):
+    # A family's structure, computed once for every predicate that reads it:
+    # its own lattice L, each star's ticks on L, whether the stars are
+    # pairwise disjoint and, if they are, the union-find root of each star
+    # point (None if the family has a cycle).  A sweep asks is_maximal and
+    # the oracle about one family in a row, so a small cache serves it.
+    # Every caller shares the cached result, so callers only read it.
+    L, family = _lattice(stars)
+    pairwise = all(in_one_gap(a, b, L) for a, b in combinations(family, 2))
+    parent = _forest(family) if pairwise else None
+    roots = None if parent is None else {t: _root(parent, t) for ticks in family for t in ticks}
+    return L, family, pairwise, roots
+
+
 def has_cycle(star_set: StarSet) -> bool:
     """True iff the family contains a cycle of stars.
 
@@ -179,9 +199,10 @@ def has_cycle(star_set: StarSet) -> bool:
     over integer ticks on the family's common lattice, and reports a cycle
     as soon as two points to be joined are already connected.
     """
-    if not _pairwise_disjoint(star_set.stars):
+    _, _, pairwise, roots = _structure(star_set.stars)
+    if not pairwise:
         raise ValueError("has_cycle requires pairwise disjoint stars")
-    return _forest(_lattice(star_set.stars)[1]) is None
+    return roots is None
 
 
 def sum_multiplicities(star_set: StarSet) -> int:
@@ -195,9 +216,9 @@ def is_maximal(star_set: StarSet) -> bool:
     can be added"; check_maximal_bruteforce is the independent search-based
     oracle for the same property.
     """
-    if not _pairwise_disjoint(star_set.stars):
+    if not all(disjoint(a, b) for a, b in combinations(star_set.stars, 2)):
         return False
-    if _forest(_lattice(star_set.stars)[1]) is None:
+    if _structure(star_set.stars)[3] is None:
         return False
     return sum_multiplicities(star_set) == star_set.degree - 1
 
@@ -230,30 +251,36 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     keeping the family pairwise disjoint and cycle-free.  Two-point
     candidates suffice: any addable star contains an addable pair.
 
-    On the lattice shared by the family and the grid, the candidates disjoint
-    from every member are the AND of the members' cached gap masks, and one of
-    them is addable iff its ticks have different union-find roots.
+    The family is validated once, on its own lattice L, and that structure
+    is shared with is_maximal and has_cycle.  The candidates disjoint from
+    every member are the AND of the members' cached gap masks, keyed by their
+    ticks on M = lcm(grid, L); one of them is addable iff its endpoints have
+    different union-find roots, where a grid point off L is its own root.
     """
     if grid_refinement < 1:
         raise ValueError("grid_refinement must be >= 1")
     d = star_set.degree
     grid = d * grid_refinement
-    M, family = _lattice(star_set.stars, grid)
-    if not all(in_one_gap(a, b, M) for a, b in combinations(family, 2)):
+    L, family, pairwise, roots = _structure(star_set.stars)
+    if not pairwise:
         raise ValueError("brute-force oracle requires pairwise disjoint stars")
-    parent = _forest(family)
-    if parent is None:
+    if roots is None:
         raise ValueError("brute-force oracle requires an acyclic star family")
 
+    M = lcm(grid, L)
+    up, down = M // L, M // grid
     pairs = _candidate_pairs(d, grid_refinement)
     fits = (1 << len(pairs)) - 1
     for ticks in family:
-        fits &= _gap_mask(d, grid_refinement, M, ticks)
-    scale = M // grid
+        fits &= _gap_mask(d, grid_refinement, M, tuple([t * up for t in ticks]))
     while fits:
         a, b = pairs[(fits & -fits).bit_length() - 1]
         fits &= fits - 1
-        if _root(parent, a * scale) != _root(parent, b * scale):
+        a, b = a * down, b * down
+        if a % up or b % up:
+            return False  # an endpoint off L lies on no star: an extension
+        a, b = a // up, b // up
+        if roots.get(a, a) != roots.get(b, b):
             return False  # found an extension: not maximal
     return True
 

@@ -423,8 +423,10 @@ class TestConfigSurface:
         ["ncp", "--validate", "[1]"],
         ["ncp", "--validate", '{"n": "4", "blocks": [[1]]}'],
         ["ncp", "--validate", '{"n": 4, "blocks": [5]}'],
+        ["ncp", "--validate", '{"n": true, "blocks": [[1]]}'],
+        ["ncp", "--validate", '{"n": 2, "blocks": [[true], [2]]}'],
     ], ids=["star-not-a-list", "angle-not-a-string", "ncp-not-an-object", "n-not-an-int",
-            "block-not-a-list"])
+            "block-not-a-list", "n-a-bool", "element-a-bool"])
     def test_malformed_json_exits_one(self, capsys, argv):
         # well-formed JSON of the wrong shape is a validation failure, not a traceback
         assert main(argv) == 1

@@ -59,25 +59,17 @@ def _pairwise_find_violation(n, blocks):
     return None
 
 
-def _all_elements_enumerate_valid(n):
-    # Reference for enumerate_valid: the same restricted-growth walk, with a
-    # crossing test over every element x of the target block (some other
-    # block has an element below x and one strictly between x and t).
+def _restricted_growth_walk(n, placement_ok):
+    # The walk of the references for enumerate_valid: t joins each existing
+    # block that placement_ok(blocks, index, t) allows, then opens a new one.
     blocks = []
-
-    def placement_ok(block_idx, t):
-        block = blocks[block_idx]
-        if block[-1] == t - 1:
-            return False
-        return not any(other[0] < x and any(x < y < t for y in other)
-                       for x in block for i, other in enumerate(blocks) if i != block_idx)
 
     def rec(t):
         if t == n + 1:
             yield tuple(tuple(b) for b in blocks)
             return
         for idx in range(len(blocks)):
-            if placement_ok(idx, t):
+            if placement_ok(blocks, idx, t):
                 blocks[idx].append(t)
                 yield from rec(t + 1)
                 blocks[idx].pop()
@@ -86,6 +78,32 @@ def _all_elements_enumerate_valid(n):
         blocks.pop()
 
     yield from rec(1)
+
+
+def _all_elements_enumerate_valid(n):
+    # Reference for enumerate_valid: a crossing test over every element x of
+    # the target block (some other block has an element below x and one
+    # strictly between x and t).
+    def placement_ok(blocks, block_idx, t):
+        block = blocks[block_idx]
+        if block[-1] == t - 1:
+            return False
+        return not any(other[0] < x and any(x < y < t for y in other)
+                       for x in block for i, other in enumerate(blocks) if i != block_idx)
+
+    return _restricted_growth_walk(n, placement_ok)
+
+
+def _last_element_enumerate_valid(n):
+    # Reference for enumerate_valid: t may join a block unless the block's
+    # last element is t - 1 or lies strictly inside another block's span.
+    def placement_ok(blocks, block_idx, t):
+        last = blocks[block_idx][-1]
+        if last == t - 1:
+            return False
+        return not any(other[0] < last < other[-1] for other in blocks)
+
+    return _restricted_growth_walk(n, placement_ok)
 
 
 def _set_partitions(n):
@@ -132,6 +150,12 @@ class TestValidate:
             find_violation(4, [5])
         with pytest.raises(ValueError, match="integer >= 1"):
             validate("4", [[1]])
+        # bool is an int subclass, but True is neither n = 1 nor the element 1
+        with pytest.raises(ValueError, match="integer >= 1"):
+            validate(True, [[1]])
+        for blocks in ([[True], [2]], [[1], [False, 2]]):
+            with pytest.raises(ValueError, match="not an integer"):
+                validate(2, blocks)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_find_violation_matches_pairwise_reference(self, n):
@@ -214,6 +238,11 @@ class TestEnumeration:
     def test_matches_all_elements_reference_in_order(self, n):
         got = [rel.blocks for rel in enumerate_valid(n)]
         assert got == [tuple(sorted(p)) for p in _all_elements_enumerate_valid(n)]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_last_element_reference_in_order(self, n):
+        got = [rel.blocks for rel in enumerate_valid(n)]
+        assert got == [tuple(sorted(p)) for p in _last_element_enumerate_valid(n)]
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

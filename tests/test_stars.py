@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -20,7 +21,7 @@ from orbitgrowth import (
     sum_multiplicities,
 )
 from orbitgrowth.circle import in_one_gap
-from orbitgrowth.stars import _forest, _gap_mask, _lattice
+from orbitgrowth.stars import _forest, _gap_mask, _lattice, _structure
 
 E = named_example_stars()
 
@@ -293,6 +294,7 @@ class TestBruteforceOracle:
             for refinement in (1, 3, 5):
                 verdict = check_maximal_bruteforce(family, refinement)
                 assert verdict == _reference_bruteforce(family, refinement), (family, refinement)
+                assert verdict == is_maximal(family), (family, refinement)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -309,9 +311,10 @@ class TestBruteforceOracle:
             assert not check_maximal_bruteforce(StarSet(4, [star(4, "1/8", "5/8")]), refinement)
             misses = _gap_mask.cache_info().misses
             for family in (interleaved, cyclic):
-                M, ticks = _lattice(family.stars, 4 * refinement)
+                L, ticks = _lattice(family.stars)
+                M = lcm(4 * refinement, L)
                 for t in ticks:
-                    _gap_mask(4, refinement, M, t)
+                    _gap_mask(4, refinement, M, tuple(x * (M // L) for x in t))
             assert _gap_mask.cache_info().misses == misses
             with pytest.raises(ValueError, match="pairwise disjoint"):
                 check_maximal_bruteforce(interleaved, refinement)
@@ -332,12 +335,66 @@ class TestBruteforceOracle:
                     assert (check_maximal_bruteforce(family, refinement)
                             == _reference_bruteforce(family, refinement)), (family, refinement)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_agrees_with_count_on_small_grids(self, d):
         for family in enumerate_grid_star_sets(d):
             expected = is_maximal(family)
             for refinement in (1, 2, 3):
                 assert check_maximal_bruteforce(family, refinement) == expected
+
+
+class TestFamilyStructure:
+    def test_each_family_validated_once_in_a_sweep(self):
+        # is_maximal computes a family's structure and the oracle reads it
+        families = enumerate_grid_star_sets(6)
+        _structure.cache_clear()
+        for family in families:
+            is_maximal(family)
+            for refinement in (1, 2, 3):
+                check_maximal_bruteforce(family, refinement)
+        info = _structure.cache_info()
+        assert (info.misses, info.hits) == (len(families), 3 * len(families))
+        assert info.currsize <= info.maxsize == 64
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_equal_family_built_separately_gets_the_same_verdicts(self, d):
+        for family in enumerate_grid_star_sets(d):
+            verdicts = ([has_cycle(family), is_maximal(family)]
+                        + [check_maximal_bruteforce(family, g) for g in (1, 2, 3)])
+            twin = StarSet(d, [Star.from_dict(s.to_dict()) for s in reversed(family.stars)])
+            assert twin == family and hash(twin) == hash(family)
+            assert not any(a is b for a, b in zip(twin.stars, family.stars))
+            misses = _structure.cache_info().misses
+            assert ([has_cycle(twin), is_maximal(twin)]
+                    + [check_maximal_bruteforce(twin, g) for g in (1, 2, 3)]) == verdicts
+            assert _structure.cache_info().misses == misses
+
+    @pytest.mark.parametrize("refinement", [1, 2, 3, 4, 5])
+    def test_invalid_families_raise_at_every_refinement(self, refinement):
+        interleaved = StarSet(4, [E["E4"], star(4, "1/8", "5/8")])
+        cyclic = StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]])
+        for _ in range(2):  # the second round reads the cached structures
+            assert not is_maximal(interleaved) and not is_maximal(cyclic)
+            with pytest.raises(ValueError, match="pairwise disjoint"):
+                check_maximal_bruteforce(interleaved, refinement)
+            with pytest.raises(ValueError, match="acyclic"):
+                check_maximal_bruteforce(cyclic, refinement)
+            with pytest.raises(ValueError, match="pairwise disjoint"):
+                has_cycle(interleaved)
+            assert has_cycle(cyclic)
+
+    def test_canonical_order_is_the_order_of_points(self):
+        # k/q and floor(10^20 k/q)/10^20 have one float; the Fractions must
+        # still order them
+        stars = [star(2, 0, "1/2"), star(2, "1/9", "11/18")]
+        for a in (Fraction(1, 3), Fraction(1, 6)):
+            near = Fraction(a.numerator * 10**20 // a.denominator, 10**20)
+            assert float(near) == float(a)
+            stars += [star(2, a, a + Fraction(1, 2)), star(2, near, near + Fraction(1, 2))]
+        want = sorted(stars, key=lambda s: s.points)
+        for order in (stars, stars[::-1]):
+            assert list(StarSet(2, order).stars) == want
+            assert sorted(order, key=lambda s: s._order) == want
 
 
 class TestQuotient:
