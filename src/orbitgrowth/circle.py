@@ -44,7 +44,7 @@ class Angle(Fraction):
 
 def angle_from_string(text: str) -> Angle:
     """Parse "p/q" (or a plain integer string) into an Angle."""
-    return Angle(Fraction(text.strip()))
+    return Angle(text.strip())
 
 
 def _require_degree(d: int) -> None:

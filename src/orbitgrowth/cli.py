@@ -402,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         sys.stderr.write(f"non-convergence: {exc}\n")
         return 2
-    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .circle import _require_degree
 
+MAX_BOUND_DIGITS = 4300    # Python's default limit on the digits of an int printed as text
+
 
 @dataclass(frozen=True)
 class RateEstimate:
@@ -87,11 +89,14 @@ def interval_class_bound(d: int, nu: int, eps) -> int:
     The arc holds floor(eps*d^nu) fixed angles of the nu-th iterate; no two
     consecutive ones are equivalent and classes cannot cross, which forces at
     least floor(n/2)+1 classes among n of them -- packaged here as the closed
-    form floor(eps * d^nu / 2).
+    form floor(eps * d^nu / 2).  A nu for which |d|^nu has more than
+    MAX_BOUND_DIGITS digits is refused before the power is computed.
     """
     _require_degree(d)
     if nu < 1:
         raise ValueError(f"nu must be >= 1, got {nu}")
+    if nu >= MAX_BOUND_DIGITS / math.log10(abs(d)):
+        raise ValueError(f"nu={nu}: {abs(d)}^{nu} has more than {MAX_BOUND_DIGITS} digits")
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")

@@ -263,7 +263,7 @@ def trace_rays(
     order.  The union of their forward orbits (which feed the pullback, so
     preperiodic angles work too) is traced once, as one family.
     """
-    thetas = [t if isinstance(t, Angle) else Angle(Fraction(t)) for t in thetas]
+    thetas = [Angle(t) for t in thetas]
     cfg = config or RayConfig()
     family: set[Angle] = set()
     for theta in thetas:

@@ -7,12 +7,13 @@ This module provides the structural predicates on families of stars
 oracle, and the arc-quotient construction that rescales the stars inside an
 arc of a star onto a smaller circle.
 
-Internally every predicate works on an integer lattice (points scaled by a
-common denominator), which keeps the exhaustive degree-by-degree sweeps fast
-while staying exact.  A family is validated once, on its own lattice: its
-ticks, whether its stars are pairwise disjoint and its union-find forest are
-computed together and cached for the last few families, and has_cycle,
-is_maximal and the brute-force oracle read them.  The grid enumeration prunes
+Internally every predicate and the arc quotient work on the family's integer
+lattice (its points as ticks over a common denominator), which keeps the
+exhaustive degree-by-degree sweeps fast while staying exact.  A family is
+validated once, on its own lattice: its ticks, whether its stars are pairwise
+disjoint and its union-find forest are computed together and cached for the
+last few families, and has_cycle, is_maximal and the brute-force oracle read
+them.  The grid enumeration prunes
 with gap tests precomputed as one bitmask per star; the brute-force oracle
 ANDs cached per-star masks of the grid candidates, keyed by the members' ticks
 on the lattice shared by the family and the grid.
@@ -20,7 +21,6 @@ on the lattice shared by the family and the grid.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
@@ -35,7 +35,7 @@ class DegenerateArcError(ValueError):
 class Star:
     """A validated d-star: cyclically sorted angles, pairwise j/d apart."""
 
-    __slots__ = ("degree", "points", "_den", "_ticks", "_point_set", "_hash", "_order")
+    __slots__ = ("degree", "points", "_den", "_ticks", "_hash", "_order")
 
     def __init__(self, degree: int, points) -> None:
         if degree < 2:
@@ -43,17 +43,17 @@ class Star:
         pts = sorted({p if isinstance(p, Angle) else Angle(p) for p in points})
         if len(pts) < 2:
             raise ValueError("a star needs at least two distinct points")
-        base = Fraction(pts[0])
-        for p in pts[1:]:
-            if ((Fraction(p) - base) * degree).denominator != 1:
+        den = lcm(*(p.denominator for p in pts))
+        ticks = tuple(p.numerator * (den // p.denominator) for p in pts)
+        for p, t in zip(pts[1:], ticks[1:]):
+            if (t - ticks[0]) * degree % den:
                 raise ValueError(
                     f"{p} - {pts[0]} is not a multiple of 1/{degree}; not a {degree}-star"
                 )
         self.degree = degree
         self.points = tuple(pts)
-        self._den = lcm(*(p.denominator for p in pts))
-        self._ticks = tuple(p.numerator * (self._den // p.denominator) for p in pts)
-        self._point_set = frozenset(pts)
+        self._den = den
+        self._ticks = ticks
         self._hash = hash((degree, self.points))
         # Orders stars as `points` does (float() is monotone), but compares
         # floats first and Fractions only on a tie.
@@ -77,7 +77,7 @@ class Star:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Star":
-        return cls(data["d"], [Angle(Fraction(p)) for p in data["points"]])
+        return cls(data["d"], [Angle(p) for p in data["points"]])
 
 
 def multiplicity(star: Star) -> int:
@@ -294,52 +294,38 @@ def quotient(
     length l/d for an integer l, and the stars of the family lying (entirely)
     inside the closed arc are rescaled by d/l into valid l-stars on a circle
     of length 1 with the arc endpoints identified.  Returns (l, rescaled
-    family).
+    family).  Works on the family's ticks k/L: the arc is the offsets
+    (k - start) mod L from 0 to its width, and offset o maps to o*d/(L*l).
     """
     d = star_set.degree
     if star.degree != d:
         raise ValueError("star degree does not match the family degree")
-    if arc_start not in star._point_set or arc_end not in star._point_set:
+    if arc_start not in star.points or arc_end not in star.points:
         raise ValueError("arc endpoints must be points of the star")
     if arc_start == arc_end:
         raise ValueError("arc endpoints must be distinct")
-    arc_len = (Fraction(arc_end) - Fraction(arc_start)) % 1
-    for p in star.points:
-        off = (Fraction(p) - Fraction(arc_start)) % 1
-        if 0 < off < arc_len:
-            raise ValueError("arc endpoints are not consecutive in the star")
-    ell_frac = arc_len * d
-    assert ell_frac.denominator == 1  # guaranteed by the star invariant
-    ell = int(ell_frac)
+    L, (ticks, *family) = _lattice((star, *star_set.stars))
+    s0 = ticks[star.points.index(arc_start)]
+    width = (ticks[star.points.index(arc_end)] - s0) % L
+    if any(0 < (t - s0) % L < width for t in ticks):
+        raise ValueError("arc endpoints are not consecutive in the star")
+    ell = width * d // L    # exact: the star's points are j/d apart
     if ell < 2:
-        raise DegenerateArcError(
-            f"arc of length {arc_len} gives quotient degree {ell} < 2"
-        )
+        raise DegenerateArcError(f"arc of length {Angle(width, L)} gives quotient degree {ell} < 2")
 
-    inside: list[Star] = []
-    for other in star_set.stars:
+    inside = {}
+    for other, other_ticks in zip(star_set.stars, family):
         if other == star:
             continue
-        offsets = [(Fraction(p) - Fraction(arc_start)) % 1 for p in other.points]
-        strictly_in = [o for o in offsets if 0 < o < arc_len]
-        all_in = all(o <= arc_len for o in offsets)
-        if strictly_in and not all_in:
+        offsets = [(t - s0) % L for t in other_ticks]
+        if all(o <= width for o in offsets):
+            inside[other] = {Angle(o * d, L * ell) for o in offsets}
+        elif any(0 < o < width for o in offsets):
             raise ValueError(f"star {other!r} straddles the arc boundary")
-        if all_in:
-            inside.append(other)
-
-    images = []
-    for other in inside:
-        image_pts = {
-            Angle(((Fraction(p) - Fraction(arc_start)) % 1) * d, ell)
-            for p in other.points
-        }
+    for other, image_pts in inside.items():
         if len(image_pts) < 2:
-            raise ValueError(
-                f"star {other!r} collapses onto the identified arc endpoints"
-            )
-        images.append(Star(ell, image_pts))
-    return ell, StarSet(ell, images)
+            raise ValueError(f"star {other!r} collapses onto the identified arc endpoints")
+    return ell, StarSet(ell, [Star(ell, pts) for pts in inside.values()])
 
 
 # -- canonical degree-4 demo configurations and exhaustive enumeration --------
@@ -351,13 +337,12 @@ def named_example_stars() -> dict[str, Star]:
     {E1,E2,E3} is maximal, {E1,E2,E3,E5} is a cycle, {E3,E4} is disjoint but
     not maximal.
     """
-    q = Fraction(1, 4)
     return {
-        "E1": Star(4, (Angle(0), Angle(q))),
-        "E2": Star(4, (Angle(q), Angle(2 * q))),
-        "E3": Star(4, (Angle(2 * q), Angle(3 * q))),
-        "E4": Star(4, (Angle(0), Angle(2 * q))),
-        "E5": Star(4, (Angle(3 * q), Angle(0))),
+        "E1": Star(4, (Angle(0), Angle(1, 4))),
+        "E2": Star(4, (Angle(1, 4), Angle(2, 4))),
+        "E3": Star(4, (Angle(2, 4), Angle(3, 4))),
+        "E4": Star(4, (Angle(0), Angle(2, 4))),
+        "E5": Star(4, (Angle(3, 4), Angle(0))),
     }
 
 

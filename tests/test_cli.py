@@ -276,6 +276,12 @@ class TestRateVerb:
         assert lines[0] == "nu,count,log_count_over_nu,target,margin"
         assert len(lines) == 3
 
+    def test_interval_bound_beyond_the_digit_limit_exits_one(self, capsys):
+        argv = ["rate", "--d", "3", "--samples", "1:3", "--eps", "1/2", "--nu", "20000"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nu=20000") and "4300 digits" in err
+
     def test_bad_samples(self, capsys):
         assert main(["rate", "--d", "2", "--samples", "1:0"]) == 1
 
@@ -429,6 +435,16 @@ class TestConfigSurface:
             "block-not-a-list", "n-a-bool", "element-a-bool"])
     def test_malformed_json_exits_one(self, capsys, argv):
         # well-formed JSON of the wrong shape is a validation failure, not a traceback
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "--d", "2", "--c=1e300"],
+        ["rays", "--c=1e300", "--angles", "1/3"],
+        ["rays", "--angles", "1/3", "--d", "1000000"],
+    ], ids=["classes-huge-c", "rays-huge-c", "rays-huge-d"])
+    def test_float_overflow_exits_one(self, capsys, argv):
+        # escape-circle potentials beyond float64 are a validation failure, not a traceback
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -103,5 +103,16 @@ class TestIntervalClassBound:
         for nu in range(2, 9):
             assert 2 ** (nu - 1) >= interval_class_bound(2, nu, 1) - 1
 
+    def test_nu_beyond_the_digit_limit_refused(self):
+        # refused before 3^20000 is computed: its 9,543 digits could not be printed
+        with pytest.raises(ValueError, match=r"nu=20000: .*4300 digits"):
+            interval_class_bound(3, 20000, Fraction(1, 2))
+
+    def test_largest_printable_bound_accepted(self):
+        # 3^9012 has 4,300 digits, 3^9013 has 4,301
+        assert len(str(interval_class_bound(3, 9012, 1))) == 4300
+        with pytest.raises(ValueError, match="nu=9013"):
+            interval_class_bound(3, 9013, 1)
+
     def test_exact_rational_arithmetic(self):
         assert interval_class_bound(2, 64, Fraction(1, 3)) == (2**64) // 6

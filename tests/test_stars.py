@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -127,7 +128,7 @@ def _find_cycle(stars, through: int | None = None) -> bool:
     adj: dict[int, list[tuple[int, frozenset]]] = {i: [] for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
-            shared = stars[i]._point_set & stars[j]._point_set
+            shared = frozenset(stars[i].points) & frozenset(stars[j].points)
             if shared:
                 adj[i].append((j, shared))
                 adj[j].append((i, shared))
@@ -229,11 +230,11 @@ def _reference_bruteforce(star_set, grid_refinement):
     # fresh cycle test of the extended family.
     d = star_set.degree
     grid = d * grid_refinement
-    existing = {s._point_set for s in star_set.stars}
+    existing = {frozenset(s.points) for s in star_set.stars}
     for k in range(grid):
         for j in range(1, d):
             candidate = star(d, Fraction(k, grid), Fraction(k, grid) + Fraction(j, d))
-            if candidate._point_set in existing:
+            if frozenset(candidate.points) in existing:
                 continue
             if not all(disjoint(candidate, s) for s in star_set.stars):
                 continue
@@ -444,6 +445,113 @@ class TestQuotient:
                     except DegenerateArcError:
                         continue
                     assert is_maximal(image), (family, anchor, start, end)
+
+
+def _reference_quotient(star_set, star, arc_start, arc_end):
+    # Reference for quotient: the arc and every offset from its start measured
+    # as Fractions mod 1, with its own closed-arc test.
+    d = star_set.degree
+    if star.degree != d:
+        raise ValueError("star degree does not match the family degree")
+    if arc_start not in frozenset(star.points) or arc_end not in frozenset(star.points):
+        raise ValueError("arc endpoints must be points of the star")
+    if arc_start == arc_end:
+        raise ValueError("arc endpoints must be distinct")
+    arc_len = (Fraction(arc_end) - Fraction(arc_start)) % 1
+    for p in star.points:
+        off = (Fraction(p) - Fraction(arc_start)) % 1
+        if 0 < off < arc_len:
+            raise ValueError("arc endpoints are not consecutive in the star")
+    ell_frac = arc_len * d
+    assert ell_frac.denominator == 1  # guaranteed by the star invariant
+    ell = int(ell_frac)
+    if ell < 2:
+        raise DegenerateArcError(
+            f"arc of length {arc_len} gives quotient degree {ell} < 2"
+        )
+
+    inside = []
+    for other in star_set.stars:
+        if other == star:
+            continue
+        offsets = [(Fraction(p) - Fraction(arc_start)) % 1 for p in other.points]
+        strictly_in = [o for o in offsets if 0 < o < arc_len]
+        all_in = all(o <= arc_len for o in offsets)
+        if strictly_in and not all_in:
+            raise ValueError(f"star {other!r} straddles the arc boundary")
+        if all_in:
+            inside.append(other)
+
+    images = []
+    for other in inside:
+        image_pts = {
+            Angle(((Fraction(p) - Fraction(arc_start)) % 1) * d, ell)
+            for p in other.points
+        }
+        if len(image_pts) < 2:
+            raise ValueError(
+                f"star {other!r} collapses onto the identified arc endpoints"
+            )
+        images.append(Star(ell, image_pts))
+    return ell, StarSet(ell, images)
+
+
+def _outcome(f, *args):
+    # f's result, or the type and message of what it raised
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_offgrid_families(d, count, seed):
+    # Families of one to three stars, each on its own grid {k/(d*g)}, g <= 4,
+    # so the family's lattice mixes denominators; disjoint or not.
+    rng = random.Random(seed)
+
+    def random_star():
+        g = rng.randint(1, 4)
+        base = rng.randrange(d * g)
+        js = rng.sample(range(d), rng.randint(2, d))
+        return Star(d, [Angle(base + j * g, d * g) for j in js])
+
+    return [StarSet(d, [random_star() for _ in range(rng.randint(1, 3))])
+            for _ in range(count)]
+
+
+def _quotient_cases(family, anchors):
+    # Each anchor with every ordered pair of its points, and with an endpoint
+    # off the star.
+    for anchor in anchors:
+        for a in anchor.points:
+            for b in (*anchor.points, Angle(1, 5 * family.degree + 1)):
+                yield family, anchor, a, b
+
+
+def _outside_anchor(d):
+    # a 2-star off the grid {k/d}, so never a member of a grid family
+    return star(d, "1/7", Fraction(1, 7) + Fraction(1, d))
+
+
+class TestQuotientReference:
+    def assert_matches(self, cases):
+        for case in cases:
+            assert _outcome(quotient, *case) == _outcome(_reference_quotient, *case), case
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_on_grid_families(self, d):
+        self.assert_matches(c for f in enumerate_grid_star_sets(d)
+                            for c in _quotient_cases(f, f.stars))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_with_an_anchor_outside_the_family(self, d):
+        self.assert_matches(c for f in enumerate_grid_star_sets(d)
+                            for c in _quotient_cases(f, [_outside_anchor(d)]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_off_the_grid(self, d):
+        self.assert_matches(c for f in _random_offgrid_families(d, 60, seed=d)
+                            for c in _quotient_cases(f, [*f.stars, _outside_anchor(d)]))
 
 
 def _reference_grid_families(d):
