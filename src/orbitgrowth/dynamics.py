@@ -11,14 +11,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class UnicriticalMap:
-    """f(z) = z^d + c with d >= 2; the only finite critical point is 0."""
+    """f(z) = z^d + c with an integer d >= 2 and a finite c; the only finite
+    critical point is 0."""
 
     d: int
     c: complex
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"degree must be >= 2, got {self.d}")
+        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 2:
+            raise ValueError(f"degree must be an integer >= 2, got {self.d!r}")
+        if not np.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c!r}")
 
     def __call__(self, z):
         return z**self.d + self.c

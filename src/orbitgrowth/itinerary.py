@@ -62,10 +62,12 @@ class ItineraryConfig:
     residual_tol: float = 1e-12   # bound certified on |f^k(z) - z|
 
     def __post_init__(self):
+        if isinstance(self.dps, bool) or not isinstance(self.dps, (int, np.integer)):
+            raise ValueError(f"dps must be an integer, got {self.dps!r}")
         if self.dps < 15:
             raise ValueError("dps below double precision is pointless")
-        if self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.residual_tol < math.inf:        # NaN fails too
+            raise ValueError("tolerances must be finite and positive")
 
     @property
     def displacement_tol(self) -> mpf:

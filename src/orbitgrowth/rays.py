@@ -65,9 +65,9 @@ class RayConfig:
 
     def __post_init__(self):
         for name in ("landing_tol", "grouping_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not all(isinstance(n, (int, np.integer)) and n >= 1
+            if not 0 < getattr(self, name) < math.inf:      # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
                    for n in (self.depth, self.substeps)):
             raise ValueError("depth and substeps must be >= 1 and integers")
 
@@ -134,40 +134,77 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # seeds the next.  The level above level 1 is sublevels 1 - s..0, at
     # potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape circle,
     # where the ray is (to first order) the straight angular ray.
-    prev = np.array([math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)])
-    cur = np.empty_like(prev)
     b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
+    roots, rows = _roots_of_unity(d), np.arange(n)
 
+    def pull(w, seeds, z):
+        """Pull the rows w back into z, unpolished, along the branches chained
+        from seeds; returns the rows' principal roots and branch picks."""
+        p = principal_root(w - c, d)
+        if len(w) > 1 and d * d * w.size <= BLOCK_SAMPLES:
+            # table[i, r] is row r's pick when row r - 1 takes branch i;
+            # row 0's seeds stand for every i
+            prior = np.empty((d, *w.shape), dtype=complex)
+            prior[:, 0] = seeds
+            np.multiply(p[:-1], roots[:, None, None], out=prior[:, 1:])
+            table = nearest_branch(p, prior, d)
+            picks = table[0].copy()
+            for i in range(1, len(w)):
+                picks[i] = table[picks[i - 1], i, rows]
+            np.multiply(p, roots[picks], out=z)
+        else:
+            picks = np.empty(w.shape, dtype=np.intp)
+            for i in range(len(w)):
+                picks[i] = nearest_branch(p[i], seeds, d, out=z[i])
+                seeds = z[i]
+        return p, picks
+
+    # A narrow family, s * n <= BLOCK_SAMPLES / 2, pulls a level back as one
+    # block, and a block whose residuals all meet NEWTON_TOL takes no Newton
+    # step and no re-pull.  So its levels are pulled back unpolished into a
+    # ring of level buffers and checked a chunk at a time, in one set of numpy
+    # calls: at most BLOCK_SAMPLES // (s * n) levels, which keeps a chunk in
+    # cache.  The check forms each residual by the polished loop's operations,
+    # and max and fmin fold in any grouping, so an accepted level is that
+    # loop's level bit for bit; from a chunk's first failing level on, the
+    # polished loop takes over.  Chunks start at one level and double while
+    # they pass: a call wastes one level if Newton is needed from level 1,
+    # and otherwise at most one level more than it had accepted.
+    bound = BLOCK_SAMPLES // max(s * n, 1)      # below 2 for a wide family
+    ring = np.empty((max(bound, 1) + 1, s, n), dtype=complex)
+    ring[0] = [math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)]
     samples = np.empty((depth + 1, n), dtype=complex)
-    samples[0] = prev[-1]
+    samples[0] = ring[0, -1]
     step_res = np.zeros((depth + 1, n))
     min_abs = np.full(n, math.inf)
-    rows = np.arange(n)
-    roots = _roots_of_unity(d)
 
-    for level in range(1, depth + 1):
+    level, size = 1, 1
+    while bound > 1 and level <= depth:
+        chunk = min(size, depth + 1 - level)
+        for i in range(chunk):
+            pull(ring[i][:, perm], ring[i, -1], ring[i + 1])
+        z = ring[1:chunk + 1]
+        fz = z**d
+        abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), ring[:chunk][:, :, perm], out=fz))
+        bad = (abs_fz > NEWTON_TOL).any(axis=(1, 2))
+        ok = int(bad.argmax()) if bad.any() else chunk  # the levels accepted
+        if ok:
+            step_res[level:level + ok] = abs_fz[:ok].max(axis=1)
+            np.fmin(min_abs, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1)), out=min_abs)
+            samples[level:level + ok] = z[:ok, -1]
+            ring[0] = ring[ok]
+        level += ok
+        if ok < chunk:
+            break
+        size = min(2 * size, bound)
+
+    prev, cur = ring[0], ring[1]
+    for level in range(level, depth + 1):
         seeds, k = prev[-1], 0          # sublevel j - 1 for the level's first row
         while k < s:
             w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
             z = cur[k:k + b]
-            p = principal_root(w - c, d)
-            if len(w) > 1 and d * d * w.size <= BLOCK_SAMPLES:
-                # table[i, r] is row r's pick when row r - 1 takes branch i;
-                # row 0's seeds stand for every i
-                prior = np.empty((d, *w.shape), dtype=complex)
-                prior[:, 0] = seeds
-                np.multiply(p[:-1], roots[:, None, None], out=prior[:, 1:])
-                table = nearest_branch(p, prior, d)
-                picks = table[0].copy()
-                for i in range(1, len(w)):
-                    picks[i] = table[picks[i - 1], i, rows]
-                np.multiply(p, roots[picks], out=z)
-            else:
-                picks = np.empty(w.shape, dtype=np.intp)
-                for i in range(len(w)):
-                    picks[i] = nearest_branch(p[i], seeds, d, out=z[i])
-                    seeds = z[i]
-
+            p, picks = pull(w, seeds, z)
             for step in range(MAX_NEWTON + 1):
                 fz = z**d
                 abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
@@ -192,7 +229,7 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
         samples[level] = cur[-1]
         prev, cur = cur, prev
 
-    del prev, cur
+    del ring, prev, cur
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
     tail = min(CLUSTER_SIZE, depth + 1)

@@ -448,6 +448,37 @@ class TestConfigSurface:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["rays", "--c=nan", "--angles", "1/3"],
+        ["classes", "--d", "2", "--c=inf", "--nu", "1"],
+        ["itinerary", "--d", "2", "--c=nan"],
+    ], ids=["rays-nan-c", "classes-inf-c", "itinerary-nan-c"])
+    def test_non_finite_c_exits_one(self, capsys, argv):
+        # a NaN or infinite c was traced, printing NaN points or a non-JSON
+        # "Infinity", and exited 2 (or 1 after printing NaN margins)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: c must be finite, got \((nan|inf)\+0j\)\n", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["classes", "--d", "2", "--c=-2", "--nu", "3", "--grouping-tol", "nan"],
+        ["classes", "--d", "2", "--c=-2", "--nu", "3", "--grouping-tol", "inf"],
+        ["classes", "--d", "2", "--c=0.3+0.5j", "--nu", "4", "--landing-tol", "inf"],
+        ["rays", "--c=-2", "--angles", "1/3", "--landing-tol", "nan"],
+        ["itinerary", "--itinerary-tol", "nan"],
+        ["itinerary", "--itinerary-tol", "inf"],
+    ], ids=["classes-grouping-nan", "classes-grouping-inf", "classes-landing-inf",
+            "rays-landing-nan", "itinerary-tol-nan", "itinerary-tol-inf"])
+    def test_non_finite_tolerance_exits_one(self, capsys, argv):
+        # these exited 0 with wrong counts and no flag: a NaN grouping radius
+        # gave 7 classes of z^2 - 2 at nu = 3, where there are 4, an infinite
+        # one gave 1, and an infinite landing_tol counted unlanded rays
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: \w+ must be finite and positive\n", err)
+
     def test_unwritable_output_exits_one(self):
         argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "2",
                 "-o", "/nonexistent-dir/out.json"]

@@ -28,6 +28,21 @@ class TestUnicriticalMap:
         with pytest.raises(ValueError):
             UnicriticalMap(1, 0j)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, "2"])
+    def test_non_integer_degree_rejected(self, d):
+        # UnicriticalMap(2.5, 0j) was accepted, and a bool passed as 0 or 1
+        with pytest.raises(ValueError, match="integer >= 2"):
+            UnicriticalMap(d, 0j)
+
+    def test_numpy_integer_degree_accepted(self):
+        assert UnicriticalMap(np.int64(3), 1j).d == 3
+
+    @pytest.mark.parametrize("c", [complex("nan"), complex("inf"), complex(0, float("-inf")),
+                                   float("nan"), complex(1, float("nan"))])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            UnicriticalMap(2, c)
+
 
 class TestEscapeRadius:
     def test_chebyshev_like(self):

@@ -509,6 +509,16 @@ class TestCountPeriodic:
         with pytest.raises(ValueError):
             ItineraryConfig(residual_tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_residual_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ItineraryConfig(residual_tol=tol)
+
+    @pytest.mark.parametrize("dps", [40.0, 40.5, True, "40"])
+    def test_non_integer_dps_rejected(self, dps):
+        with pytest.raises(ValueError, match="dps must be an integer"):
+            ItineraryConfig(dps=dps)
+
     def test_config_fields_are_the_settable_values(self):
         assert [f.name for f in dataclasses.fields(ItineraryConfig)] == ["dps", "residual_tol"]
 

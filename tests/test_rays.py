@@ -74,13 +74,14 @@ def reference_noncrossing(classes):
     return True
 
 
-def reference_trace_family(m, angles, config):
+def reference_trace_family(m, angles, config, min_abs_out=None):
     """The former pullback, one sublevel per step over a window of the last s
-    rings; the module's constants are read at call time."""
+    rings; the module's constants are read at call time.  min_abs_out, if
+    given, receives each ray's least |z| over all its sublevels."""
     d, c = m.d, complex(m.c)
     index = {a: i for i, a in enumerate(angles)}
     try:
-        perm = np.array([index[multiply(a, d)] for a in angles])
+        perm = np.array([index[multiply(a, d)] for a in angles], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"angle family not closed under multiplication: {exc}") from None
 
@@ -133,6 +134,8 @@ def reference_trace_family(m, angles, config):
         if j % s == 0:
             samples[j // s] = z
 
+    if min_abs_out is not None:
+        min_abs_out[:] = min_abs
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < rays.DERIV_TOL
     tail = min(rays.CLUSTER_SIZE, depth + 1)
@@ -186,6 +189,28 @@ def closed_family(d, n):
 # pick's seed decides which preimage continues the ray
 BLOCK_MAPS = {2: UnicriticalMap(2, 0.3 + 1j), 3: UnicriticalMap(3, 1 + 1j),
               4: UnicriticalMap(4, 1.5 + 0j), 5: UnicriticalMap(5, 3 + 0j)}
+
+
+# |c| outweighs |z| on every level, so at one substep a later level's largest
+# pullback residual can top level 1's; with more substeps level 1 reaches far
+# past the escape circle, and its residuals stay the largest
+FAR_MAP = UnicriticalMap(5, 30 + 0j)
+
+
+def root_calls(s, n, depth, first_bad):
+    """principal_root calls of a call whose first level to fail NEWTON_TOL is
+    first_bad (None if none fails) and which re-pulls no rows: a narrow
+    family pulls back chunks of 1, 2, 4, ... levels, at most BLOCK_SAMPLES
+    // (s * n), up to the chunk holding first_bad, then each level from
+    first_bad on again; a wide family pulls back each level in blocks."""
+    bound = rays.BLOCK_SAMPLES // max(s * n, 1)
+    blocks = -(-s // max(1, min(s, rays.BLOCK_SAMPLES // max(n, 1))))
+    if bound < 2:
+        return depth * blocks
+    end, size = 0, 1
+    while end < (first_bad or depth):
+        end, size = min(end + size, depth), min(2 * size, bound)
+    return end + (depth + 1 - first_bad) * blocks if first_bad else end
 
 
 LATTICES = {q: [Angle(p, q) for p in range(q)] for q in (2, 3, 4, 6, 8, 12, 16, 24)}
@@ -270,6 +295,18 @@ class TestTraceRay:
                 with pytest.raises(ValueError, match="integers"):
                     RayConfig(**{field: value})
             assert getattr(RayConfig(**{field: np.int64(3)}), field) == 3
+
+    @pytest.mark.parametrize("field", ["landing_tol", "grouping_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, field, value):
+        # a NaN or infinite radius was accepted and gave wrong class counts
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            RayConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["depth", "substeps"])
+    def test_bool_depth_or_substeps_rejected(self, field):
+        with pytest.raises(ValueError, match="integers"):
+            RayConfig(**{field: True})
 
     def test_config_fields_are_the_settable_values(self):
         names = [f.name for f in dataclasses.fields(RayConfig)]
@@ -419,7 +456,9 @@ class TestBlockPullback:
         # The picks are checked once a block, after its polish, in one
         # nearest_branch call: at n = 1023 and n = 63 a block picks its 4 and
         # 8 rows one at a time (5 and 9 calls), and at n = 7 from one table
-        # (2 calls), as does its re-pull
+        # (2 calls), as does its re-pull.  The narrow families, n = 63 and
+        # n = 7, first pull level 1 back unpolished, which fails its check:
+        # one more principal root, and 8 picks at n = 63 and 1 at n = 7
         monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
         angles = list(closed_family(d, n))
         config = RayConfig(depth=depth, substeps=8)
@@ -430,16 +469,77 @@ class TestBlockPullback:
         monkeypatch.setattr(rays, "nearest_branch",
                             lambda *args, **kw: picks.append(1) or nearest(*args, **kw))
         traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
-        assert len(calls) == {2: 16, 3: 24, 5: 49}[d]
-        assert len(picks) == {2: 80, 3: 216, 5: 98}[d]
+        assert len(calls) == {2: 16, 3: 25, 5: 50}[d]
+        assert len(picks) == {2: 80, 3: 224, 5: 99}[d]
         assert not any(t.converged for t in expected.values())
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
-    @pytest.mark.parametrize("n,depth", [(1023, 16), (rays.BLOCK_SAMPLES + 5, 8)])
+    @pytest.mark.parametrize("m,s,n,depth", [
+        (BLOCK_MAPS[2], 8, 7, 50),      # chunks of 1, 2, 4, 8, 16 and, cut by the depth, 19
+        (BLOCK_MAPS[3], 4, 128, 30),    # chunks of at most 8 levels
+        (BLOCK_MAPS[2], 8, 256, 9),     # s * n = BLOCK_SAMPLES / 2: chunks of 1 and 2 levels
+        (FAR_MAP, 1, 63, 40),
+        (BLOCK_MAPS[2], 8, 0, 20),      # the empty family
+    ])
+    def test_converging_narrow_call_pulls_each_level_back_once(self, monkeypatch, m, s, n, depth):
+        angles = list(closed_family(m.d, n)) if n else []
+        config = RayConfig(depth=depth, substeps=s)
+        expected = reference_trace_family(m, angles, config)
+        calls = []
+        root = rays.principal_root
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
+        traced = rays._trace_family(m, angles, config)
+        assert len(calls) == depth
+        assert list(traced) == list(expected) == angles
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    @pytest.mark.parametrize("n,depth", [
+        (3, 6),         # level 5 fails in the chunk of levels 4..6, cut by the depth
+        (63, 10),       # level 7 fails, the last of the chunk of levels 4..7
+        (2047, 12),     # s * n just below and at BLOCK_SAMPLES / 2: level 2 fails
+        (2048, 12),
+        (2049, 12),     # wide, one block a level: verified block by block
+        (4095, 12),
+        (4096, 12),     # s * n = BLOCK_SAMPLES
+        (4097, 12),     # a one-row block past BLOCK_SAMPLES
+        (0, 12),        # the empty family: nothing fails
+    ])
+    def test_matches_when_newton_starts_after_passing_chunks(self, monkeypatch, n, depth):
+        # at the default tolerance no level of FAR_MAP takes a Newton step,
+        # so those residuals are the unpolished ones.  A tolerance just below
+        # the largest, and above every earlier level's, lets the levels before
+        # it pass and makes it the first to fail
+        angles = list(closed_family(5, n)) if n else []
+        config = RayConfig(depth=depth, substeps=1)
+        unpolished = reference_trace_family(FAR_MAP, angles, config)
+        level_res = np.array([t.step_residuals[1:] for t in unpolished.values()]
+                             ).reshape(n, depth).max(axis=0, initial=0.0)
+        tol = level_res[:level_res.argmax()].max(initial=0.0)
+        failing = np.flatnonzero(level_res > tol)
+        first_bad = int(failing[0]) + 1 if n else None
+        assert n == 0 or first_bad >= 2
+
+        monkeypatch.setattr(rays, "NEWTON_TOL", tol)
+        expected = reference_trace_family(FAR_MAP, angles, config)
+        calls = []
+        root = rays.principal_root
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
+        traced = rays._trace_family(FAR_MAP, angles, config)
+        assert len(calls) == root_calls(1, n, depth, first_bad)
+        if n and 2 * n <= rays.BLOCK_SAMPLES:
+            # a chunk passed and a level fell back; the levels pulled back
+            # unpolished and not kept are at most one more than those kept
+            wasted = len(calls) - depth
+            assert 1 <= wasted <= first_bad
+        assert list(traced) == list(expected) == angles
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    @pytest.mark.parametrize("n,depth", [(63, 48), (1023, 16), (rays.BLOCK_SAMPLES + 5, 8)])
     def test_matches_when_the_critical_flag_splits_the_family(self, monkeypatch, n, depth):
         # a tolerance that flags some rays and not others checks that min |z|
-        # is taken over every block of every level
+        # is taken over every block of every level, and over every chunk of
+        # levels of the narrow family n = 63
         monkeypatch.setattr(rays, "DERIV_TOL", 1.0)
         angles = list(closed_family(2, n))
         config = RayConfig(depth=depth, substeps=8)
@@ -448,6 +548,25 @@ class TestBlockPullback:
         flags = {t.hit_critical_pullback for t in expected.values()}
         assert flags == {True, False}
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    def test_critical_flag_reads_every_sublevel_of_every_chunk(self, monkeypatch):
+        # DERIV_TOL is set between two least |z| of one ray, over all its
+        # sublevels and over its level samples only, so that ray is flagged
+        # only if the chunked check folds every row of every level
+        m, angles = BLOCK_MAPS[2], list(closed_family(2, 63))
+        config = RayConfig(depth=48, substeps=8)
+        least = np.empty(len(angles))
+        expected = reference_trace_family(m, angles, config, least)
+        at_levels = np.array([np.abs(expected[a].points).min() for a in angles])
+        r = int((at_levels / least).argmax())
+        assert at_levels[r] > least[r]
+        # d x^(d-1) at d = 2, x the geometric mean of the two
+        monkeypatch.setattr(rays, "DERIV_TOL", 2 * math.sqrt(least[r] * at_levels[r]))
+        expected = reference_trace_family(m, angles, config)
+        traced = rays._trace_family(m, angles, config)
+        assert expected[angles[r]].hit_critical_pullback
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
 
 class TestClassifyLanding:
     def test_nu2_classes(self):
