@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .circle import Angle, angle_from_string
 from .dynamics import UnicriticalMap, verify_disk_hypothesis
-from .itinerary import ItineraryConfig, NonConvergenceError, count_periodic, itinerary_point
+from .itinerary import NonConvergenceError, count_periodic, itinerary_point
 from .noncrossing import (
     DEFAULT_CAP,
     NCRelation,
@@ -183,7 +183,6 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_itinerary(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    icfg = ItineraryConfig(dps=args.dps, residual_tol=args.itinerary_tol)
     report = verify_disk_hypothesis(m, args.radius)
     if not report.ok:
         sys.stderr.write(f"invariant-disk hypothesis fails: {report.to_dict()}\n")
@@ -191,11 +190,11 @@ def _cmd_itinerary(args: argparse.Namespace) -> int:
         return 1
     if args.word is not None:
         word = [int(t) for t in args.word.split(",")]
-        res = itinerary_point(m, word, radius=args.radius, config=icfg)
+        res = itinerary_point(m, word, radius=args.radius)
         _emit(_json({"hypothesis": report.to_dict(), "result": res.to_dict()}),
               args.output)
         return 0 if res.converged else 2
-    counted = count_periodic(m, args.k, radius=args.radius, config=icfg)
+    counted = count_periodic(m, args.k, radius=args.radius)
     expected = m.d**args.k
     _emit(_json({"hypothesis": report.to_dict(), "count": counted.to_dict(),
                  "expected": expected, "complete": counted.count == expected}),
@@ -376,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default=None, help='cyclic branch word, e.g. "1,2"')
     p.add_argument("--count", dest="k", type=int, default=1,
                    help="count all points of period dividing K")
-    p.add_argument("--dps", type=int, default=ItineraryConfig.dps)
-    p.add_argument("--itinerary-tol", type=float, default=ItineraryConfig.residual_tol)
     common(p, _cmd_itinerary)
 
     p = sub.add_parser("rate", help="growth-rate estimate from per-period counts")

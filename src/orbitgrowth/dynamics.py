@@ -18,13 +18,18 @@ class UnicriticalMap:
     c: complex
 
     def __post_init__(self):
-        if isinstance(self.d, bool) or not isinstance(self.d, (int, np.integer)) or self.d < 2:
+        if not _is_integer(self.d) or self.d < 2:
             raise ValueError(f"degree must be an integer >= 2, got {self.d!r}")
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
 
     def __call__(self, z):
         return z**self.d + self.c
+
+
+def _is_integer(n) -> bool:
+    """n is a Python or numpy integer and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def principal_root(u: np.ndarray, d: int) -> np.ndarray:
@@ -146,8 +151,8 @@ def verify_disk_hypothesis(m: UnicriticalMap, radius: float) -> DiskHypothesisRe
     >>> verify_disk_hypothesis(UnicriticalMap(2, -6), 4.0).ok
     True
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:       # NaN fails too
+        raise ValueError("radius must be finite and positive")
     cv_margin = abs(m.c) - radius
     pb_margin = radius - (radius + abs(m.c)) ** (1.0 / m.d)
     return DiskHypothesisReport(

@@ -14,11 +14,11 @@ acts as the left shift, so one engine serves one word and all d^k alike:
   code); the composed inverse branches run in float64 over all of them at
   once (dynamics.principal_root) until no cycle moves by 1e-13.
 * Polish: each representative takes Newton steps on F(z) = f^k(z) - z in
-  mpmath until a step is below the displacement tolerance, at `dps` plus
+  mpmath until a step is below the displacement tolerance, at `DPS` plus
   k log10(d R^(d-1)) guard digits, as |f'| <= d R^(d-1) on the disk |z| <= R.
 * Images: the word that is the representative rotated left by t gets z_t of
   its forward images z_0 .. z_(2k-1).  The residual |z_(t+k) - z_t| must be
-  within residual_tol and z_t .. z_(t+k) must follow the word's sectors, or
+  within RESIDUAL_TOL and z_t .. z_(t+k) must follow the word's sectors, or
   the word is not converged.
 
 Both loops stop after `MAX_CYCLES`; `ItineraryResult.cycles` counts the
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mpc, mpf, workdps
 
-from .dynamics import (UnicriticalMap, _roots_of_unity, _single_linkage, nearest_branch,
-                       principal_root, verify_disk_hypothesis)
+from .dynamics import (UnicriticalMap, _is_integer, _roots_of_unity, _single_linkage,
+                       nearest_branch, principal_root, verify_disk_hypothesis)
 
 # Largest d^k * (k + d) count_periodic accepts: its d^k words each hold a
 # point, and their ~d^k/k representatives 2k orbit points with d roots each.
@@ -49,35 +49,13 @@ MAX_ITINERARY_ENTRIES = 10_000_000
 
 MAX_CYCLES = 400        # cap on seed sweeps and Newton steps; convergent words stop sooner
 DEDUP_TOL = 1e-10       # points this close are one: below any periodic-point separation
+DPS = 40                # working precision of the polish, decimal digits
+RESIDUAL_TOL = 1e-12    # bound certified on |f^k(z) - z|
 
 
 class NonConvergenceError(RuntimeError):
     """An itinerary word found no periodic point that follows it within the
     cycle budget, or distinct words gave coinciding points."""
-
-
-@dataclass
-class ItineraryConfig:
-    dps: int = 40                 # working precision, decimal digits
-    residual_tol: float = 1e-12   # bound certified on |f^k(z) - z|
-
-    def __post_init__(self):
-        if isinstance(self.dps, bool) or not isinstance(self.dps, (int, np.integer)):
-            raise ValueError(f"dps must be an integer, got {self.dps!r}")
-        if self.dps < 15:
-            raise ValueError("dps below double precision is pointless")
-        if not 0 < self.residual_tol < math.inf:        # NaN fails too
-            raise ValueError("tolerances must be finite and positive")
-
-    @property
-    def displacement_tol(self) -> mpf:
-        return mpf(10) ** (-(self.dps - 8))
-
-    @property
-    def snap_tol(self) -> mpf:
-        # A polished point whose imaginary part is this small against its
-        # modulus is taken as real, so real periodic points stay exactly real.
-        return mpf(10) ** (-(self.dps - 10))
 
 
 @dataclass
@@ -116,14 +94,14 @@ def _require_hypothesis(m: UnicriticalMap, radius: float) -> None:
 
 
 def _solve(
-    m: UnicriticalMap, codes: np.ndarray, k: int, radius: float, cfg: ItineraryConfig
+    m: UnicriticalMap, codes: np.ndarray, k: int, radius: float
 ) -> tuple[list[mpc], np.ndarray, np.ndarray, list[int]]:
     """Periodic points of the length-k words whose base-d codes (symbols
     0..d-1, most significant first) are `codes`.
 
     Returns each word's point, its residual |f^k(z) - z| and whether it
     converged: its representative's Newton step fell below the displacement
-    tolerance, the residual is within residual_tol, and the orbit follows the
+    tolerance, the residual is within RESIDUAL_TOL, and the orbit follows the
     word's sectors.  Last come the Newton steps of each representative.
     """
     d, c64 = m.d, complex(m.c)
@@ -157,10 +135,12 @@ def _solve(
     orbits = np.empty((n, 2 * k), dtype=complex)
     # |f'| <= d R^(d-1) on the disk, so k forward steps lose at most guard digits
     guard = math.ceil(k * (math.log10(d) + (d - 1) * math.log10(radius)))
-    with workdps(cfg.dps + guard):
+    with workdps(DPS + guard):
         c = mpc(m.c)
-        disp_tol = cfg.displacement_tol
-        snap = cfg.snap_tol
+        disp_tol = mpf(10) ** (8 - DPS)
+        # a polished point whose imaginary part is this small against its
+        # modulus is taken as real, so real periodic points stay exactly real
+        snap = mpf(10) ** (10 - DPS)
         for i, seed in enumerate(seeds.tolist()):
             z = mpc(seed)
             step = 0
@@ -193,25 +173,18 @@ def _solve(
     np.cumsum(picked != branches[:, np.arange(2 * k - 1) % k], axis=1, out=misses[:, 1:])
     follows = misses[word_rep, offset + k] == misses[word_rep, offset]
     word_residuals = residuals[word_rep, offset]
-    converged = settled[word_rep] & follows & (word_residuals <= cfg.residual_tol)
+    converged = settled[word_rep] & follows & (word_residuals <= RESIDUAL_TOL)
     word_points = [points[r][t] for r, t in zip(word_rep.tolist(), offset.tolist())]
     return word_points, word_residuals, converged, steps
 
 
-def itinerary_point(
-    m: UnicriticalMap,
-    word,
-    *,
-    radius: float,
-    config: ItineraryConfig | None = None,
-) -> ItineraryResult:
+def itinerary_point(m: UnicriticalMap, word, *, radius: float) -> ItineraryResult:
     """The periodic point whose orbit follows the cyclic branch word.
 
     The composed inverse branches g_{a1} o ... o g_{ak} seed the point, and
     Newton steps on f^k(z) - z polish it; the point then satisfies
     f^k(z) = z with the word as the sector itinerary of its orbit.
     """
-    cfg = config or ItineraryConfig()
     word = tuple(int(a) for a in word)
     if not word:
         raise ValueError("itinerary word must be non-empty")
@@ -220,7 +193,7 @@ def itinerary_point(
     _require_hypothesis(m, radius)
     code = sum((a - 1) * m.d**j for j, a in enumerate(reversed(word)))
     points, residuals, converged, steps = _solve(   # object: exact past 64 bits
-        m, np.array([code], dtype=object), len(word), radius, cfg)
+        m, np.array([code], dtype=object), len(word), radius)
     return ItineraryResult(
         word=word,
         point=points[0],
@@ -248,13 +221,7 @@ class PeriodicPointCount:
         }
 
 
-def count_periodic(
-    m: UnicriticalMap,
-    k: int,
-    *,
-    radius: float,
-    config: ItineraryConfig | None = None,
-) -> PeriodicPointCount:
+def count_periodic(m: UnicriticalMap, k: int, *, radius: float) -> PeriodicPointCount:
     """Count fixed points of f^k by sweeping all d^k itinerary words.
 
     Returns the d^k points in order of (real, imaginary) part.  Raises
@@ -265,20 +232,19 @@ def count_periodic(
     word-point bijection is reported, never merged or counted short.
     Raises ValueError above MAX_ITINERARY_ENTRIES.
     """
-    if k < 1:
-        raise ValueError(f"word length must be >= 1, got {k}")
+    if not _is_integer(k) or k < 1:
+        raise ValueError(f"word length must be an integer >= 1, got {k!r}")
     # d^k >= 2^k, so past the limit's bit length d**k need not be computed
     if k > MAX_ITINERARY_ENTRIES.bit_length() or m.d**k * (k + m.d) > MAX_ITINERARY_ENTRIES:
         raise ValueError(
             f"the {m.d}^{k} itineraries of length {k} need more than "
             f"{MAX_ITINERARY_ENTRIES} array entries (about 1 GB); lower k"
         )
-    cfg = config or ItineraryConfig()
     _require_hypothesis(m, radius)
     n = m.d**k
     # word i spells i in base d, most significant symbol first: the order of
     # itertools.product(range(d), repeat=k)
-    points, residuals, converged, steps = _solve(m, np.arange(n), k, radius, cfg)
+    points, residuals, converged, steps = _solve(m, np.arange(n), k, radius)
     if not converged.all():
         i = int(np.argmin(converged))
         word = tuple(i // m.d ** (k - 1 - j) % m.d + 1 for j in range(k))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import _require_degree
+from .dynamics import _is_integer
 
 MAX_BOUND_DIGITS = 4300    # Python's default limit on the digits of an int printed as text
 
@@ -58,11 +59,13 @@ def rate_estimate(d: int, samples) -> RateEstimate:
     True
     """
     _require_degree(d)
-    samples = tuple((int(nu), int(count)) for nu, count in samples)
+    samples = tuple(samples)
     if not samples:
         raise ValueError("at least one (nu, count) sample is required")
     seen = set()
     for nu, count in samples:
+        if not (_is_integer(nu) and _is_integer(count)):
+            raise ValueError(f"nu and count must be integers, got ({nu!r}, {count!r})")
         if nu < 1:
             raise ValueError(f"nu must be >= 1, got {nu}")
         if count < 1:
@@ -70,6 +73,7 @@ def rate_estimate(d: int, samples) -> RateEstimate:
         if nu in seen:
             raise ValueError(f"duplicate nu={nu}")
         seen.add(nu)
+    samples = tuple((int(nu), int(count)) for nu, count in samples)
     per = tuple(math.log(count) / nu for nu, count in samples)
     estimate = max(per)
     target = math.log(abs(d))

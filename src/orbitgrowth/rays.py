@@ -23,18 +23,19 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import Angle, multiply, orbit, periodic_angles
-from .dynamics import (UnicriticalMap, _roots_of_unity, _single_linkage, escape_radius,
-                       nearest_branch, principal_root)
+from .dynamics import (UnicriticalMap, _is_integer, _roots_of_unity, _single_linkage,
+                       escape_radius, nearest_branch, principal_root)
 
 TWO_PI = 2.0 * math.pi
 
-# Largest number of ray samples (rays traced times depth + 1) one call may
-# hold.  A family keeps its samples as arrays, 24 bytes a sample (complex
-# point and float residual); with the pullback's level buffers and the angles
-# a sample costs about 36 bytes at peak and 28 retained (tracemalloc of
+# Largest number of ray samples one call may hold: each ray traced keeps
+# depth + 1 samples and holds 2 * substeps more in the pullback's level
+# buffers.  A family keeps its samples as arrays, 24 bytes a sample (complex
+# point and float residual); with the level buffers and the angles a sample
+# costs about 36 bytes at peak and 28 retained (tracemalloc of
 # classify_landing(z^2 - 2): peak 35.8 and 35.6 bytes, retained 27.9 and 28.2,
 # at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits nu = 18
-# at the default depth 48.
+# at the default depth 48 and 8 substeps.
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
@@ -45,10 +46,16 @@ CLUSTER_SIZE = 5        # terminal samples whose diameter is a ray's residual
 BLOCK_SAMPLES = 4096    # samples per pullback block, a bound that keeps a block in cache
 
 
-def _size_error(what: str, depth: int) -> ValueError:
+def _ray_budget(config: RayConfig) -> int:
+    """Most rays one call may trace under MAX_RAY_SAMPLES."""
+    return MAX_RAY_SAMPLES // (config.depth + 1 + 2 * config.substeps)
+
+
+def _size_error(what: str, config: RayConfig) -> ValueError:
     return ValueError(
-        f"tracing {what} to depth {depth} needs more than {MAX_RAY_SAMPLES} ray "
-        f"samples (about 700 MB); lower nu or depth"
+        f"tracing {what} to depth {config.depth} at {config.substeps} substeps needs "
+        f"more than {MAX_RAY_SAMPLES} ray samples (about 700 MB); lower nu or depth, "
+        f"or substeps"
     )
 
 
@@ -67,8 +74,7 @@ class RayConfig:
         for name in ("landing_tol", "grouping_tol"):
             if not 0 < getattr(self, name) < math.inf:      # NaN fails too
                 raise ValueError(f"{name} must be finite and positive")
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-                   for n in (self.depth, self.substeps)):
+        if not all(_is_integer(n) and n >= 1 for n in (self.depth, self.substeps)):
             raise ValueError("depth and substeps must be >= 1 and integers")
 
 
@@ -172,7 +178,8 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # and otherwise at most one level more than it had accepted.
     bound = BLOCK_SAMPLES // max(s * n, 1)      # below 2 for a wide family
     ring = np.empty((max(bound, 1) + 1, s, n), dtype=complex)
-    ring[0] = [math.exp(logR * d ** ((s - i) / s)) * phase for i in range(1, s + 1)]
+    radii = np.fromiter((math.exp(logR * d ** ((s - i) / s)) for i in range(1, s + 1)), float, s)
+    np.multiply(radii[:, None], phase, out=ring[0])
     samples = np.empty((depth + 1, n), dtype=complex)
     samples[0] = ring[0, -1]
     step_res = np.zeros((depth + 1, n))
@@ -302,16 +309,17 @@ def trace_rays(
     """
     thetas = [Angle(t) for t in thetas]
     cfg = config or RayConfig()
+    budget = _ray_budget(cfg)
     family: set[Angle] = set()
     for theta in thetas:
         if theta in family:     # the family is forward closed
             continue
         try:
-            family.update(orbit(theta, m.d, limit=MAX_RAY_SAMPLES // (cfg.depth + 1)))
+            family.update(orbit(theta, m.d, limit=budget))
         except ValueError:
-            raise _size_error(f"the orbit of {theta}", cfg.depth) from None
-        if len(family) * (cfg.depth + 1) > MAX_RAY_SAMPLES:
-            raise _size_error(f"the orbits of {', '.join(map(str, thetas))}", cfg.depth)
+            raise _size_error(f"the orbit of {theta}", cfg) from None
+        if len(family) > budget:
+            raise _size_error(f"the orbits of {', '.join(map(str, thetas))}", cfg)
     traces = _trace_family(m, sorted(family), cfg)
     return [traces[theta] for theta in thetas]
 
@@ -374,9 +382,11 @@ def classify_landing(
     points of the nu-th iterate on the boundary.
     """
     cfg = config or RayConfig()
+    if not _is_integer(nu):
+        raise ValueError(f"nu must be an integer, got {nu!r}")
     # |d|^nu >= 2^nu, so past the limit's bit length d**nu need not be computed
-    if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) * (cfg.depth + 1) > MAX_RAY_SAMPLES:
-        raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg.depth)
+    if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) > _ray_budget(cfg):
+        raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg)
     angles = periodic_angles(m.d, nu)
     traces = _trace_family(m, angles, cfg)
     landed_idx = np.flatnonzero(traces.ok)

@@ -13,8 +13,8 @@ import pytest
 
 from pathlib import Path
 
-from orbitgrowth import Angle, ItineraryConfig, RayConfig
-from orbitgrowth import cli
+from orbitgrowth import Angle, RayConfig
+from orbitgrowth import cli, itinerary
 from orbitgrowth.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,6 +56,11 @@ class TestStarsVerb:
 
     def test_named_stars_need_degree_four(self, capsys):
         assert main(["stars", "--d", "5", "--check", "{E1}"]) == 1
+
+    def test_unknown_star_name_exits_one(self, capsys):
+        assert main(["stars", "--d", "4", "--check", "{E9}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unknown star name 'E9'")
 
     def test_determinism(self, capsys):
         argv = ["stars", "--d", "4", "--check", "{E1,E2,E3}"]
@@ -148,6 +153,23 @@ class TestRaysVerb:
         assert "orbits of 1/127, 3/127, 5/127" in err and "lower nu or depth" in err
 
 
+    def test_excessive_substeps_exits_one_without_allocating(self, capsys):
+        # the level buffers hold 2 * substeps samples a ray: a hundred million
+        # substeps were built as a list of arrays, about 22 GB
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["rays", "--angles", "1/3", "--substeps", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1e6
+        out, err = capsys.readouterr()
+        assert out == "" and "at 100000000 substeps" in err
+
+
 class TestClassesVerb:
     def test_json_classes(self, capsys):
         out = capture(capsys, ["classes", "--d", "2", "--c=-2+0j", "--nu", "3"])
@@ -190,6 +212,15 @@ class TestClassesVerb:
     def test_byte_identical_reruns(self, capsys):
         argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "3"]
         assert capture(capsys, argv) == capture(capsys, argv)
+
+    def test_svg_golden_digest(self, capsys):
+        # one ray of each class of z^2 - 2 at nu = 3, drawn twice
+        argv = ["classes", "--c=-2+0j", "--nu", "3", "--format", "svg"]
+        out = capture(capsys, argv)
+        assert capture(capsys, argv) == out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a16d59cffd4051d01e90cf6f1087f5356cafddb9880fc09243bdb8e8a8c5f8b4"
+        )
 
 
 class TestItineraryVerb:
@@ -247,6 +278,13 @@ class TestItineraryVerb:
         assert time.perf_counter() - start < 1.0
         assert peak < 1e6
         assert "lower k" in capsys.readouterr().err
+
+    def test_non_convergence_exits_two(self, capsys, monkeypatch):
+        # one Newton step cannot settle the fixed points of z^2 - 6
+        monkeypatch.setattr(itinerary, "MAX_CYCLES", 1)
+        assert main(["itinerary", "--count", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("non-convergence: ")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_nonpositive_count_exits_one(self, capsys, count):
@@ -371,8 +409,7 @@ class TestConfigSurface:
     @pytest.mark.parametrize("argv", [
         ["classes", "--c=-2+0j", "--grouping-tol", "0"],
         ["rays", "--c=-2+0j", "--angles", "1/3", "--landing-tol", "0"],
-        ["itinerary", "--itinerary-tol", "0"],
-    ], ids=["classes-grouping_tol", "rays-landing_tol", "itinerary-itinerary_tol"])
+    ], ids=["classes-grouping_tol", "rays-landing_tol"])
     def test_nonpositive_tolerance_rejected(self, capsys, argv):
         assert main(argv) == 1
         assert "positive" in capsys.readouterr().err
@@ -381,12 +418,10 @@ class TestConfigSurface:
         ("rays", "substeps", RayConfig().substeps),
         ("rays", "landing_tol", RayConfig().landing_tol),
         ("classes", "grouping_tol", RayConfig().grouping_tol),
-        ("itinerary", "dps", ItineraryConfig().dps),
-        ("itinerary", "itinerary_tol", ItineraryConfig().residual_tol),
         ("rays", "depth", RayConfig().depth),
         ("classes", "depth", RayConfig().depth),
     ], ids=["rays-substeps", "rays-landing_tol", "classes-grouping_tol",
-            "itinerary-dps", "itinerary-itinerary_tol", "rays-depth", "classes-depth"])
+            "rays-depth", "classes-depth"])
     def test_default_is_the_library_default(self, verb, dest, default):
         assert getattr(build_parser().parse_args([verb]), dest) == default
 
@@ -411,6 +446,13 @@ class TestConfigSurface:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("flag", ["--dps", "--itinerary-tol"])
+    def test_removed_itinerary_flags_rejected(self, flag):
+        # the engine's precision and certified residual are module constants
+        with pytest.raises(SystemExit) as exc:
+            main(["itinerary", flag, "50"])
+        assert exc.value.code == 2
 
     def test_parser_rejects_unknown_verb(self):
         with pytest.raises(SystemExit):
@@ -466,14 +508,15 @@ class TestConfigSurface:
         ["classes", "--d", "2", "--c=-2", "--nu", "3", "--grouping-tol", "inf"],
         ["classes", "--d", "2", "--c=0.3+0.5j", "--nu", "4", "--landing-tol", "inf"],
         ["rays", "--c=-2", "--angles", "1/3", "--landing-tol", "nan"],
-        ["itinerary", "--itinerary-tol", "nan"],
-        ["itinerary", "--itinerary-tol", "inf"],
+        ["itinerary", "--radius", "nan"],
+        ["itinerary", "--radius", "inf"],
     ], ids=["classes-grouping-nan", "classes-grouping-inf", "classes-landing-inf",
-            "rays-landing-nan", "itinerary-tol-nan", "itinerary-tol-inf"])
+            "rays-landing-nan", "itinerary-radius-nan", "itinerary-radius-inf"])
     def test_non_finite_tolerance_exits_one(self, capsys, argv):
         # these exited 0 with wrong counts and no flag: a NaN grouping radius
         # gave 7 classes of z^2 - 2 at nu = 3, where there are 4, an infinite
-        # one gave 1, and an infinite landing_tol counted unlanded rays
+        # one gave 1, and an infinite landing_tol counted unlanded rays; a
+        # non-finite disk radius printed "NaN" or "Infinity", which is not JSON
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""

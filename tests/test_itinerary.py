@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +10,6 @@ import pytest
 from mpmath import mp, mpc, mpf, workdps
 
 from orbitgrowth import (
-    ItineraryConfig,
     NonConvergenceError,
     UnicriticalMap,
     count_periodic,
@@ -19,7 +17,7 @@ from orbitgrowth import (
 )
 from orbitgrowth import itinerary
 from orbitgrowth.dynamics import _roots_of_unity, principal_root
-from orbitgrowth.itinerary import MAX_CYCLES, _snap_f64, _solve
+from orbitgrowth.itinerary import DPS, MAX_CYCLES, RESIDUAL_TOL, _snap_f64, _solve
 from test_dynamics import reference_branch_roots
 
 
@@ -44,14 +42,14 @@ def branch_root(u: mpc, d: int, i: int, snap_tol: mpf) -> mpc:
     return r ** (mpf(1) / d) * mp.expjpi((a / mp.pi + 2 * (i - 1)) / d)
 
 
-def reference_point(m, word, cfg=ItineraryConfig()):
+def reference_point(m, word):
     """The former engine: iterate the composed mpmath inverse branches from 0
     until a full cycle moves less than the displacement tolerance."""
     k = len(word)
-    with workdps(cfg.dps):
+    with workdps(DPS):
         c = mpc(m.c)
-        snap = cfg.snap_tol
-        disp_tol = cfg.displacement_tol
+        snap = mpf(10) ** (10 - DPS)
+        disp_tol = mpf(10) ** (8 - DPS)
         z = mpc(0)
         cycles = 0
         converged = False
@@ -67,7 +65,7 @@ def reference_point(m, word, cfg=ItineraryConfig()):
         for _ in range(k):
             w = w**m.d + c
         residual = float(abs(w - z))
-        converged = converged and residual <= cfg.residual_tol
+        converged = converged and residual <= RESIDUAL_TOL
         return z, converged
 
 
@@ -84,9 +82,9 @@ def reference_dedup(pts, tol):
     return representatives
 
 
-def reference_solve(m, branches, cfg=ItineraryConfig()):
+def reference_solve(m, branches):
     """The former per-word engine: the float64 seed sweep and a Newton polish
-    at `dps` digits for every row of `branches` (symbols 0..d-1), with the
+    at `DPS` digits for every row of `branches` (symbols 0..d-1), with the
     sector check on each word's own orbit.  Returns the points, residuals,
     Newton steps and convergence flags, one per word."""
     n, k = branches.shape
@@ -104,10 +102,10 @@ def reference_solve(m, branches, cfg=ItineraryConfig()):
     points, residuals, steps = [], [], []
     settled = np.zeros(n, dtype=bool)
     orbits = np.empty((n, k + 1), dtype=complex)
-    with workdps(cfg.dps):
+    with workdps(DPS):
         c = mpc(m.c)
-        disp_tol = cfg.displacement_tol
-        snap = cfg.snap_tol
+        disp_tol = mpf(10) ** (8 - DPS)
+        snap = mpf(10) ** (10 - DPS)
         for i, seed in enumerate(seeds.tolist()):
             z = mpc(seed)
             step = 0
@@ -135,7 +133,7 @@ def reference_solve(m, branches, cfg=ItineraryConfig()):
     for j in range(k):
         roots = reference_branch_roots(_snap_f64(orbits[:, j + 1] - c64), d)
         follows &= np.abs(roots - orbits[:, j, None]).argmin(axis=1) == branches[:, j]
-    converged = settled & follows & (np.array(residuals) <= cfg.residual_tol)
+    converged = settled & follows & (np.array(residuals) <= RESIDUAL_TOL)
     return points, residuals, steps, converged
 
 
@@ -330,14 +328,13 @@ class TestNecklaceEngine:
 
     @pytest.mark.parametrize("m,radius", NECKLACE_MAPS)
     def test_every_word_matches_reference(self, m, radius):
-        cfg = ItineraryConfig()
         for k in range(1, 9):
-            got, _, ok, steps = _solve(m, np.arange(m.d**k), k, radius, cfg)
+            got, _, ok, steps = _solve(m, np.arange(m.d**k), k, radius)
             assert ok.all() and len(steps) == necklaces(m.d, k)
             # the reference polishes each word alone, so a spread sample of
             # at least 256 words stands for all of them (every word for d = 2)
             sample = np.arange(0, m.d**k, max(1, m.d**k // 256))
-            ref, _, _, ref_ok = reference_solve(m, all_words(m.d, k)[sample], cfg)
+            ref, _, _, ref_ok = reference_solve(m, all_words(m.d, k)[sample])
             assert ref_ok.all()
             with workdps(40):
                 assert max(abs(got[i] - z) for i, z in zip(sample, ref)) < mpf("1e-30")
@@ -346,7 +343,7 @@ class TestNecklaceEngine:
     def test_image_of_word_point_is_rotated_word_point(self, m, radius):
         k = 6
         top = m.d ** (k - 1)
-        got = _solve(m, np.arange(m.d**k), k, radius, ItineraryConfig())[0]
+        got = _solve(m, np.arange(m.d**k), k, radius)[0]
         with workdps(60):
             c = mpc(m.c)
             for i, z in enumerate(got):
@@ -360,18 +357,18 @@ class TestNecklaceEngine:
                                ((2, 1, 2, 1, 2, 1), beta)]:
             res = itinerary_point(M6, word, radius=4.0)
             assert res.converged and abs(res.point - expected) < mpf("1e-30")
-        got = _solve(M6, np.arange(16), 4, 4.0, ItineraryConfig())[0]
+        got = _solve(M6, np.arange(16), 4, 4.0)[0]
         assert abs(got[0b0101] - alpha) < mpf("1e-30")
         assert abs(got[0b1010] - beta) < mpf("1e-30")
 
     @pytest.mark.parametrize("m,radius", NECKLACE_MAPS)
     def test_each_word_reports_its_own_residual(self, m, radius):
         # the residual of the word's point, evaluated at the polish's
-        # precision, dps plus k log10(d R^(d-1)) guard digits
-        k, cfg = 6, ItineraryConfig()
-        got, residuals, _, _ = _solve(m, np.arange(m.d**k), k, radius, cfg)
+        # precision, DPS plus k log10(d R^(d-1)) guard digits
+        k = 6
+        got, residuals, _, _ = _solve(m, np.arange(m.d**k), k, radius)
         guard = math.ceil(k * math.log10(m.d * radius ** (m.d - 1)))
-        with workdps(cfg.dps + guard):
+        with workdps(DPS + guard):
             c = mpc(m.c)
             for z, residual in zip(got, residuals):
                 w = z
@@ -503,24 +500,14 @@ class TestCountPeriodic:
         with pytest.raises(NonConvergenceError):
             count_periodic(M6, 1, radius=4.0)
 
-    def test_config_validated(self):
-        with pytest.raises(ValueError):
-            ItineraryConfig(dps=5)
-        with pytest.raises(ValueError):
-            ItineraryConfig(residual_tol=-1.0)
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_non_integer_k_rejected(self, k):
+        # both raised a TypeError from numpy
+        with pytest.raises(ValueError, match="word length must be an integer"):
+            count_periodic(M6, k, radius=4.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_residual_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="finite and positive"):
-            ItineraryConfig(residual_tol=tol)
-
-    @pytest.mark.parametrize("dps", [40.0, 40.5, True, "40"])
-    def test_non_integer_dps_rejected(self, dps):
-        with pytest.raises(ValueError, match="dps must be an integer"):
-            ItineraryConfig(dps=dps)
-
-    def test_config_fields_are_the_settable_values(self):
-        assert [f.name for f in dataclasses.fields(ItineraryConfig)] == ["dps", "residual_tol"]
+    def test_numpy_integer_k_accepted(self):
+        assert count_periodic(M6, np.int64(2), radius=4.0).count == 4
 
     def test_all_words_distinct_points(self):
         res = count_periodic(M6, 4, radius=4.0)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +39,16 @@ class TestRateEstimate:
             rate_estimate(2, [(1, 2), (1, 3)])
         with pytest.raises(ValueError):
             rate_estimate(1, [(1, 2)])
+
+    @pytest.mark.parametrize("samples", [[(2.5, 4.9)], [(True, 2)], [(2, 4.0)]])
+    def test_non_integer_sample_rejected(self, samples):
+        # these were silently truncated to (2, 4), (1, 2) and (2, 4)
+        with pytest.raises(ValueError, match="nu and count must be integers"):
+            rate_estimate(2, samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        est = rate_estimate(2, [(np.int64(1), np.int64(2))])
+        assert est.samples == ((1, 2),) and type(est.samples[0][0]) is int
 
     def test_md_counts_increase_toward_target(self):
         # (1/nu) log(d^nu - 1) is increasing and within 1e-3 of log d from nu=11

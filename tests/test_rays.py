@@ -419,7 +419,8 @@ class TestTraceRays:
             return {a: a for a in angles}
 
         monkeypatch.setattr(rays, "_trace_family", stub)
-        depth = rays.MAX_RAY_SAMPLES // size - 1
+        # a ray holds depth + 1 samples and 2 * substeps in the level buffers
+        depth = rays.MAX_RAY_SAMPLES // size - 1 - 2 * RayConfig.substeps
         trace_rays(CHEB, thetas, config=RayConfig(depth=depth))
         assert [len(angles) for angles in traced] == [size]
         with pytest.raises(ValueError, match="lower nu or depth"):
@@ -697,6 +698,15 @@ class TestClassifyLanding:
         with pytest.raises(ValueError, match="lower nu or depth"):
             classify_landing(CHEB, nu)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("nu", [2.0, True])
+    def test_non_integer_nu_rejected(self, nu):
+        # 2.0 raised a TypeError from numpy, and True ran as nu = 1
+        with pytest.raises(ValueError, match="nu must be an integer"):
+            classify_landing(CHEB, nu)
+
+    def test_numpy_integer_nu_accepted(self):
+        assert classify_landing(CHEB, np.int64(2)).class_count == 2
 
     def test_size_limit_counts_depth(self):
         with pytest.raises(ValueError, match="to depth 4000"):
