@@ -11,6 +11,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
+from .dynamics import _is_integer
+
 
 class Angle(Fraction):
     """A point of the circle R/Z, stored as a reduced fraction in [0, 1).
@@ -48,8 +50,8 @@ def angle_from_string(text: str) -> Angle:
 
 
 def _require_degree(d: int) -> None:
-    if abs(d) < 2:
-        raise ValueError(f"degree must satisfy |d| >= 2, got {d}")
+    if not _is_integer(d) or abs(d) < 2:
+        raise ValueError(f"degree must be an integer with |d| >= 2, got {d!r}")
 
 
 def multiply(theta: Angle, d: int) -> Angle:

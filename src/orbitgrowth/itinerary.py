@@ -13,16 +13,19 @@ acts as the left shift, so one engine serves one word and all d^k alike:
 * Seed: each word's representative is its smallest rotation (by base-d
   code); the composed inverse branches run in float64 over all of them at
   once (dynamics.principal_root) until no cycle moves by 1e-13.
-* Polish: each representative takes Newton steps on F(z) = f^k(z) - z in
-  mpmath until a step is below the displacement tolerance, at `DPS` plus
-  k log10(d R^(d-1)) guard digits, as |f'| <= d R^(d-1) on the disk |z| <= R.
+* Polish: every representative takes Newton steps on F(z) = f^k(z) - z,
+  all at once in fixed-point Python integers (_polish), each until its own
+  step is below the displacement tolerance, at `DPS` plus k log10(d R^(d-1))
+  guard digits, as |f'| <= d R^(d-1) on the disk |z| <= R.
 * Images: the word that is the representative rotated left by t gets z_t of
-  its forward images z_0 .. z_(2k-1).  The residual |z_(t+k) - z_t| must be
-  within RESIDUAL_TOL and z_t .. z_(t+k) must follow the word's sectors, or
-  the word is not converged.
+  its forward images z_0 .. z_(2k-1), taken in mpmath.  The residual
+  |z_(t+k) - z_t| must be within RESIDUAL_TOL and z_t .. z_(t+k) must follow
+  the word's sectors, or the word is not converged.
 
 Both loops stop after `MAX_CYCLES`; `ItineraryResult.cycles` counts the
-Newton steps of the word's representative.  The polish runs in mpmath
+Newton steps of the word's representative.  A representative whose seed is
+not finite, or whose orbit escapes during the polish, stops unpolished and
+its words are not converged.  The polish and the images run past float64
 because the residual of a double-precision point is amplified by |(f^k)'|
 (about 6^12 ~ 2e9 for the degree-2, c=-6 family at k=12), so float64 cannot
 certify small residuals at useful word lengths.
@@ -34,22 +37,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mpc, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps
 
 from .dynamics import (UnicriticalMap, _is_integer, _roots_of_unity, _single_linkage,
                        nearest_branch, principal_root, verify_disk_hypothesis)
 
 # Largest d^k * (k + d) count_periodic accepts: its d^k words each hold a
 # point, and their ~d^k/k representatives 2k orbit points with d roots each.
-# A call holds at most about 85 bytes per such entry at its peak (tracemalloc:
-# 37-57 for d = 2, k = 10..13; 69-85 for d = 3, k = 6..8; 61-70 for d = 40,
-# k = 1..2; 40 for d = 2000, k = 1), so the limit keeps a call under about
+# A call holds at most about 80 bytes per such entry at its peak (tracemalloc:
+# 36-50 for d = 2, k = 10..13; 67-77 for d = 3, k = 6..8; 59-61 for d = 40,
+# k = 1..2; 32 for d = 2000, k = 1), so the limit keeps a call under about
 # 1 GB; it admits k = 18 for d = 2 and k = 12 for d = 3.
 MAX_ITINERARY_ENTRIES = 10_000_000
 
 MAX_CYCLES = 400        # cap on seed sweeps and Newton steps; convergent words stop sooner
 DEDUP_TOL = 1e-10       # points this close are one: below any periodic-point separation
 DPS = 40                # working precision of the polish, decimal digits
+POLISH_GUARD_BITS = 8   # fixed-point bits of the polish beyond mpmath's working precision
 RESIDUAL_TOL = 1e-12    # bound certified on |f^k(z) - z|
 
 
@@ -93,6 +97,85 @@ def _require_hypothesis(m: UnicriticalMap, radius: float) -> None:
         )
 
 
+def _polish(
+    seeds: np.ndarray, c: complex, d: int, k: int
+) -> tuple[list[mpc], list[int], np.ndarray]:
+    """Newton steps on F(z) = f^k(z) - z from every seed at once, in fixed
+    point at mpmath's current precision plus POLISH_GUARD_BITS, P bits in all.
+
+    A point is (X + iY) / 2^P for Python integers X, Y in numpy object
+    arrays; a product is (a b) >> P and the step n/e is (n conj(e) << P) //
+    |e|^2.  Each seed stops at its own first step below the displacement
+    tolerance (it settled), after MAX_CYCLES steps, or without taking the
+    step once an image reaches |w| >= 2^P |c|: beyond |c| > R the orbit has
+    left the invariant disk for good, and the integers' bit lengths would
+    double at every further image.  A non-finite seed takes no step.
+    Returns the points as mpc, the steps each took and whether it settled.
+    """
+    P = mp.prec + POLISH_GUARD_BITS
+    one = 1 << P
+
+    def fixed(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return (num << P) // den
+
+    def mul(ax, ay, bx, by):
+        return (ax * bx - ay * by) >> P, (ax * by + ay * bx) >> P
+
+    def power(x, y, e):
+        """(x + iy)^e for e >= 1, by binary powering."""
+        rx = ry = None
+        while True:
+            if e & 1:
+                rx, ry = (x, y) if rx is None else mul(rx, ry, x, y)
+            e >>= 1
+            if not e:
+                return rx, ry
+            x, y = (x * x - y * y) >> P, (x * y) >> (P - 1)
+
+    finite = np.isfinite(seeds)
+    start = np.where(finite, seeds, 0).tolist()
+    X = np.array([fixed(z.real) for z in start], dtype=object)
+    Y = np.array([fixed(z.imag) for z in start], dtype=object)
+    cx, cy = fixed(c.real), fixed(c.imag)
+    tol2 = (one // 10 ** (DPS - 8)) ** 2          # |delta| < 10^(8-DPS)
+    escape2 = one * one * (cx * cx + cy * cy)     # |w| >= 2^P |c|
+    steps = np.zeros(len(seeds), dtype=int)
+    settled = np.zeros(len(seeds), dtype=bool)
+    live = np.flatnonzero(finite)
+    for step in range(1, MAX_CYCLES + 1):
+        if not live.size:
+            break
+        x, y = X[live], Y[live]
+        wx, wy, dx, dy = x, y, one, 0
+        escaped = np.zeros(live.size, dtype=bool)
+        for _ in range(k):
+            px, py = power(wx, wy, d - 1)
+            dx, dy = mul(px, py, dx, dy)
+            dx, dy = d * dx, d * dy
+            wx, wy = mul(px, py, wx, wy)
+            wx, wy = wx + cx, wy + cy
+            out = wx * wx + wy * wy >= escape2
+            if out.any():
+                escaped |= out
+                for a in (wx, wy, dx, dy):
+                    a[out] = 0
+        nx, ny, ex = wx - x, wy - y, dx - one
+        norm = ex * ex + dy * dy
+        sx = ((nx * ex + ny * dy) << P) // norm
+        sy = ((ny * ex - nx * dy) << P) // norm
+        kept = ~escaped
+        live, sx, sy = live[kept], sx[kept], sy[kept]
+        X[live], Y[live] = x[kept] - sx, y[kept] - sy
+        steps[live] = step
+        done = sx * sx + sy * sy < tol2
+        settled[live[done]] = True
+        live = live[~done]
+    points = [mpc(mpf((int(a), -P)), mpf((int(b), -P))) if ok else mpc(z)
+              for a, b, ok, z in zip(X, Y, finite, seeds.tolist())]
+    return points, steps.tolist(), settled
+
+
 def _solve(
     m: UnicriticalMap, codes: np.ndarray, k: int, radius: float
 ) -> tuple[list[mpc], np.ndarray, np.ndarray, list[int]]:
@@ -130,30 +213,16 @@ def _solve(
 
     points: list[list[mpc]] = []
     residuals = np.empty((n, k))
-    steps: list[int] = []
-    settled = np.zeros(n, dtype=bool)
     orbits = np.empty((n, 2 * k), dtype=complex)
     # |f'| <= d R^(d-1) on the disk, so k forward steps lose at most guard digits
     guard = math.ceil(k * (math.log10(d) + (d - 1) * math.log10(radius)))
     with workdps(DPS + guard):
+        polished, steps, settled = _polish(seeds, c64, d, k)
         c = mpc(m.c)
-        disp_tol = mpf(10) ** (8 - DPS)
         # a polished point whose imaginary part is this small against its
         # modulus is taken as real, so real periodic points stay exactly real
         snap = mpf(10) ** (10 - DPS)
-        for i, seed in enumerate(seeds.tolist()):
-            z = mpc(seed)
-            step = 0
-            for step in range(1, MAX_CYCLES + 1):
-                w, dw = z, 1
-                for _ in range(k):
-                    p = w ** (d - 1)
-                    w, dw = p * w + c, d * p * dw
-                delta = (w - z) / (dw - 1)
-                z -= delta
-                if abs(delta) < disp_tol:
-                    settled[i] = True
-                    break
+        for i, z in enumerate(polished):
             if abs(z.imag) <= snap * abs(z):
                 z = mpc(z.real, 0)
             orbit = [z]
@@ -162,7 +231,7 @@ def _solve(
             orbits[i] = [complex(w) for w in orbit]
             residuals[i] = [float(abs(orbit[t + k] - orbit[t])) for t in range(k)]
             points.append(orbit[:k])
-            steps.append(step)
+    residuals[~np.isfinite(seeds)] = np.inf
 
     # z_j lies in the sector of its symbol exactly when it is the branch root
     # of z_(j+1) - c that the symbol picks, under the seed's tie snap;
@@ -185,11 +254,12 @@ def itinerary_point(m: UnicriticalMap, word, *, radius: float) -> ItineraryResul
     Newton steps on f^k(z) - z polish it; the point then satisfies
     f^k(z) = z with the word as the sector itinerary of its orbit.
     """
-    word = tuple(int(a) for a in word)
+    word = tuple(word)
     if not word:
         raise ValueError("itinerary word must be non-empty")
-    if any(not 1 <= a <= m.d for a in word):
-        raise ValueError(f"word symbols must lie in 1..{m.d}: {word}")
+    if not all(_is_integer(a) and 1 <= a <= m.d for a in word):
+        raise ValueError(f"word symbols must be integers in 1..{m.d}: {word}")
+    word = tuple(int(a) for a in word)
     _require_hypothesis(m, radius)
     code = sum((a - 1) * m.d**j for j, a in enumerate(reversed(word)))
     points, residuals, converged, steps = _solve(   # object: exact past 64 bits

@@ -10,9 +10,11 @@ from orbitgrowth import (
     circle_dist,
     cyclic_order,
     exact_period,
+    interval_class_bound,
     multiply,
     orbit,
     periodic_angles,
+    rate_estimate,
 )
 
 
@@ -88,6 +90,21 @@ class TestMultiply:
 
     def test_negative_degree(self):
         assert multiply(Angle(1, 3), -2) == Angle(1, 3)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: multiply(Angle(1, 3), d),
+        lambda d: periodic_angles(d, 2),
+        lambda d: exact_period(Angle(1, 3), d),
+        lambda d: orbit(Angle(1, 3), d),
+        lambda d: rate_estimate(d, [(1, 2)]),
+        lambda d: interval_class_bound(d, 3, "1/2"),
+    ])
+    @pytest.mark.parametrize("d", [2.5, 2.0, -3.0, True, Fraction(5, 2), "2"])
+    def test_non_integer_degree_rejected(self, call, d):
+        # rate_estimate(2.5, ...) gave target log 2.5, and
+        # interval_class_bound(2.5, 3, "1/2") gave 3
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            call(d)
 
     def test_any_rational_input(self):
         # a Fraction is read as it is, anything else through Fraction

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from mpmath import mp, mpc, mpf, workdps
+from mpmath import mp, mpc, mpf, workdps, workprec
 
 from orbitgrowth import (
     NonConvergenceError,
@@ -17,7 +17,7 @@ from orbitgrowth import (
 )
 from orbitgrowth import itinerary
 from orbitgrowth.dynamics import _roots_of_unity, principal_root
-from orbitgrowth.itinerary import DPS, MAX_CYCLES, RESIDUAL_TOL, _snap_f64, _solve
+from orbitgrowth.itinerary import DPS, MAX_CYCLES, RESIDUAL_TOL, _polish, _snap_f64, _solve
 from test_dynamics import reference_branch_roots
 
 
@@ -82,6 +82,32 @@ def reference_dedup(pts, tol):
     return representatives
 
 
+def _reference_polish(seeds, c, d, k):
+    """The former polish: Newton steps on f^k(z) - z in scalar mpmath, one
+    seed at a time, at the current precision.  Returns the points, the
+    steps each took and whether it settled."""
+    c = mpc(c)
+    disp_tol = mpf(10) ** (8 - DPS)
+    points, steps = [], []
+    settled = np.zeros(len(seeds), dtype=bool)
+    for i, seed in enumerate(seeds.tolist()):
+        z = mpc(seed)
+        step = 0
+        for step in range(1, MAX_CYCLES + 1):
+            w, dw = z, 1
+            for _ in range(k):
+                p = w ** (d - 1)
+                w, dw = p * w + c, d * p * dw
+            delta = (w - z) / (dw - 1)
+            z -= delta
+            if abs(delta) < disp_tol:
+                settled[i] = True
+                break
+        points.append(z)
+        steps.append(step)
+    return points, steps, settled
+
+
 def reference_solve(m, branches):
     """The former per-word engine: the float64 seed sweep and a Newton polish
     at `DPS` digits for every row of `branches` (symbols 0..d-1), with the
@@ -99,26 +125,13 @@ def reference_solve(m, branches):
         if np.abs(seeds - prev).max() < 1e-13:
             break
 
-    points, residuals, steps = [], [], []
-    settled = np.zeros(n, dtype=bool)
+    points, residuals = [], []
     orbits = np.empty((n, k + 1), dtype=complex)
     with workdps(DPS):
         c = mpc(m.c)
-        disp_tol = mpf(10) ** (8 - DPS)
         snap = mpf(10) ** (10 - DPS)
-        for i, seed in enumerate(seeds.tolist()):
-            z = mpc(seed)
-            step = 0
-            for step in range(1, MAX_CYCLES + 1):
-                w, dw = z, 1
-                for _ in range(k):
-                    p = w ** (d - 1)
-                    w, dw = p * w + c, d * p * dw
-                delta = (w - z) / (dw - 1)
-                z -= delta
-                if abs(delta) < disp_tol:
-                    settled[i] = True
-                    break
+        polished, steps, settled = _reference_polish(seeds, m.c, d, k)
+        for i, z in enumerate(polished):
             if abs(z.imag) <= snap * abs(z):
                 z = mpc(z.real, 0)
             orbit = [z]
@@ -127,7 +140,6 @@ def reference_solve(m, branches):
             orbits[i] = [complex(w) for w in orbit]
             points.append(z)
             residuals.append(float(abs(orbit[-1] - z)))
-            steps.append(step)
 
     follows = np.ones(n, dtype=bool)
     for j in range(k):
@@ -238,6 +250,16 @@ class TestItineraryPoint:
             itinerary_point(M6, (3,), radius=4.0)
         with pytest.raises(ValueError):
             itinerary_point(M6, (), radius=4.0)
+
+    @pytest.mark.parametrize("word", [(1.7, True), (1, 2.0), (True,), ("1",)])
+    def test_non_integer_symbols_rejected(self, word):
+        # (1.7, True) ran as the word (1, 1)
+        with pytest.raises(ValueError, match="must be integers"):
+            itinerary_point(M6, word, radius=4.0)
+
+    def test_numpy_integer_symbols_accepted(self):
+        res = itinerary_point(M6, np.array([1, 2]), radius=4.0)
+        assert res.word == (1, 2) and type(res.word[0]) is int
 
     def test_hypothesis_gate(self):
         with pytest.raises(ValueError, match="hypothesis"):
@@ -385,6 +407,53 @@ class TestNecklaceEngine:
         # the guard digits keep every image as good as a polish of its own
         # word (at most 3e-32 at k = 12); without them it reads about 3e-24
         assert res.max_residual < 1e-33
+
+
+class TestFixedPointPolish:
+    """The polish runs in fixed-point integers over all necklaces at once;
+    the former scalar mpmath polish, from the same seeds at the same
+    precision, must take the same Newton steps to the same points."""
+
+    @pytest.mark.parametrize("m,k,radius,total", [
+        (UnicriticalMap(2, -6 + 0j), 10, 4.0, 322),
+        (UnicriticalMap(2, cmath.rect(6, math.radians(46))), 9, 4.0, 180),
+        (UnicriticalMap(3, 8j), 6, 3.0, 390),
+        (UnicriticalMap(40, 3 + 0j), 2, 1.1, 2460),
+    ])
+    def test_matches_reference_polish(self, monkeypatch, m, k, radius, total):
+        calls = []
+
+        def spy(seeds, c, d, k):
+            out = _polish(seeds, c, d, k)
+            calls.append((seeds, mp.prec, out))
+            return out
+
+        monkeypatch.setattr(itinerary, "_polish", spy)
+        res = count_periodic(m, k, radius=radius)
+        [(seeds, prec, (points, steps, settled))] = calls
+        assert settled.all() and sum(steps) == res.newton_steps == total
+        with workprec(prec):
+            ref_points, ref_steps, _ = _reference_polish(seeds, m.c, m.d, k)
+            assert steps == ref_steps
+            assert max(abs(a - b) for a, b in zip(points, ref_points)) < mpf("1e-40")
+
+    def test_non_finite_seed_takes_no_step(self):
+        seeds = np.array([complex("nan"), complex("inf"), 3 + 0j, -2 + 0j])
+        with workdps(DPS):
+            points, steps, settled = _polish(seeds, -6 + 0j, 2, 1)
+        assert steps[:2] == [0, 0] and steps[2:] == [1, 1]
+        assert settled.tolist() == [False, False, True, True]
+        assert points[2] == 3 and points[3] == -2
+
+    def test_escaping_orbit_is_reported_unpolished(self):
+        # at k = 40 the float64 seed is not close enough: its orbit leaves
+        # the disk, so the polish stops before its first step
+        itinerary_point(M6, (1,), radius=4.0)   # warm the hypothesis check
+        start = time.perf_counter()
+        with np.errstate(invalid="ignore"):
+            res = itinerary_point(M6, (1, 2) * 20, radius=4.0)
+        assert time.perf_counter() - start < 0.05
+        assert not res.converged and res.residual == math.inf and res.cycles == 0
 
 
 class TestSectorCheck:
