@@ -78,8 +78,8 @@ def periodic_angles(d: int, nu: int) -> list[Angle]:
     of them.
     """
     _require_degree(d)
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    if not _is_integer(nu) or nu < 1:
+        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
     n = abs(d**nu - 1)
     return [Angle(k, n) for k in range(n)]
 

@@ -214,8 +214,11 @@ def _solve(
     points: list[list[mpc]] = []
     residuals = np.empty((n, k))
     orbits = np.empty((n, 2 * k), dtype=complex)
-    # |f'| <= d R^(d-1) on the disk, so k forward steps lose at most guard digits
+    # |f'| <= d R^(d-1) on the disk, so k forward steps lose at most guard digits;
+    # an image z^d, up to R^d, is rounded before k - 1 more steps, which puts
+    # about (R/d) 10^-DPS in the residual: more digits keep that 8 below RESIDUAL_TOL
     guard = math.ceil(k * (math.log10(d) + (d - 1) * math.log10(radius)))
+    guard += max(0, math.ceil(math.log10(radius / d / RESIDUAL_TOL)) + 8 - DPS)
     with workdps(DPS + guard):
         polished, steps, settled = _polish(seeds, c64, d, k)
         c = mpc(m.c)

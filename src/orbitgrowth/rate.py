@@ -97,8 +97,8 @@ def interval_class_bound(d: int, nu: int, eps) -> int:
     MAX_BOUND_DIGITS digits is refused before the power is computed.
     """
     _require_degree(d)
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    if not _is_integer(nu) or nu < 1:
+        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
     if nu >= MAX_BOUND_DIGITS / math.log10(abs(d)):
         raise ValueError(f"nu={nu}: {abs(d)}^{nu} has more than {MAX_BOUND_DIGITS} digits")
     eps = Fraction(eps)

@@ -59,11 +59,12 @@ def _size_error(what: str, config: RayConfig) -> ValueError:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RayConfig:
     """The settable tracing and grouping values (the module constants fix the
     rest); the defaults suit strongly repelling landing points (nearly
-    parabolic ones need far more depth)."""
+    parabolic ones need far more depth).  Frozen, so a config is validated
+    once and can be shared."""
 
     depth: int = 48
     substeps: int = 8

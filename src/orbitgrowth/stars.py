@@ -26,6 +26,16 @@ from itertools import combinations
 from math import lcm
 
 from .circle import Angle, in_one_gap
+from .dynamics import _is_integer
+
+# Largest degree enumerate_grid_star_sets accepts.  The families grow about 8x
+# a degree: 148,222 at d = 8 in 3-4 s and 65 MB ru_maxrss, 1,245,296 at d = 9 in
+# 45 s and 319 MB; at that ratio d = 10 (not run) would take minutes and GBs.
+MAX_GRID_DEGREE = 9
+# Largest candidate count d * g * (d - 1) check_maximal_bruteforce accepts at
+# grid refinement g.  The time grows faster than the count: at d = 4, 360,000
+# took 3.9 s, 1,200,000 23 s and 121 MB ru_maxrss, 2,000,000 59 s and 187 MB.
+MAX_GRID_CANDIDATES = 1_000_000
 
 
 class DegenerateArcError(ValueError):
@@ -38,8 +48,8 @@ class Star:
     __slots__ = ("degree", "points", "_den", "_ticks", "_hash", "_order")
 
     def __init__(self, degree: int, points) -> None:
-        if degree < 2:
-            raise ValueError(f"star degree must be >= 2, got {degree}")
+        if not _is_integer(degree) or degree < 2:
+            raise ValueError(f"star degree must be an integer >= 2, got {degree!r}")
         pts = sorted({p if isinstance(p, Angle) else Angle(p) for p in points})
         if len(pts) < 2:
             raise ValueError("a star needs at least two distinct points")
@@ -95,8 +105,8 @@ class StarSet:
     __slots__ = ("degree", "stars")
 
     def __init__(self, degree: int, stars=()) -> None:
-        if degree < 2:
-            raise ValueError(f"degree must be >= 2, got {degree}")
+        if not _is_integer(degree) or degree < 2:
+            raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
         stars = tuple(sorted(set(stars), key=lambda s: s._order))
         for s in stars:
             if s.degree != degree:
@@ -256,10 +266,14 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     every member are the AND of the members' cached gap masks, keyed by their
     ticks on M = lcm(grid, L); one of them is addable iff its endpoints have
     different union-find roots, where a grid point off L is its own root.
+    A grid of more than MAX_GRID_CANDIDATES candidates is refused.
     """
-    if grid_refinement < 1:
-        raise ValueError("grid_refinement must be >= 1")
+    if not _is_integer(grid_refinement) or grid_refinement < 1:
+        raise ValueError(f"grid_refinement must be an integer >= 1, got {grid_refinement!r}")
     d = star_set.degree
+    if d * grid_refinement * (d - 1) > MAX_GRID_CANDIDATES:
+        raise ValueError(f"grid refinement {grid_refinement} at degree {d} gives more than "
+                         f"{MAX_GRID_CANDIDATES} candidate stars; lower it")
     grid = d * grid_refinement
     L, family, pairwise, roots = _structure(star_set.stars)
     if not pairwise:
@@ -352,10 +366,13 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
     Includes the empty family.  Exhaustive and fast for small degrees (the
     families are tiny because total multiplicity can never exceed d-1); used
     by the verification sweeps that compare is_maximal against the
-    brute-force oracle on every possible input.
+    brute-force oracle on every possible input.  A degree past
+    MAX_GRID_DEGREE is refused.
     """
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
+    if not _is_integer(degree) or degree < 2:
+        raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
+    if degree > MAX_GRID_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the grid enumeration limit {MAX_GRID_DEGREE}")
     d = degree
 
     all_stars = [

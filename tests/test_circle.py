@@ -180,6 +180,12 @@ class TestPeriodicAngles:
             p = exact_period(a, d)
             assert p is not None and nu % p == 0
 
+    @pytest.mark.parametrize("nu", [0, -1, 2.0, True])
+    def test_bad_nu_rejected(self, nu):
+        # True gave [0/1], and 2.0 a TypeError
+        with pytest.raises(ValueError, match="nu must be an integer >= 1"):
+            periodic_angles(2, nu)
+
     def test_negative_degree_fixed_points(self):
         # -2*theta = theta mod 1 has the three solutions k/3
         angles = periodic_angles(-2, 1)

@@ -16,6 +16,7 @@ from pathlib import Path
 from orbitgrowth import Angle, RayConfig
 from orbitgrowth import cli, itinerary
 from orbitgrowth.cli import build_parser, main
+from orbitgrowth.svgplot import render_ray_figure
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,6 +66,14 @@ class TestStarsVerb:
     def test_determinism(self, capsys):
         argv = ["stars", "--d", "4", "--check", "{E1,E2,E3}"]
         assert capture(capsys, argv) == capture(capsys, argv)
+
+    @pytest.mark.parametrize("g", ["0", "100000000"])
+    def test_bad_grid_refinement_exits_one(self, capsys, g):
+        argv = ["stars", "--d", "4", "--check", "{E1,E2,E3}", "--oracle",
+                "--grid-refinement", g]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: grid")
 
 
 class TestNcpVerb:
@@ -120,6 +129,10 @@ class TestRaysVerb:
         )
         root = ET.fromstring(out)
         assert root.tag.endswith("svg")
+
+    def test_empty_figure_refused(self):
+        with pytest.raises(ValueError, match="nothing to draw"):
+            render_ray_figure([])
 
     def test_svg_with_cloud_deterministic(self, capsys):
         argv = ["rays", "--d", "2", "--c=-2+0j", "--angles", "1/7,2/7,4/7",
@@ -447,11 +460,16 @@ class TestConfigSurface:
         assert proc.returncode == code, proc.stderr
         json.loads(proc.stdout)
 
-    @pytest.mark.parametrize("flag", ["--dps", "--itinerary-tol"])
-    def test_removed_itinerary_flags_rejected(self, flag):
-        # the engine's precision and certified residual are module constants
+    @pytest.mark.parametrize("argv", [
+        ["itinerary", "--dps", "50"],
+        ["itinerary", "--itinerary-tol", "50"],
+        ["ncp", "--cap", "13"],
+    ], ids=lambda argv: argv[1])
+    def test_removed_itinerary_flags_rejected(self, argv):
+        # the engine's precision and certified residual, and the largest n
+        # the partitions are enumerated for, are module constants
         with pytest.raises(SystemExit) as exc:
-            main(["itinerary", flag, "50"])
+            main(argv)
         assert exc.value.code == 2
 
     def test_parser_rejects_unknown_verb(self):

@@ -551,6 +551,13 @@ class TestCountPeriodic:
         res = count_periodic(M6, 5, radius=4.0)
         assert res.max_residual < 1e-12
 
+    def test_large_images_keep_the_residual_certified(self):
+        # the image z^2 ~ 1e60 was rounded at DPS + guard = 71 digits, and
+        # word (2,)'s residual read 1.6e-12, over RESIDUAL_TOL
+        res = count_periodic(UnicriticalMap(2, 1e60j), 1, radius=2e30)
+        assert res.count == 2
+        assert res.max_residual < 1e-20
+
     def test_points_stay_inside_disk(self):
         for k in (1, 3, 5):
             res = count_periodic(M6, k, radius=4.0)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from orbitgrowth import noncrossing
 from orbitgrowth import (
     NCRelation,
     PartitionViolation,
@@ -199,6 +201,12 @@ class TestExtremal:
     def test_n1(self):
         assert extremal_example(1).blocks == ((1,),)
 
+    @pytest.mark.parametrize("n", [0, -3, 4.0, True])
+    def test_bad_n_rejected(self, n):
+        # 4.0 raised a TypeError from range
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            extremal_example(n)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_attains_bound(self, n):
         assert class_count(extremal_example(n)) == min_classes_bound(n)
@@ -244,10 +252,23 @@ class TestEnumeration:
         got = [rel.blocks for rel in enumerate_valid(n)]
         assert got == [tuple(sorted(p)) for p in _last_element_enumerate_valid(n)]
 
-    def test_cap_enforced(self):
+    @pytest.mark.parametrize("n", [0, -3, 4.0, True])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            list(enumerate_valid(n))
+
+    def test_numpy_integer_n_accepted(self):
+        # NCRelation refused the numpy integer that enumerate_valid let through
+        rels = list(enumerate_valid(np.int64(5)))
+        assert len(rels) == motzkin(4)
+        assert all(type(r.n) is int for r in rels)
+        assert extremal_example(np.int64(4)).to_dict() == {"n": 4, "blocks": [[1, 3], [2], [4]]}
+
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(ValueError):
             list(enumerate_valid(13))
-        assert sum(1 for _ in enumerate_valid(13, cap=13)) == motzkin(12)
+        monkeypatch.setattr(noncrossing, "MAX_N", 13)
+        assert sum(1 for _ in enumerate_valid(13)) == motzkin(12)
 
 
 class TestMinClasses:

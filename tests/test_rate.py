@@ -102,6 +102,12 @@ class TestIntervalClassBound:
     def test_string_fraction(self):
         assert interval_class_bound(2, 5, "1/2") == 8
 
+    @pytest.mark.parametrize("nu", [0, -1, 3.0, True])
+    def test_bad_nu_rejected(self, nu):
+        # 3.0 gave 2, and True gave 0
+        with pytest.raises(ValueError, match="nu must be an integer >= 1"):
+            interval_class_bound(2, nu, "1/2")
+
     def test_eps_range_validated(self):
         with pytest.raises(ValueError):
             interval_class_bound(2, 3, 0)

@@ -296,6 +296,13 @@ class TestTraceRay:
                     RayConfig(**{field: value})
             assert getattr(RayConfig(**{field: np.int64(3)}), field) == 3
 
+    def test_config_is_frozen(self):
+        # an assignment after construction would skip the checks above
+        config = RayConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.depth = 0
+        assert config.depth == 48
+
     @pytest.mark.parametrize("field", ["landing_tol", "grouping_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, field, value):

@@ -55,6 +55,17 @@ class TestStarConstruction:
         with pytest.raises(ValueError):
             star(1, 0, "1/2")
 
+    @pytest.mark.parametrize("make", [
+        lambda d: Star(d, [Angle(0), Angle(1, 2)]),
+        StarSet,
+        enumerate_grid_star_sets,
+    ], ids=["Star", "StarSet", "enumerate_grid_star_sets"])
+    @pytest.mark.parametrize("d", [1, -4, 4.0, True, "4"])
+    def test_bad_degree_rejected(self, make, d):
+        # Star and StarSet accepted the float degree 4.0
+        with pytest.raises(ValueError, match="degree must be an integer >= 2"):
+            make(d)
+
     def test_offset_fiber(self):
         # stars need not contain grid points of {k/d}
         s = star(3, "1/9", "4/9", "7/9")
@@ -271,6 +282,28 @@ class TestBruteforceOracle:
         with pytest.raises(ValueError):
             check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"], E["E5"]]))
 
+    @pytest.mark.parametrize("g", [0, -1, 2.5, 2.0, True, "2"])
+    def test_bad_grid_refinement_rejected(self, g):
+        with pytest.raises(ValueError, match="grid_refinement must be an integer >= 1"):
+            check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"]]), g)
+
+    def test_oversized_grid_refused_before_allocating(self, monkeypatch):
+        # 4 * 10**8 * 3 candidates would not fit in memory
+        def build(*args):
+            raise AssertionError("the candidates were built")
+
+        monkeypatch.setattr("orbitgrowth.stars._candidate_pairs", build)
+        with pytest.raises(ValueError, match="more than 1000000 candidate stars"):
+            check_maximal_bruteforce(StarSet(4, [E["E1"], E["E2"], E["E3"]]), 10**8)
+
+    def test_grid_limit_is_on_the_candidate_count(self, monkeypatch):
+        # d * g * (d - 1) = 24 candidates at d = 4, g = 2; 36 at g = 3
+        monkeypatch.setattr("orbitgrowth.stars.MAX_GRID_CANDIDATES", 24)
+        family = StarSet(4, [E["E1"], E["E2"], E["E3"]])
+        assert check_maximal_bruteforce(family, 2)
+        with pytest.raises(ValueError, match="more than 24 candidate stars"):
+            check_maximal_bruteforce(family, 3)
+
     def test_disjointness_precondition_checked(self):
         # 1/8 is not a multiple of 1/(d*g) = 1/4, so the check runs on the
         # eighths, the lattice shared by the family and the grid
@@ -416,6 +449,11 @@ class TestQuotient:
         family = StarSet(4, [big])
         with pytest.raises(ValueError):
             quotient(family, big, Angle(0), Angle(1, 2))
+
+    def test_star_of_another_degree_rejected(self):
+        family = StarSet(4, [E["E1"], E["E2"], E["E3"]])
+        with pytest.raises(ValueError, match="does not match the family degree"):
+            quotient(family, star(3, 0, "1/3"), Angle(0), Angle(1, 3))
 
     def test_straddling_star_rejected(self):
         anchor = star(4, 0, "1/2")
@@ -582,6 +620,15 @@ class TestEnumeration:
 
     def test_count_at_degree_seven(self):
         assert len(enumerate_grid_star_sets(7)) == 18160
+
+    def test_degree_past_the_limit_refused(self, monkeypatch):
+        # d = 10 would take minutes and gigabytes; refused before any work
+        with pytest.raises(ValueError, match="exceeds the grid enumeration limit 9"):
+            enumerate_grid_star_sets(10)
+        monkeypatch.setattr("orbitgrowth.stars.MAX_GRID_DEGREE", 3)
+        assert len(enumerate_grid_star_sets(3)) == 8
+        with pytest.raises(ValueError, match="limit 3"):
+            enumerate_grid_star_sets(4)
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_matches_reference_in_order(self, d):
