@@ -144,10 +144,12 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
     roots, rows = _roots_of_unity(d), np.arange(n)
 
-    def pull(w, seeds, z):
+    def pull(w, seeds, z, p=None):
         """Pull the rows w back into z, unpolished, along the branches chained
-        from seeds; returns the rows' principal roots and branch picks."""
-        p = principal_root(w - c, d)
+        from seeds; returns the rows' principal roots p (formed here unless
+        given) and branch picks."""
+        if p is None:
+            p = principal_root(w - c, d)
         if len(w) > 1 and d * d * w.size <= BLOCK_SAMPLES:
             # table[i, r] is row r's pick when row r - 1 takes branch i;
             # row 0's seeds stand for every i
@@ -168,17 +170,28 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
 
     # A narrow family, s * n <= BLOCK_SAMPLES / 2, pulls a level back as one
     # block, and a block whose residuals all meet NEWTON_TOL takes no Newton
-    # step and no re-pull.  So its levels are pulled back unpolished into a
-    # ring of level buffers and checked a chunk at a time, in one set of numpy
-    # calls: at most BLOCK_SAMPLES // (s * n) levels, which keeps a chunk in
-    # cache.  The check forms each residual by the polished loop's operations,
-    # and max and fmin fold in any grouping, so an accepted level is that
-    # loop's level bit for bit; from a chunk's first failing level on, the
-    # polished loop takes over.  Chunks start at one level and double while
-    # they pass: a call wastes one level if Newton is needed from level 1,
-    # and otherwise at most one level more than it had accepted.
+    # step and no re-pull.  Its branch picks also seldom change from one
+    # level to the next (on the colanding trace, at 2 of 3,200 levels).  So
+    # each level is speculated, unpolished, into a ring of level buffers: its
+    # principal roots, kept beside it, times the roots picked by the last
+    # level that was chained.  The levels are checked a chunk at a time, at
+    # most BLOCK_SAMPLES // (s * n) of them, which keeps a chunk in cache.
+    # One nearest_branch call picks each speculated row again, seeded by the
+    # row before it in the ring (row 0 by the last row of the level above):
+    # the seeds the chain uses.  Where every pick of a level matches, each
+    # sample is the product the chain forms.  One set of numpy calls forms
+    # the residuals by the polished loop's operations, and max and fmin fold
+    # in any grouping, so an accepted level is that loop's level bit for bit.
+    # The levels before the first wrong pick or failing residual are kept.
+    # A wrong pick first (or at the same level) is chained again from its
+    # kept roots, its picks become the guess and the chunk restarts at one
+    # level; a failing residual first hands over to the polished loop.
+    # Chunks double while they pass, so the levels pulled back and not kept
+    # are at most one more than those kept.
     bound = BLOCK_SAMPLES // max(s * n, 1)      # below 2 for a wide family
     ring = np.empty((max(bound, 1) + 1, s, n), dtype=complex)
+    shifted = ring.reshape(len(ring) * s, n)    # sublevels in order, each seeding the next
+    heads = np.empty((bound if bound > 1 else 0, s, n), dtype=complex)   # principal roots
     radii = np.fromiter((math.exp(logR * d ** ((s - i) / s)) for i in range(1, s + 1)), float, s)
     np.multiply(radii[:, None], phase, out=ring[0])
     samples = np.empty((depth + 1, n), dtype=complex)
@@ -186,25 +199,40 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     step_res = np.zeros((depth + 1, n))
     min_abs = np.full(n, math.inf)
 
-    level, size = 1, 1
+    level, size, ready = 1, 1, 1        # ready: the chunk's first level is chained
+    if bound > 1:
+        heads[0] = principal_root(ring[0][:, perm] - c, d)
     while bound > 1 and level <= depth:
+        if ready:
+            guess = pull(ring[0][:, perm], ring[0, -1], ring[1], heads[0])[1]
+            branch = roots[guess]
         chunk = min(size, depth + 1 - level)
-        for i in range(chunk):
-            pull(ring[i][:, perm], ring[i, -1], ring[i + 1])
-        z = ring[1:chunk + 1]
+        for i in range(ready, chunk):
+            heads[i] = principal_root(ring[i][:, perm] - c, d)
+            np.multiply(heads[i], branch, out=ring[i + 1])
+        wrong = chunk                   # the first level with a wrong pick
+        if chunk > ready:
+            seeds = shifted[(ready + 1) * s - 1:(chunk + 1) * s - 1].reshape(chunk - ready, s, n)
+            miss = (nearest_branch(heads[ready:chunk], seeds, d) != guess).any(axis=(1, 2))
+            wrong = ready + int(miss.argmax()) if miss.any() else chunk
+        z = ring[1:wrong + 1]
         fz = z**d
-        abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), ring[:chunk][:, :, perm], out=fz))
+        abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), ring[:wrong][:, :, perm], out=fz))
         bad = (abs_fz > NEWTON_TOL).any(axis=(1, 2))
-        ok = int(bad.argmax()) if bad.any() else chunk  # the levels accepted
+        ok = int(bad.argmax()) if bad.any() else wrong  # the levels accepted
         if ok:
             step_res[level:level + ok] = abs_fz[:ok].max(axis=1)
             np.fmin(min_abs, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1)), out=min_abs)
             samples[level:level + ok] = z[:ok, -1]
             ring[0] = ring[ok]
         level += ok
-        if ok < chunk:
+        if ok < wrong:
             break
-        size = min(2 * size, bound)
+        if wrong < chunk:
+            heads[0] = heads[wrong]
+            size, ready = 1, 1
+        else:
+            size, ready = min(2 * size, bound), 0
 
     prev, cur = ring[0], ring[1]
     for level in range(level, depth + 1):

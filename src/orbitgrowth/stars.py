@@ -33,8 +33,8 @@ from .dynamics import _is_integer
 # 45 s and 319 MB; at that ratio d = 10 (not run) would take minutes and GBs.
 MAX_GRID_DEGREE = 9
 # Largest candidate count d * g * (d - 1) check_maximal_bruteforce accepts at
-# grid refinement g.  The time grows faster than the count: at d = 4, 360,000
-# took 3.9 s, 1,200,000 23 s and 121 MB ru_maxrss, 2,000,000 59 s and 187 MB.
+# grid refinement g.  The time grows with the count: at d = 4, 120,000 took
+# 0.37 s, 360,000 1.1 s and 999,996 3.1 s and 119 MB ru_maxrss.
 MAX_GRID_CANDIDATES = 1_000_000
 
 
@@ -233,10 +233,12 @@ def is_maximal(star_set: StarSet) -> bool:
     return sum_multiplicities(star_set) == star_set.degree - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _candidate_pairs(d: int, grid_refinement: int) -> tuple[tuple[int, int], ...]:
     # Every two-point star {k/grid, k/grid + j/d} as its sorted ticks over
     # grid = d*grid_refinement, each once, in order of first appearance.
+    # 16 entries hold a d = 2..6 sweep at g = 1, 2, 3 (15 keys); one entry
+    # at d = 4, g = 2000 holds 1.3 MB (tracemalloc), so the bound matters.
     grid = d * grid_refinement
     return tuple(dict.fromkeys(
         tuple(sorted((k, (k + j * grid_refinement) % grid)))
@@ -249,8 +251,12 @@ def _gap_mask(d: int, grid_refinement: int, M: int, ticks: tuple[int, ...]) -> i
     # Bit i: ticks (a star on the lattice M) lie in one closed gap of candidate
     # i scaled to M.  1024 masks hold a d <= 8 sweep at g = 1, 2, 3 (741 stars).
     scale = M // (d * grid_refinement)
-    return sum(1 << i for i, (a, b) in enumerate(_candidate_pairs(d, grid_refinement))
-               if in_one_gap((a * scale, b * scale), ticks, M))
+    pairs = _candidate_pairs(d, grid_refinement)
+    bits = bytearray((len(pairs) + 7) // 8)
+    for i, (a, b) in enumerate(pairs):
+        if in_one_gap((a * scale, b * scale), ticks, M):
+            bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
 def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> bool:

@@ -28,7 +28,7 @@ from orbitgrowth import (
 )
 from orbitgrowth import rays
 from orbitgrowth.circle import in_one_gap, orbit
-from orbitgrowth.dynamics import _single_linkage, escape_radius
+from orbitgrowth.dynamics import _roots_of_unity, _single_linkage, escape_radius
 from test_dynamics import reference_branch_roots
 
 CHEB = UnicriticalMap(2, -2 + 0j)
@@ -74,10 +74,11 @@ def reference_noncrossing(classes):
     return True
 
 
-def reference_trace_family(m, angles, config, min_abs_out=None):
+def reference_trace_family(m, angles, config, min_abs_out=None, picks_out=None):
     """The former pullback, one sublevel per step over a window of the last s
     rings; the module's constants are read at call time.  min_abs_out, if
-    given, receives each ray's least |z| over all its sublevels."""
+    given, receives each ray's least |z| over all its sublevels, and the
+    list picks_out, if given, each sublevel's branch picks."""
     d, c = m.d, complex(m.c)
     index = {a: i for i, a in enumerate(angles)}
     try:
@@ -113,6 +114,8 @@ def reference_trace_family(m, angles, config, min_abs_out=None):
         cand = reference_branch_roots(w - c, d)
         pick = np.argmin(np.abs(cand - seeds[:, None]), axis=1)
         z = cand[rows, pick]
+        if picks_out is not None:
+            picks_out.append(pick)
 
         fz = z**d + c - w
         abs_fz = np.abs(fz)
@@ -197,20 +200,35 @@ BLOCK_MAPS = {2: UnicriticalMap(2, 0.3 + 1j), 3: UnicriticalMap(3, 1 + 1j),
 FAR_MAP = UnicriticalMap(5, 30 + 0j)
 
 
-def root_calls(s, n, depth, first_bad):
+def root_calls(s, n, depth, first_bad, changes=()):
     """principal_root calls of a call whose first level to fail NEWTON_TOL is
-    first_bad (None if none fails) and which re-pulls no rows: a narrow
-    family pulls back chunks of 1, 2, 4, ... levels, at most BLOCK_SAMPLES
-    // (s * n), up to the chunk holding first_bad, then each level from
-    first_bad on again; a wide family pulls back each level in blocks."""
+    first_bad (None if none fails), whose branch picks differ from the level
+    above's at the levels in changes, and which re-pulls no rows.  A wide
+    family pulls back each level in blocks.  A narrow family chains level 1,
+    then speculates chunks of 2, 4, ... levels, at most BLOCK_SAMPLES //
+    (s * n), one call a level.  A level whose picks change is chained again
+    from its kept roots, with no call, and the chunks restart at one level;
+    from first_bad on each level is pulled back in blocks again."""
     bound = rays.BLOCK_SAMPLES // max(s * n, 1)
     blocks = -(-s // max(1, min(s, rays.BLOCK_SAMPLES // max(n, 1))))
     if bound < 2:
         return depth * blocks
-    end, size = 0, 1
-    while end < (first_bad or depth):
-        end, size = min(end + size, depth), min(2 * size, bound)
-    return end + (depth + 1 - first_bad) * blocks if first_bad else end
+    calls, level, size, ready = 1, 1, 1, 1
+    while level <= depth:
+        end = level + min(size, depth + 1 - level)
+        calls += end - level - ready
+        wrong = min([k for k in changes if level + ready <= k < end], default=end)
+        if first_bad and level <= first_bad < wrong:
+            return calls + (depth + 1 - first_bad) * blocks
+        level, size, ready = (wrong, 1, 1) if wrong < end else (end, min(2 * size, bound), 0)
+    return calls
+
+
+def pick_changes(picks, s):
+    """The levels whose branch picks differ from the level above's in some
+    row, from reference_trace_family's picks_out."""
+    picks = np.array(picks)
+    return sorted({j // s + 2 for j in np.flatnonzero((picks[s:] != picks[:-s]).any(axis=1)).tolist()})
 
 
 LATTICES = {q: [Angle(p, q) for p in range(q)] for q in (2, 3, 4, 6, 8, 12, 16, 24)}
@@ -483,23 +501,69 @@ class TestBlockPullback:
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
-    @pytest.mark.parametrize("m,s,n,depth", [
-        (BLOCK_MAPS[2], 8, 7, 50),      # chunks of 1, 2, 4, 8, 16 and, cut by the depth, 19
-        (BLOCK_MAPS[3], 4, 128, 30),    # chunks of at most 8 levels
-        (BLOCK_MAPS[2], 8, 256, 9),     # s * n = BLOCK_SAMPLES / 2: chunks of 1 and 2 levels
-        (FAR_MAP, 1, 63, 40),
-        (BLOCK_MAPS[2], 8, 0, 20),      # the empty family
+    @pytest.mark.parametrize("m,s,n,depth,changes,wasted", [
+        # picks change at levels 4 and 5: chunks of 1, 2, 4 (cut at 4), 1,
+        # 2 (cut at 5), 1, 2, 4, 8, 16 and, cut by the depth, 15
+        pytest.param(BLOCK_MAPS[2], 8, 7, 50, [4, 5], 3 + 1, id="m0-8-7-50"),
+        # chunks of at most 8 levels
+        pytest.param(BLOCK_MAPS[3], 4, 128, 30, [2, 3], 1 + 1, id="m1-4-128-30"),
+        # s * n = BLOCK_SAMPLES / 2: chunks of 1 and 2 levels
+        pytest.param(BLOCK_MAPS[2], 8, 256, 9, [2, 3, 4], 1 + 1 + 1, id="m2-8-256-9"),
+        pytest.param(FAR_MAP, 1, 63, 40, [], 0, id="m3-1-63-40"),
+        pytest.param(BLOCK_MAPS[2], 8, 0, 20, [], 0, id="m4-8-0-20"),     # the empty family
     ])
-    def test_converging_narrow_call_pulls_each_level_back_once(self, monkeypatch, m, s, n, depth):
+    def test_converging_narrow_call_pulls_each_level_back_once(self, monkeypatch, m, s, n, depth,
+                                                               changes, wasted):
+        # each kept level takes one principal root: a level whose picks
+        # change is chained again from its kept roots, and only the
+        # speculated levels after it are pulled back again
         angles = list(closed_family(m.d, n)) if n else []
         config = RayConfig(depth=depth, substeps=s)
-        expected = reference_trace_family(m, angles, config)
+        picks = []
+        expected = reference_trace_family(m, angles, config, picks_out=picks)
         calls = []
         root = rays.principal_root
         monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
         traced = rays._trace_family(m, angles, config)
-        assert len(calls) == depth
+        assert pick_changes(picks, s) == changes
+        assert len(calls) == root_calls(s, n, depth, None, changes) == depth + wasted
         assert list(traced) == list(expected) == angles
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    def test_pick_change_mid_chunk_is_chained_again_from_its_roots(self, monkeypatch):
+        # The picks of these three rays change at levels 5 and 6 only, and the
+        # chunks run 1, 2..3, 4..7 (cut at 5), 5, 6..7 (cut at 6), 6, 7..8,
+        # 9..12, 13..20, 21..36.  One principal root, of ray 2/7 at level 26,
+        # row 3, is turned by a root of unity, in the traced call and in the
+        # reference alike: that sample's pick moves down one branch there and
+        # moves back at level 27, inside the chunk 21..36 after a run of
+        # passing chunks.  Level 26 is chained again from its kept roots, and
+        # the levels speculated after it are pulled back again: 2 + 1 at
+        # levels 5 and 6, 10 + 1 at levels 26 and 27
+        m, angles = UnicriticalMap(2, -0.110 + 0.6557j), [Angle(p, 7) for p in (1, 2, 4)]
+        config = RayConfig(depth=40, substeps=8)
+        inputs = []
+        reference = reference_branch_roots
+        monkeypatch.setitem(globals(), "reference_branch_roots",
+                            lambda u, d: inputs.append(u) or reference(u, d))
+        reference_trace_family(m, angles, config)
+        target = inputs[25 * 8 + 3][1]
+        assert sum(int((u == target).sum()) for u in inputs) == 1
+
+        root, turn = rays.principal_root, _roots_of_unity(2)[1]
+        calls = []
+
+        def turned(u, d):
+            return np.where(u == target, root(u, d) * turn, root(u, d))
+
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or turned(u, d))
+        monkeypatch.setitem(globals(), "reference_branch_roots",
+                            lambda u, d: turned(u, d)[..., None] * _roots_of_unity(d))
+        picks = []
+        expected = reference_trace_family(m, angles, config, picks_out=picks)
+        traced = rays._trace_family(m, angles, config)
+        assert pick_changes(picks, 8) == [5, 6, 26, 27]
+        assert len(calls) == root_calls(8, 3, 40, None, [5, 6, 26, 27]) == 40 + 3 + 11
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
     @pytest.mark.parametrize("n,depth", [
@@ -529,11 +593,13 @@ class TestBlockPullback:
         assert n == 0 or first_bad >= 2
 
         monkeypatch.setattr(rays, "NEWTON_TOL", tol)
-        expected = reference_trace_family(FAR_MAP, angles, config)
+        picks = []
+        expected = reference_trace_family(FAR_MAP, angles, config, picks_out=picks)
         calls = []
         root = rays.principal_root
         monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
         traced = rays._trace_family(FAR_MAP, angles, config)
+        assert pick_changes(picks, 1) == []
         assert len(calls) == root_calls(1, n, depth, first_bad)
         if n and 2 * n <= rays.BLOCK_SAMPLES:
             # a chunk passed and a level fell back; the levels pulled back

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -22,7 +23,7 @@ from orbitgrowth import (
     sum_multiplicities,
 )
 from orbitgrowth.circle import in_one_gap
-from orbitgrowth.stars import _forest, _gap_mask, _lattice, _structure
+from orbitgrowth.stars import _candidate_pairs, _forest, _gap_mask, _lattice, _structure
 
 E = named_example_stars()
 
@@ -368,6 +369,39 @@ class TestBruteforceOracle:
                 for family in order:
                     assert (check_maximal_bruteforce(family, refinement)
                             == _reference_bruteforce(family, refinement)), (family, refinement)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_gap_masks_equal_the_sum_of_their_bits(self, d):
+        # the masks are set byte by byte; the former build added 1 << i for
+        # each candidate i that fits, one big-int addition each
+        stars = {s for family in enumerate_grid_star_sets(d) for s in family}
+        for refinement in (1, 2, 3):
+            pairs = _candidate_pairs(d, refinement)
+            for s in stars:
+                L, (ticks,) = _lattice((s,))
+                M = lcm(d * refinement, L)
+                ticks, scale = tuple(t * (M // L) for t in ticks), M // (d * refinement)
+                expected = sum(1 << i for i, (a, b) in enumerate(pairs)
+                               if in_one_gap((a * scale, b * scale), ticks, M))
+                assert _gap_mask(d, refinement, M, ticks) == expected, (s, refinement)
+
+    def test_candidate_cache_stops_growing_over_many_grids(self):
+        # each grid refinement caches its candidates; past the cache's size
+        # the oldest go, so 40 more grids retain about what 20 did, where an
+        # unbounded cache would retain three times as much
+        family = StarSet(2, [star(2, "0", "1/2")])
+        _candidate_pairs.cache_clear()
+        _gap_mask.cache_clear()
+        retained = []
+        tracemalloc.start()
+        try:
+            for grids in (range(300, 320), range(320, 360)):
+                for refinement in grids:
+                    assert check_maximal_bruteforce(family, refinement)
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert retained[1] < 1.5 * retained[0]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_agrees_with_count_on_small_grids(self, d):
