@@ -49,9 +49,10 @@ def angle_from_string(text: str) -> Angle:
     return Angle(text.strip())
 
 
-def _require_degree(d: int) -> None:
+def _require_degree(d: int) -> int:
     if not _is_integer(d) or abs(d) < 2:
         raise ValueError(f"degree must be an integer with |d| >= 2, got {d!r}")
+    return int(d)       # a numpy integer's products and powers wrap round
 
 
 def multiply(theta: Angle, d: int) -> Angle:
@@ -60,7 +61,7 @@ def multiply(theta: Angle, d: int) -> Angle:
     >>> multiply(Angle(1, 7), 2)
     Angle(2/7)
     """
-    _require_degree(d)
+    d = _require_degree(d)
     t = theta if isinstance(theta, Fraction) else Fraction(theta)
     return Angle(d * t.numerator, t.denominator)
 
@@ -77,10 +78,10 @@ def periodic_angles(d: int, nu: int) -> list[Angle]:
     These are k/N for N = |d^nu - 1|; for d >= 2 there are exactly d^nu - 1
     of them.
     """
-    _require_degree(d)
+    d = _require_degree(d)
     if not _is_integer(nu) or nu < 1:
         raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
-    n = abs(d**nu - 1)
+    n = abs(d ** int(nu) - 1)
     return [Angle(k, n) for k in range(n)]
 
 
@@ -91,7 +92,7 @@ def exact_period(theta: Angle, d: int) -> int | None:
     period is the multiplicative order of d mod q.  Strictly preperiodic
     angles (denominator sharing a factor with d) return None.
     """
-    _require_degree(d)
+    d = _require_degree(d)
     q = theta.denominator
     if q == 1:
         return 1
@@ -143,7 +144,7 @@ def orbit(theta: Angle, d: int, limit: int | None = None) -> list[Angle]:
     contains each visited angle once.  With a limit, an orbit of more than
     limit angles raises ValueError instead of being built.
     """
-    _require_degree(d)
+    d = _require_degree(d)
     # follow numerators over the fixed denominator q: p/q -> (d*p mod q)/q,
     # so no Angle is built for an orbit the limit rejects
     p, q = theta.numerator, theta.denominator

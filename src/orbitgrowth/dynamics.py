@@ -20,6 +20,7 @@ class UnicriticalMap:
     def __post_init__(self):
         if not _is_integer(self.d) or self.d < 2:
             raise ValueError(f"degree must be an integer >= 2, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))     # a numpy integer's powers wrap round
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
 

@@ -307,6 +307,7 @@ def count_periodic(m: UnicriticalMap, k: int, *, radius: float) -> PeriodicPoint
     """
     if not _is_integer(k) or k < 1:
         raise ValueError(f"word length must be an integer >= 1, got {k!r}")
+    k = int(k)
     # d^k >= 2^k, so past the limit's bit length d**k need not be computed
     if k > MAX_ITINERARY_ENTRIES.bit_length() or m.d**k * (k + m.d) > MAX_ITINERARY_ENTRIES:
         raise ValueError(

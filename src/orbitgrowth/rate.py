@@ -58,7 +58,7 @@ def rate_estimate(d: int, samples) -> RateEstimate:
     >>> rate_estimate(2, [(k, 2**k) for k in range(1, 11)]).estimate == math.log(2)
     True
     """
-    _require_degree(d)
+    d = _require_degree(d)
     samples = tuple(samples)
     if not samples:
         raise ValueError("at least one (nu, count) sample is required")
@@ -96,9 +96,10 @@ def interval_class_bound(d: int, nu: int, eps) -> int:
     form floor(eps * d^nu / 2).  A nu for which |d|^nu has more than
     MAX_BOUND_DIGITS digits is refused before the power is computed.
     """
-    _require_degree(d)
+    d = _require_degree(d)
     if not _is_integer(nu) or nu < 1:
         raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
+    nu = int(nu)
     if nu >= MAX_BOUND_DIGITS / math.log10(abs(d)):
         raise ValueError(f"nu={nu}: {abs(d)}^{nu} has more than {MAX_BOUND_DIGITS} digits")
     eps = Fraction(eps)

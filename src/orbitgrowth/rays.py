@@ -31,11 +31,11 @@ TWO_PI = 2.0 * math.pi
 # Largest number of ray samples one call may hold: each ray traced keeps
 # depth + 1 samples and holds 2 * substeps more in the pullback's level
 # buffers.  A family keeps its samples as arrays, 24 bytes a sample (complex
-# point and float residual); with the level buffers and the angles a sample
-# costs about 36 bytes at peak and 28 retained (tracemalloc of
-# classify_landing(z^2 - 2): peak 35.8 and 35.6 bytes, retained 27.9 and 28.2,
-# at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits nu = 18
-# at the default depth 48 and 8 substeps.
+# point and float residual); with the level buffers, the branch picks and the
+# angles a sample costs about 37 bytes at peak and 28 retained (tracemalloc
+# of classify_landing(z^2 - 2): peak 37.1 and 37.4 bytes, retained 28.1 and
+# 28.3, at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits
+# nu = 18 at the default depth 48 and 8 substeps.
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
@@ -128,70 +128,39 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
 
     # Sublevel j pulls back sublevel j - s, one level up the ray, along the
     # branch nearest sublevel j - 1.  So a level needs only the level above,
-    # all known when it starts, and only the branch pick chains its rows: it
-    # is pulled back in blocks of b rows, one set of numpy calls each, whose
-    # residuals and |z| fold into per-ray maxima and minima in any order.
-    # BLOCK_SAMPLES bounds a block's b * n samples, as larger blocks fall out
-    # of cache and run slower.  A row's d roots are its principal root times
-    # the d roots of unity, so one call can pick each row's branch for every
-    # branch of the row before, and the chain is then one lookup in that
-    # table a row.  The table costs d^2 distances a sample, so past
-    # BLOCK_SAMPLES of them the rows are picked one at a time instead, at d
-    # distances a sample, each call writing its picks' roots into the row that
-    # seeds the next.  The level above level 1 is sublevels 1 - s..0, at
+    # and only the branch pick chains its rows.  chain pulls a level back in
+    # blocks of b rows, one set of numpy calls each, whose residuals and |z|
+    # fold into per-ray maxima and minima in any order; BLOCK_SAMPLES bounds
+    # a block's b * n samples, as larger blocks fall out of cache.  A row's d
+    # roots are its principal root times the d roots of unity, and its pick,
+    # seeded by the row before, writes its root into the row.  A block that
+    # fails NEWTON_TOL is polished by Newton's method, and from the first
+    # pick a polished seed changes, its rows are pulled back again.
+    #
+    # A narrow family's picks seldom change from one level to the next (on
+    # the colanding trace, at 2 of 3,200 levels), nor do its levels often
+    # need Newton.  So after a level is chained, the levels below it are
+    # speculated, unpolished, into a ring of level buffers: each is its
+    # principal roots, kept beside it, times the roots the chained level
+    # picked.  A chunk of at most bound levels, whose d distances a sample
+    # stay in cache, is checked by one nearest_branch call, which picks each
+    # row again from the row before it in the ring (row 0 from the level
+    # above's last): chain's seeds.  Where every pick of a level matches,
+    # each sample is chain's product, and one set of numpy calls forms the
+    # residuals by chain's operations, so a level that meets NEWTON_TOL is
+    # chain's level bit for bit.  The levels before the first wrong pick or
+    # failing residual are kept; that level is chained from its kept roots,
+    # and chunks of 1, 2, 4, ... levels follow it, so the levels pulled back
+    # and not kept are at most those kept.  A wide family, bound < 2, chains
+    # every level.  The level above level 1 is sublevels 1 - s..0, at
     # potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape circle,
     # where the ray is (to first order) the straight angular ray.
     b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
-    roots, rows = _roots_of_unity(d), np.arange(n)
-
-    def pull(w, seeds, z, p=None):
-        """Pull the rows w back into z, unpolished, along the branches chained
-        from seeds; returns the rows' principal roots p (formed here unless
-        given) and branch picks."""
-        if p is None:
-            p = principal_root(w - c, d)
-        if len(w) > 1 and d * d * w.size <= BLOCK_SAMPLES:
-            # table[i, r] is row r's pick when row r - 1 takes branch i;
-            # row 0's seeds stand for every i
-            prior = np.empty((d, *w.shape), dtype=complex)
-            prior[:, 0] = seeds
-            np.multiply(p[:-1], roots[:, None, None], out=prior[:, 1:])
-            table = nearest_branch(p, prior, d)
-            picks = table[0].copy()
-            for i in range(1, len(w)):
-                picks[i] = table[picks[i - 1], i, rows]
-            np.multiply(p, roots[picks], out=z)
-        else:
-            picks = np.empty(w.shape, dtype=np.intp)
-            for i in range(len(w)):
-                picks[i] = nearest_branch(p[i], seeds, d, out=z[i])
-                seeds = z[i]
-        return p, picks
-
-    # A narrow family, s * n <= BLOCK_SAMPLES / 2, pulls a level back as one
-    # block, and a block whose residuals all meet NEWTON_TOL takes no Newton
-    # step and no re-pull.  Its branch picks also seldom change from one
-    # level to the next (on the colanding trace, at 2 of 3,200 levels).  So
-    # each level is speculated, unpolished, into a ring of level buffers: its
-    # principal roots, kept beside it, times the roots picked by the last
-    # level that was chained.  The levels are checked a chunk at a time, at
-    # most BLOCK_SAMPLES // (s * n) of them, which keeps a chunk in cache.
-    # One nearest_branch call picks each speculated row again, seeded by the
-    # row before it in the ring (row 0 by the last row of the level above):
-    # the seeds the chain uses.  Where every pick of a level matches, each
-    # sample is the product the chain forms.  One set of numpy calls forms
-    # the residuals by the polished loop's operations, and max and fmin fold
-    # in any grouping, so an accepted level is that loop's level bit for bit.
-    # The levels before the first wrong pick or failing residual are kept.
-    # A wrong pick first (or at the same level) is chained again from its
-    # kept roots, its picks become the guess and the chunk restarts at one
-    # level; a failing residual first hands over to the polished loop.
-    # Chunks double while they pass, so the levels pulled back and not kept
-    # are at most one more than those kept.
-    bound = BLOCK_SAMPLES // max(s * n, 1)      # below 2 for a wide family
+    bound = 2 * BLOCK_SAMPLES // max(d * s * n, 1)
     ring = np.empty((max(bound, 1) + 1, s, n), dtype=complex)
     shifted = ring.reshape(len(ring) * s, n)    # sublevels in order, each seeding the next
-    heads = np.empty((bound if bound > 1 else 0, s, n), dtype=complex)   # principal roots
+    heads = np.empty((bound, s, n), dtype=complex)     # principal roots
+    picks = np.empty((s, n), dtype=np.intp)     # the last chained level's
     radii = np.fromiter((math.exp(logR * d ** ((s - i) / s)) for i in range(1, s + 1)), float, s)
     np.multiply(radii[:, None], phase, out=ring[0])
     samples = np.empty((depth + 1, n), dtype=complex)
@@ -199,48 +168,17 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     step_res = np.zeros((depth + 1, n))
     min_abs = np.full(n, math.inf)
 
-    level, size, ready = 1, 1, 1        # ready: the chunk's first level is chained
-    if bound > 1:
-        heads[0] = principal_root(ring[0][:, perm] - c, d)
-    while bound > 1 and level <= depth:
-        if ready:
-            guess = pull(ring[0][:, perm], ring[0, -1], ring[1], heads[0])[1]
-            branch = roots[guess]
-        chunk = min(size, depth + 1 - level)
-        for i in range(ready, chunk):
-            heads[i] = principal_root(ring[i][:, perm] - c, d)
-            np.multiply(heads[i], branch, out=ring[i + 1])
-        wrong = chunk                   # the first level with a wrong pick
-        if chunk > ready:
-            seeds = shifted[(ready + 1) * s - 1:(chunk + 1) * s - 1].reshape(chunk - ready, s, n)
-            miss = (nearest_branch(heads[ready:chunk], seeds, d) != guess).any(axis=(1, 2))
-            wrong = ready + int(miss.argmax()) if miss.any() else chunk
-        z = ring[1:wrong + 1]
-        fz = z**d
-        abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), ring[:wrong][:, :, perm], out=fz))
-        bad = (abs_fz > NEWTON_TOL).any(axis=(1, 2))
-        ok = int(bad.argmax()) if bad.any() else wrong  # the levels accepted
-        if ok:
-            step_res[level:level + ok] = abs_fz[:ok].max(axis=1)
-            np.fmin(min_abs, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1)), out=min_abs)
-            samples[level:level + ok] = z[:ok, -1]
-            ring[0] = ring[ok]
-        level += ok
-        if ok < wrong:
-            break
-        if wrong < chunk:
-            heads[0] = heads[wrong]
-            size, ready = 1, 1
-        else:
-            size, ready = min(2 * size, bound), 0
-
-    prev, cur = ring[0], ring[1]
-    for level in range(level, depth + 1):
-        seeds, k = prev[-1], 0          # sublevel j - 1 for the level's first row
+    def chain(level, p=None):
+        """Pull level back from ring[0] into ring[1], polished, and record
+        its picks; p, if given, holds the level's principal roots."""
+        seeds, k = ring[0, -1], 0       # sublevel j - 1 for the level's first row
         while k < s:
-            w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
-            z = cur[k:k + b]
-            p, picks = pull(w, seeds, z)
+            w = ring[0][k:k + b, perm]  # sublevels j - s, one level up the ray
+            z = ring[1, k:k + b]
+            q = principal_root(w - c, d) if p is None else p[k:k + b]
+            for i in range(len(w)):
+                picks[k + i] = nearest_branch(q[i], seeds, d, out=z[i])
+                seeds = z[i]
             for step in range(MAX_NEWTON + 1):
                 fz = z**d
                 abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
@@ -251,10 +189,10 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                 safe = np.where(dfz != 0, dfz, 1.0)
                 z -= np.where(bad & (dfz != 0), fz / safe, 0.0)
             taken = len(w)
-            if step:
+            if step and taken > 1:
                 # the picks were seeded with unpolished rows: from the first
                 # pick a polished seed changes, the rows are pulled back again
-                again = (nearest_branch(p[1:], z[:-1], d) != picks[1:]).any(1)
+                again = (nearest_branch(q[1:], z[:-1], d) != picks[k + 1:k + taken]).any(1)
                 taken = 1 + int(again.argmax()) if again.any() else taken
             np.maximum(step_res[level], abs_fz[:taken].max(axis=0), out=step_res[level])
             # fmin skips NaN, as the comparison with DERIV_TOL does
@@ -262,10 +200,32 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
             seeds = z[taken - 1]
             k += taken
 
-        samples[level] = cur[-1]
-        prev, cur = cur, prev
+    level, size, kept = 1, 0, None      # size 0: chain the level, from kept if given
+    while level <= depth:
+        if not size:
+            chain(level, kept)
+            ok, size = 1, int(bound > 1)
+        else:
+            chunk = min(size, depth + 1 - level)
+            branch = _roots_of_unity(d)[picks]
+            for i in range(chunk):
+                heads[i] = principal_root(ring[i][:, perm] - c, d)
+                np.multiply(heads[i], branch, out=ring[i + 1])
+            seeds = shifted[s - 1:(chunk + 1) * s - 1].reshape(chunk, s, n)
+            wrong = (nearest_branch(heads[:chunk], seeds, d) != picks).any(axis=(1, 2))
+            z = ring[1:chunk + 1]
+            fz = z**d
+            abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), ring[:chunk][:, :, perm], out=fz))
+            fail = wrong | (abs_fz > NEWTON_TOL).any(axis=(1, 2))
+            ok = int(fail.argmax()) if fail.any() else chunk    # the levels kept
+            step_res[level:level + ok] = abs_fz[:ok].max(axis=1)
+            np.fmin(min_abs, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1), initial=math.inf),
+                    out=min_abs)
+            size, kept = (0, heads[ok]) if ok < chunk else (min(2 * size, bound), None)
+        samples[level:level + ok] = ring[1:ok + 1, -1]
+        ring[0] = ring[ok]
+        level += ok
 
-    del ring, prev, cur
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
     tail = min(CLUSTER_SIZE, depth + 1)
@@ -273,17 +233,19 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     with np.errstate(invalid="ignore"):
         diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
     ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= NEWTON_TOL)
-    return _FamilyTraces(angles, lcm, ticks, samples, step_res, ok, diam, critical_hit)
+    return _FamilyTraces(angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit)
 
 
 class _FamilyTraces(Mapping):
     """A traced family as its arrays, one column per ray, in the family's
-    angle order.  Looking up an angle builds its RayTrace from its column,
-    afresh on each lookup, so the samples stay in the arrays and not in
-    per-ray lists of boxed numbers."""
+    angle order; perm[i] is the index of the image of angle i under
+    theta -> d theta.  Looking up an angle builds its RayTrace from its
+    column, afresh on each lookup, so the samples stay in the arrays and not
+    in per-ray lists of boxed numbers."""
 
-    def __init__(self, angles, lcm, ticks, samples, step_res, ok, diam, critical_hit):
-        self.angles, self.lcm, self.ticks, self.samples = angles, lcm, ticks, samples
+    def __init__(self, angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit):
+        self.angles, self.lcm, self.ticks, self.perm = angles, lcm, ticks, perm
+        self.samples = samples
         self.step_res, self.ok, self.diam, self.critical_hit = step_res, ok, diam, critical_hit
 
     def __getitem__(self, angle: Angle | Fraction) -> RayTrace:
@@ -413,6 +375,7 @@ def classify_landing(
     cfg = config or RayConfig()
     if not _is_integer(nu):
         raise ValueError(f"nu must be an integer, got {nu!r}")
+    nu = int(nu)
     # |d|^nu >= 2^nu, so past the limit's bit length d**nu need not be computed
     if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) > _ray_budget(cfg):
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg)
@@ -437,11 +400,10 @@ def classify_landing(
         max_diam = max(max_diam, float(_diameters(rows).max()))
 
     # A false merge breaks forward invariance: theta -> d*theta must send each
-    # class into a single class.  angles[k] = k/N, so it sends index k to
-    # d*k mod N; unresolved images are skipped.
+    # class into a single class; unresolved images are skipped.
     class_of = np.full(len(angles), -1)
     class_of[landed_idx] = labels
-    image_class = class_of[(m.d * landed_idx) % len(angles)]
+    image_class = class_of[traces.perm[landed_idx]]
     mapped = image_class >= 0
     # a class's images all go to its one slot, so they agree iff each reads back
     image_of = np.empty(len(angles), dtype=np.intp)

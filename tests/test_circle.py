@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,32 @@ def rational_angles(max_den=1000):
         st.integers(min_value=-5000, max_value=5000),
         st.integers(min_value=1, max_value=max_den),
     )
+
+
+class TestNumpyIntegerDegree:
+    """A numpy degree's products and powers wrapped round at 2^63: 2^62 times
+    3/7 gave 3/7 and an orbit of one angle, exact_period never returned, and
+    periodic_angles(np.int64(2**32), 2) gave one angle."""
+
+    D = np.int64(2**62)
+
+    def test_multiply(self):
+        assert multiply(Angle(3, 7), self.D) == multiply(Angle(3, 7), 2**62) == Angle(5, 7)
+
+    def test_orbit(self):
+        assert orbit(Angle(3, 7), self.D) == [Angle(3, 7), Angle(5, 7), Angle(6, 7)]
+
+    def test_exact_period(self):
+        assert exact_period(Angle(1, 7), self.D) == 3
+
+    def test_periodic_angles(self):
+        angles = periodic_angles(np.int64(3), np.int64(2))
+        assert angles == periodic_angles(3, 2)
+        assert {type(a.denominator) for a in angles} == {int}
+
+    def test_rate_functions(self):
+        assert interval_class_bound(np.int64(10), np.int64(30), 1) == 5 * 10**29
+        assert type(rate_estimate(np.int64(2), [(1, 2)]).d) is int
 
 
 class TestAngle:

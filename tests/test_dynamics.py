@@ -37,6 +37,11 @@ class TestUnicriticalMap:
     def test_numpy_integer_degree_accepted(self):
         assert UnicriticalMap(np.int64(3), 1j).d == 3
 
+    def test_numpy_integer_degree_held_as_int(self):
+        # a numpy degree's powers wrapped round at 2^63 in the size guards
+        m = UnicriticalMap(np.int64(2**32), 1j)
+        assert type(m.d) is int and m.d**2 == 2**64
+
     @pytest.mark.parametrize("c", [complex("nan"), complex("inf"), complex(0, float("-inf")),
                                    float("nan"), complex(1, float("nan"))])
     def test_non_finite_c_rejected(self, c):

@@ -585,6 +585,17 @@ class TestCountPeriodic:
     def test_numpy_integer_k_accepted(self):
         assert count_periodic(M6, np.int64(2), radius=4.0).count == 4
 
+    @pytest.mark.parametrize("d,k", [(np.int64(2**32), 2), (2**32, np.int64(2))])
+    def test_numpy_integer_powers_do_not_wrap(self, monkeypatch, d, k):
+        # (2^32)^2 wrapped round to 0 in int64 and passed the size guard; the
+        # stub stops a wrapped guard before the solve
+        def unreached(*args):
+            raise AssertionError("the size guard passed")
+
+        monkeypatch.setattr(itinerary, "_solve", unreached)
+        with pytest.raises(ValueError, match="lower k"):
+            count_periodic(UnicriticalMap(d, 10), k, radius=2.0)
+
     def test_all_words_distinct_points(self):
         res = count_periodic(M6, 4, radius=4.0)
         pts = [complex(p) for p in res.points]

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import json
 import math
 import random
 import time
@@ -200,27 +201,24 @@ BLOCK_MAPS = {2: UnicriticalMap(2, 0.3 + 1j), 3: UnicriticalMap(3, 1 + 1j),
 FAR_MAP = UnicriticalMap(5, 30 + 0j)
 
 
-def root_calls(s, n, depth, first_bad, changes=()):
-    """principal_root calls of a call whose first level to fail NEWTON_TOL is
-    first_bad (None if none fails), whose branch picks differ from the level
-    above's at the levels in changes, and which re-pulls no rows.  A wide
-    family pulls back each level in blocks.  A narrow family chains level 1,
-    then speculates chunks of 2, 4, ... levels, at most BLOCK_SAMPLES //
-    (s * n), one call a level.  A level whose picks change is chained again
-    from its kept roots, with no call, and the chunks restart at one level;
-    from first_bad on each level is pulled back in blocks again."""
-    bound = rays.BLOCK_SAMPLES // max(s * n, 1)
-    blocks = -(-s // max(1, min(s, rays.BLOCK_SAMPLES // max(n, 1))))
+def root_calls(s, n, depth, redo=(), d=2):
+    """principal_root calls of a call that chains again the levels in redo
+    (those whose branch picks differ from the level above's, or whose
+    residuals fail NEWTON_TOL) and re-pulls no rows.  A wide family chains
+    each level in blocks, one call a block.  A narrow family chains level 1,
+    then speculates chunks of 1, 2, 4, ... levels, at most 2 * BLOCK_SAMPLES
+    // (d * s * n), one call a level; the first level of redo in a chunk is
+    chained again from its kept roots, with no call, and the chunks restart
+    at one level after it."""
+    bound = 2 * rays.BLOCK_SAMPLES // max(d * s * n, 1)
     if bound < 2:
-        return depth * blocks
-    calls, level, size, ready = 1, 1, 1, 1
+        return depth * -(-s // max(1, min(s, rays.BLOCK_SAMPLES // max(n, 1))))
+    calls, level, size = 1, 2, 1
     while level <= depth:
         end = level + min(size, depth + 1 - level)
-        calls += end - level - ready
-        wrong = min([k for k in changes if level + ready <= k < end], default=end)
-        if first_bad and level <= first_bad < wrong:
-            return calls + (depth + 1 - first_bad) * blocks
-        level, size, ready = (wrong, 1, 1) if wrong < end else (end, min(2 * size, bound), 0)
+        calls += end - level
+        wrong = min([k for k in redo if level <= k < end], default=end)
+        level, size = (wrong + 1, 1) if wrong < end else (end, min(2 * size, bound))
     return calls
 
 
@@ -229,6 +227,19 @@ def pick_changes(picks, s):
     row, from reference_trace_family's picks_out."""
     picks = np.array(picks)
     return sorted({j // s + 2 for j in np.flatnonzero((picks[s:] != picks[:-s]).any(axis=1)).tolist()})
+
+
+def late_newton_tol(angles, config):
+    """A NEWTON_TOL under which FAR_MAP's levels pass up to the one of
+    largest residual, and the levels that fail it.  At the default
+    tolerance no level of FAR_MAP takes a Newton step, so the reference's
+    residuals are the unpolished ones; the tolerance is the largest of the
+    levels before the largest."""
+    unpolished = reference_trace_family(FAR_MAP, angles, config)
+    level_res = np.array([t.step_residuals[1:] for t in unpolished.values()]
+                         ).reshape(len(angles), config.depth).max(axis=0, initial=0.0)
+    tol = level_res[:level_res.argmax()].max(initial=0.0)
+    return tol, (np.flatnonzero(level_res > tol) + 1).tolist()
 
 
 LATTICES = {q: [Angle(p, q) for p in range(q)] for q in (2, 3, 4, 6, 8, 12, 16, 24)}
@@ -476,15 +487,16 @@ class TestBlockPullback:
     def test_matches_when_newton_runs_on_every_block(self, monkeypatch, d, n, depth):
         # no residual meets a zero tolerance, so every block runs Newton and
         # its picks are first seeded with unpolished rows; on z^5 + 3 the
-        # polish changes a pick, which the block must then make again.  Each
-        # block takes one principal root and each re-pull one more: two
-        # blocks a level at n = 1023, one at n = 63, and one re-pull on z^5 + 3.
-        # The picks are checked once a block, after its polish, in one
-        # nearest_branch call: at n = 1023 and n = 63 a block picks its 4 and
-        # 8 rows one at a time (5 and 9 calls), and at n = 7 from one table
-        # (2 calls), as does its re-pull.  The narrow families, n = 63 and
-        # n = 7, first pull level 1 back unpolished, which fails its check:
-        # one more principal root, and 8 picks at n = 63 and 1 at n = 7
+        # polish changes the pick of level 1's row 5, which the block must
+        # then make again.  A chained block picks its rows one at a time and
+        # checks them once, after its polish: b + 1 nearest_branch calls.
+        # The wide family n = 1023 chains each level in two blocks of 4 rows,
+        # one principal root each.  The narrow families, n = 63 and n = 7,
+        # chain level 1 (one root) and speculate each later level (one
+        # root), whose chunk check (one call) fails, so it is chained from
+        # its kept roots: 1 + 8 + 1 calls a level.  Level 1 of z^5 + 3 keeps
+        # no roots, so its re-pull of rows 5..7 takes one more root, and 3 + 1
+        # more nearest_branch calls
         monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
         angles = list(closed_family(d, n))
         config = RayConfig(depth=depth, substeps=8)
@@ -495,28 +507,31 @@ class TestBlockPullback:
         monkeypatch.setattr(rays, "nearest_branch",
                             lambda *args, **kw: picks.append(1) or nearest(*args, **kw))
         traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
-        assert len(calls) == {2: 16, 3: 25, 5: 50}[d]
-        assert len(picks) == {2: 80, 3: 224, 5: 99}[d]
+        assert len(calls) == {2: 16, 3: 24, 5: 49}[d]
+        assert len(picks) == {2: 80, 3: 239, 5: 483}[d]
         assert not any(t.converged for t in expected.values())
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
-    @pytest.mark.parametrize("m,s,n,depth,changes,wasted", [
-        # picks change at levels 4 and 5: chunks of 1, 2, 4 (cut at 4), 1,
-        # 2 (cut at 5), 1, 2, 4, 8, 16 and, cut by the depth, 15
-        pytest.param(BLOCK_MAPS[2], 8, 7, 50, [4, 5], 3 + 1, id="m0-8-7-50"),
-        # chunks of at most 8 levels
-        pytest.param(BLOCK_MAPS[3], 4, 128, 30, [2, 3], 1 + 1, id="m1-4-128-30"),
-        # s * n = BLOCK_SAMPLES / 2: chunks of 1 and 2 levels
-        pytest.param(BLOCK_MAPS[2], 8, 256, 9, [2, 3, 4], 1 + 1 + 1, id="m2-8-256-9"),
-        pytest.param(FAR_MAP, 1, 63, 40, [], 0, id="m3-1-63-40"),
-        pytest.param(BLOCK_MAPS[2], 8, 0, 20, [], 0, id="m4-8-0-20"),     # the empty family
+    @pytest.mark.parametrize("m,s,n,depth,changes", [
+        # picks change at levels 4 and 5: level 1 chained, chunks 2, 3..4
+        # (cut at 4, its last), 4 chained, 5 (cut), 5 chained, then chunks
+        # of 1, 2, 4, 8, 16 and, cut by the depth, 14 levels
+        pytest.param(BLOCK_MAPS[2], 8, 7, 50, [4, 5], id="m0-8-7-50"),
+        # d * s * n = 1536: chunks of at most 5 levels
+        pytest.param(BLOCK_MAPS[3], 4, 128, 30, [2, 3], id="m1-4-128-30"),
+        # d * s * n = BLOCK_SAMPLES: chunks of 1 and 2 levels
+        pytest.param(BLOCK_MAPS[2], 8, 256, 9, [2, 3, 4], id="m2-8-256-9"),
+        pytest.param(FAR_MAP, 1, 63, 40, [], id="m3-1-63-40"),
+        pytest.param(BLOCK_MAPS[2], 8, 0, 20, [], id="m4-8-0-20"),     # the empty family
     ])
     def test_converging_narrow_call_pulls_each_level_back_once(self, monkeypatch, m, s, n, depth,
-                                                               changes, wasted):
+                                                               changes):
         # each kept level takes one principal root: a level whose picks
         # change is chained again from its kept roots, and only the
-        # speculated levels after it are pulled back again
+        # speculated levels after it in its chunk are pulled back again.
+        # Chunks restart at one level after a chain, so a pick that changes
+        # at the first level below a chained one wastes nothing
         angles = list(closed_family(m.d, n)) if n else []
         config = RayConfig(depth=depth, substeps=s)
         picks = []
@@ -526,20 +541,21 @@ class TestBlockPullback:
         monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
         traced = rays._trace_family(m, angles, config)
         assert pick_changes(picks, s) == changes
-        assert len(calls) == root_calls(s, n, depth, None, changes) == depth + wasted
+        assert len(calls) == root_calls(s, n, depth, changes, m.d) == depth
         assert list(traced) == list(expected) == angles
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
     def test_pick_change_mid_chunk_is_chained_again_from_its_roots(self, monkeypatch):
-        # The picks of these three rays change at levels 5 and 6 only, and the
-        # chunks run 1, 2..3, 4..7 (cut at 5), 5, 6..7 (cut at 6), 6, 7..8,
-        # 9..12, 13..20, 21..36.  One principal root, of ray 2/7 at level 26,
-        # row 3, is turned by a root of unity, in the traced call and in the
-        # reference alike: that sample's pick moves down one branch there and
-        # moves back at level 27, inside the chunk 21..36 after a run of
-        # passing chunks.  Level 26 is chained again from its kept roots, and
-        # the levels speculated after it are pulled back again: 2 + 1 at
-        # levels 5 and 6, 10 + 1 at levels 26 and 27
+        # The picks of these three rays change at levels 5 and 6 only.  Level
+        # 1 is chained and the chunks run 2, 3..4, 5..8 (cut at 5), then 6
+        # (cut at 6), 7, 8..9, 10..13, 14..21, 22..37.  One principal root,
+        # of ray 2/7 at level 26, row 3, is turned by a root of unity, in the
+        # traced call and in the reference alike: that sample's pick moves
+        # down one branch there and moves back at level 27, inside the chunk
+        # 22..37 after a run of passing chunks.  Level 26 is chained again
+        # from its kept roots, and the levels speculated after it are pulled
+        # back again: 3 after level 5, 11 after level 26, and none after
+        # levels 6 and 27, each the first of its chunk
         m, angles = UnicriticalMap(2, -0.110 + 0.6557j), [Angle(p, 7) for p in (1, 2, 4)]
         config = RayConfig(depth=40, substeps=8)
         inputs = []
@@ -563,34 +579,27 @@ class TestBlockPullback:
         expected = reference_trace_family(m, angles, config, picks_out=picks)
         traced = rays._trace_family(m, angles, config)
         assert pick_changes(picks, 8) == [5, 6, 26, 27]
-        assert len(calls) == root_calls(8, 3, 40, None, [5, 6, 26, 27]) == 40 + 3 + 11
+        assert len(calls) == root_calls(8, 3, 40, [5, 6, 26, 27]) == 40 + 3 + 11
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
     @pytest.mark.parametrize("n,depth", [
-        (3, 6),         # level 5 fails in the chunk of levels 4..6, cut by the depth
-        (63, 10),       # level 7 fails, the last of the chunk of levels 4..7
-        (2047, 12),     # s * n just below and at BLOCK_SAMPLES / 2: level 2 fails
+        (3, 6),         # level 5 fails, the first of the chunk 5..6, cut by the depth
+        (63, 10),       # level 7 fails inside the chunk 5..8
+        (819, 12),      # d * s * n just below and above BLOCK_SAMPLES: level 2 fails
+        (820, 12),      # wide, one block a level: verified block by block
+        (2047, 12),
         (2048, 12),
-        (2049, 12),     # wide, one block a level: verified block by block
+        (2049, 12),
         (4095, 12),
         (4096, 12),     # s * n = BLOCK_SAMPLES
         (4097, 12),     # a one-row block past BLOCK_SAMPLES
         (0, 12),        # the empty family: nothing fails
     ])
     def test_matches_when_newton_starts_after_passing_chunks(self, monkeypatch, n, depth):
-        # at the default tolerance no level of FAR_MAP takes a Newton step,
-        # so those residuals are the unpolished ones.  A tolerance just below
-        # the largest, and above every earlier level's, lets the levels before
-        # it pass and makes it the first to fail
         angles = list(closed_family(5, n)) if n else []
         config = RayConfig(depth=depth, substeps=1)
-        unpolished = reference_trace_family(FAR_MAP, angles, config)
-        level_res = np.array([t.step_residuals[1:] for t in unpolished.values()]
-                             ).reshape(n, depth).max(axis=0, initial=0.0)
-        tol = level_res[:level_res.argmax()].max(initial=0.0)
-        failing = np.flatnonzero(level_res > tol)
-        first_bad = int(failing[0]) + 1 if n else None
-        assert n == 0 or first_bad >= 2
+        tol, failing = late_newton_tol(angles, config)
+        assert n == 0 or failing[0] >= 2
 
         monkeypatch.setattr(rays, "NEWTON_TOL", tol)
         picks = []
@@ -600,13 +609,55 @@ class TestBlockPullback:
         monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
         traced = rays._trace_family(FAR_MAP, angles, config)
         assert pick_changes(picks, 1) == []
-        assert len(calls) == root_calls(1, n, depth, first_bad)
-        if n and 2 * n <= rays.BLOCK_SAMPLES:
-            # a chunk passed and a level fell back; the levels pulled back
-            # unpolished and not kept are at most one more than those kept
-            wasted = len(calls) - depth
-            assert 1 <= wasted <= first_bad
+        # each failing level is chained from its kept roots, with Newton,
+        # and the levels below it are speculated again
+        assert len(calls) == root_calls(1, n, depth, failing, 5)
+        if n and 5 * n <= rays.BLOCK_SAMPLES:
+            # a chunk passed and a level failed; the levels pulled back
+            # unpolished and not kept are at most those kept before it
+            assert 0 <= len(calls) - depth < failing[0]
         assert list(traced) == list(expected) == angles
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    def test_level_that_needs_newton_goes_back_to_speculating(self, monkeypatch):
+        # level 5 of FAR_MAP's three rays fails first, in the chunk 5..6: it
+        # is chained from its kept roots, with Newton, and level 6 is then
+        # speculated again from its picks.  Six levels take seven principal
+        # roots (level 6's first speculation is not kept), and the last
+        # nearest_branch call checks a chunk of one speculated level
+        angles, config = list(closed_family(5, 3)), RayConfig(depth=6, substeps=1)
+        tol, failing = late_newton_tol(angles, config)
+        assert failing == [5]
+        monkeypatch.setattr(rays, "NEWTON_TOL", tol)
+        expected = reference_trace_family(FAR_MAP, angles, config)
+        calls, shapes = [], []
+        root, nearest = rays.principal_root, rays.nearest_branch
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
+        monkeypatch.setattr(rays, "nearest_branch",
+                            lambda p, *args, **kw: shapes.append(p.shape) or nearest(p, *args, **kw))
+        traced = rays._trace_family(FAR_MAP, angles, config)
+        assert len(calls) == 7
+        assert shapes[-1] == (1, 1, 3)
+        assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    def test_large_degree_chains_every_level(self, monkeypatch):
+        # d = 100 at nu = 1: 99 rays at 8 substeps, d * s * n = 79,200
+        # distances a level, so bound = 0 and no level is speculated.  Each
+        # level is one block (b = 8 <= 4096 // 99), one principal root, and
+        # every nearest_branch call picks a row or checks a polished block,
+        # never a chunk of levels; the bits match the reference
+        m, depth = UnicriticalMap(100, 0.3 + 0.5j), 3
+        angles, config = periodic_angles(100, 1), RayConfig(depth=depth)
+        assert 2 * rays.BLOCK_SAMPLES // (100 * 8 * 99) == 0
+        expected = reference_trace_family(m, angles, config)
+        calls, shapes = [], []
+        root, nearest = rays.principal_root, rays.nearest_branch
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
+        monkeypatch.setattr(rays, "nearest_branch",
+                            lambda p, *args, **kw: shapes.append(p.shape) or nearest(p, *args, **kw))
+        traced = rays._trace_family(m, angles, config)
+        assert len(calls) == root_calls(8, 99, depth, d=100) == depth
+        assert {len(shape) for shape in shapes} <= {1, 2}
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
     @pytest.mark.parametrize("n,depth", [(63, 48), (1023, 16), (rays.BLOCK_SAMPLES + 5, 8)])
@@ -780,6 +831,23 @@ class TestClassifyLanding:
 
     def test_numpy_integer_nu_accepted(self):
         assert classify_landing(CHEB, np.int64(2)).class_count == 2
+
+    @pytest.mark.parametrize("d,nu", [(np.int64(2**32), 2), (2**32, np.int64(2))])
+    def test_numpy_integer_powers_do_not_wrap(self, monkeypatch, d, nu):
+        # (2^32)^2 wrapped round to 0 in int64, which passed the size guard
+        # and asked numpy for 2^32 roots of unity; the stub stops a wrapped
+        # guard before any array is made
+        def unreached(*args):
+            raise AssertionError("the size guard passed")
+
+        monkeypatch.setattr(rays, "_trace_family", unreached)
+        with pytest.raises(ValueError, match="lower nu or depth"):
+            classify_landing(UnicriticalMap(d, 0j), nu)
+
+    def test_numpy_integer_inputs_serialize(self):
+        # to_dict held the numpy d and nu, which json.dumps refused
+        cls = classify_landing(UnicriticalMap(np.int64(2), -2 + 0j), np.int64(2))
+        assert json.loads(json.dumps(cls.to_dict())) == classify_landing(CHEB, 2).to_dict()
 
     def test_size_limit_counts_depth(self):
         with pytest.raises(ValueError, match="to depth 4000"):
