@@ -33,7 +33,7 @@ TWO_PI = 2.0 * math.pi
 # buffers.  A family keeps its samples as arrays, 24 bytes a sample (complex
 # point and float residual); with the level buffers, the branch picks and the
 # angles a sample costs about 37 bytes at peak and 28 retained (tracemalloc
-# of classify_landing(z^2 - 2): peak 37.1 and 37.4 bytes, retained 28.1 and
+# of classify_landing(z^2 - 2): peak 36.5 and 36.8 bytes, retained 28.1 and
 # 28.3, at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits
 # nu = 18 at the default depth 48 and 8 substeps.
 MAX_RAY_SAMPLES = 18_000_000
@@ -142,10 +142,14 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # need Newton.  So after a level is chained, the levels below it are
     # speculated, unpolished, into a ring of level buffers: each is its
     # principal roots, kept beside it, times the roots the chained level
-    # picked.  A chunk of at most bound levels, whose d distances a sample
-    # stay in cache, is checked by one nearest_branch call, which picks each
-    # row again from the row before it in the ring (row 0 from the level
-    # above's last): chain's seeds.  Where every pick of a level matches,
+    # picked.  A chunk of at most bound levels is checked by one
+    # nearest_branch call, which picks each row again from the row before it
+    # in the ring (row 0 from the level above's last): chain's seeds.  The
+    # bound holds a chunk to BLOCK_SAMPLES samples and, at d distances a
+    # sample, 8 * BLOCK_SAMPLES distances, a cap measured: speculating ran
+    # 1.2-1.5 times faster than chaining at d = 3 and 5 (242 and 124 rays),
+    # chaining 1.6 times faster than chunks of 5 levels at d = 100 (99 rays),
+    # and the cap first binds at d = 9.  Where every pick of a level matches,
     # each sample is chain's product, and one set of numpy calls forms the
     # residuals by chain's operations, so a level that meets NEWTON_TOL is
     # chain's level bit for bit.  The levels before the first wrong pick or
@@ -156,11 +160,10 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape circle,
     # where the ray is (to first order) the straight angular ray.
     b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
-    bound = 2 * BLOCK_SAMPLES // max(d * s * n, 1)
-    ring = np.empty((max(bound, 1) + 1, s, n), dtype=complex)
-    shifted = ring.reshape(len(ring) * s, n)    # sublevels in order, each seeding the next
+    bound = min(BLOCK_SAMPLES, 8 * BLOCK_SAMPLES // d) // max(s * n, 1)
+    ring = np.empty((bound + 2, s, n), dtype=complex)   # the level above at row 0 or 1, a chunk
     heads = np.empty((bound, s, n), dtype=complex)     # principal roots
-    picks = np.empty((s, n), dtype=np.intp)     # the last chained level's
+    picks = np.empty((s, n), dtype=np.int32)    # the last chained level's
     radii = np.fromiter((math.exp(logR * d ** ((s - i) / s)) for i in range(1, s + 1)), float, s)
     np.multiply(radii[:, None], phase, out=ring[0])
     samples = np.empty((depth + 1, n), dtype=complex)
@@ -168,13 +171,13 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     step_res = np.zeros((depth + 1, n))
     min_abs = np.full(n, math.inf)
 
-    def chain(level, p=None):
-        """Pull level back from ring[0] into ring[1], polished, and record
-        its picks; p, if given, holds the level's principal roots."""
-        seeds, k = ring[0, -1], 0       # sublevel j - 1 for the level's first row
+    def chain(level, prev, cur, p=None):
+        """Pull level back from prev into cur, polished, and record its
+        picks; p, if given, holds the level's principal roots."""
+        seeds, k = prev[-1], 0          # sublevel j - 1 for the level's first row
         while k < s:
-            w = ring[0][k:k + b, perm]  # sublevels j - s, one level up the ray
-            z = ring[1, k:k + b]
+            w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
+            z = cur[k:k + b]
             q = principal_root(w - c, d) if p is None else p[k:k + b]
             for i in range(len(w)):
                 picks[k + i] = nearest_branch(q[i], seeds, d, out=z[i])
@@ -200,30 +203,35 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
             seeds = z[taken - 1]
             k += taken
 
-    level, size, kept = 1, 0, None      # size 0: chain the level, from kept if given
+    # size 0: chain the level, from kept if given; ring[top] is the level above
+    level, size, kept, top = 1, 0, None, 0
     while level <= depth:
         if not size:
-            chain(level, kept)
-            ok, size = 1, int(bound > 1)
+            # rows 0 and 1 take turns, so a wide family copies no level
+            chain(level, ring[top], ring[1 - top], kept)
+            ok, size, top = 1, int(bound > 1), 1 - top
+            samples[level] = ring[top, -1]
         else:
             chunk = min(size, depth + 1 - level)
+            r = ring[top:top + chunk + 1]       # the level above, then the chunk's
             branch = _roots_of_unity(d)[picks]
             for i in range(chunk):
-                heads[i] = principal_root(ring[i][:, perm] - c, d)
-                np.multiply(heads[i], branch, out=ring[i + 1])
-            seeds = shifted[s - 1:(chunk + 1) * s - 1].reshape(chunk, s, n)
+                heads[i] = principal_root(r[i][:, perm] - c, d)
+                np.multiply(heads[i], branch, out=r[i + 1])
+            # the sublevels in order, each seeding the next
+            seeds = r.reshape((chunk + 1) * s, n)[s - 1:-1].reshape(chunk, s, n)
             wrong = (nearest_branch(heads[:chunk], seeds, d) != picks).any(axis=(1, 2))
-            z = ring[1:chunk + 1]
+            z = r[1:]
             fz = z**d
-            abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), ring[:chunk][:, :, perm], out=fz))
+            abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), r[:-1][:, :, perm], out=fz))
             fail = wrong | (abs_fz > NEWTON_TOL).any(axis=(1, 2))
             ok = int(fail.argmax()) if fail.any() else chunk    # the levels kept
             step_res[level:level + ok] = abs_fz[:ok].max(axis=1)
             np.fmin(min_abs, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1), initial=math.inf),
                     out=min_abs)
+            samples[level:level + ok] = z[:ok, -1]
             size, kept = (0, heads[ok]) if ok < chunk else (min(2 * size, bound), None)
-        samples[level:level + ok] = ring[1:ok + 1, -1]
-        ring[0] = ring[ok]
+            ring[0], top = ring[top + ok], 0    # the last level kept
         level += ok
 
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged

@@ -206,11 +206,11 @@ def root_calls(s, n, depth, redo=(), d=2):
     (those whose branch picks differ from the level above's, or whose
     residuals fail NEWTON_TOL) and re-pulls no rows.  A wide family chains
     each level in blocks, one call a block.  A narrow family chains level 1,
-    then speculates chunks of 1, 2, 4, ... levels, at most 2 * BLOCK_SAMPLES
-    // (d * s * n), one call a level; the first level of redo in a chunk is
-    chained again from its kept roots, with no call, and the chunks restart
-    at one level after it."""
-    bound = 2 * rays.BLOCK_SAMPLES // max(d * s * n, 1)
+    then speculates chunks of 1, 2, 4, ... levels, one call a level, of at
+    most BLOCK_SAMPLES samples and 8 * BLOCK_SAMPLES distances (d a sample);
+    the first level of redo in a chunk is chained again from its kept roots,
+    with no call, and the chunks restart at one level after it."""
+    bound = min(rays.BLOCK_SAMPLES, 8 * rays.BLOCK_SAMPLES // d) // max(s * n, 1)
     if bound < 2:
         return depth * -(-s // max(1, min(s, rays.BLOCK_SAMPLES // max(n, 1))))
     calls, level, size = 1, 2, 1
@@ -518,9 +518,9 @@ class TestBlockPullback:
         # (cut at 4, its last), 4 chained, 5 (cut), 5 chained, then chunks
         # of 1, 2, 4, 8, 16 and, cut by the depth, 14 levels
         pytest.param(BLOCK_MAPS[2], 8, 7, 50, [4, 5], id="m0-8-7-50"),
-        # d * s * n = 1536: chunks of at most 5 levels
+        # s * n = 512: chunks of at most 8 levels
         pytest.param(BLOCK_MAPS[3], 4, 128, 30, [2, 3], id="m1-4-128-30"),
-        # d * s * n = BLOCK_SAMPLES: chunks of 1 and 2 levels
+        # s * n = BLOCK_SAMPLES / 2: chunks of 1 and 2 levels
         pytest.param(BLOCK_MAPS[2], 8, 256, 9, [2, 3, 4], id="m2-8-256-9"),
         pytest.param(FAR_MAP, 1, 63, 40, [], id="m3-1-63-40"),
         pytest.param(BLOCK_MAPS[2], 8, 0, 20, [], id="m4-8-0-20"),     # the empty family
@@ -585,11 +585,9 @@ class TestBlockPullback:
     @pytest.mark.parametrize("n,depth", [
         (3, 6),         # level 5 fails, the first of the chunk 5..6, cut by the depth
         (63, 10),       # level 7 fails inside the chunk 5..8
-        (819, 12),      # d * s * n just below and above BLOCK_SAMPLES: level 2 fails
-        (820, 12),      # wide, one block a level: verified block by block
-        (2047, 12),
+        (2047, 12),     # s * n just below and at BLOCK_SAMPLES / 2: level 2 fails
         (2048, 12),
-        (2049, 12),
+        (2049, 12),     # wide, one block a level: verified block by block
         (4095, 12),
         (4096, 12),     # s * n = BLOCK_SAMPLES
         (4097, 12),     # a one-row block past BLOCK_SAMPLES
@@ -612,7 +610,7 @@ class TestBlockPullback:
         # each failing level is chained from its kept roots, with Newton,
         # and the levels below it are speculated again
         assert len(calls) == root_calls(1, n, depth, failing, 5)
-        if n and 5 * n <= rays.BLOCK_SAMPLES:
+        if n and 2 * n <= rays.BLOCK_SAMPLES:
             # a chunk passed and a level failed; the levels pulled back
             # unpolished and not kept are at most those kept before it
             assert 0 <= len(calls) - depth < failing[0]
@@ -642,13 +640,14 @@ class TestBlockPullback:
 
     def test_large_degree_chains_every_level(self, monkeypatch):
         # d = 100 at nu = 1: 99 rays at 8 substeps, d * s * n = 79,200
-        # distances a level, so bound = 0 and no level is speculated.  Each
-        # level is one block (b = 8 <= 4096 // 99), one principal root, and
-        # every nearest_branch call picks a row or checks a polished block,
-        # never a chunk of levels; the bits match the reference
+        # distances a level, past a chunk's 8 * BLOCK_SAMPLES, so bound = 0
+        # and no level is speculated.  Each level is one block (b = 8 <=
+        # 4096 // 99), one principal root, and every nearest_branch call picks
+        # a row or checks a polished block, never a chunk of levels; the bits
+        # match the reference
         m, depth = UnicriticalMap(100, 0.3 + 0.5j), 3
         angles, config = periodic_angles(100, 1), RayConfig(depth=depth)
-        assert 2 * rays.BLOCK_SAMPLES // (100 * 8 * 99) == 0
+        assert 8 * rays.BLOCK_SAMPLES // 100 < 8 * 99
         expected = reference_trace_family(m, angles, config)
         calls, shapes = [], []
         root, nearest = rays.principal_root, rays.nearest_branch
@@ -659,6 +658,24 @@ class TestBlockPullback:
         assert len(calls) == root_calls(8, 99, depth, d=100) == depth
         assert {len(shape) for shape in shapes} <= {1, 2}
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+    @pytest.mark.parametrize("d,nu", [(3, 5), (5, 3), (10, 2)])
+    def test_moderate_degree_speculates(self, monkeypatch, d, nu):
+        # 242, 124 and 99 rays at 8 substeps: a level's d * s * n distances
+        # fit a chunk's 8 * BLOCK_SAMPLES, so levels are speculated a chunk
+        # at a time, one principal root a level, and few are chained row by
+        # row (chaining every level took 1.2 to 1.5 times as long at d = 3
+        # and 5)
+        m, depth = UnicriticalMap(d, 0.1j), RayConfig().depth
+        calls, shapes = [], []
+        root, nearest = rays.principal_root, rays.nearest_branch
+        monkeypatch.setattr(rays, "principal_root", lambda u, d: calls.append(1) or root(u, d))
+        monkeypatch.setattr(rays, "nearest_branch",
+                            lambda p, *args, **kw: shapes.append(p.shape) or nearest(p, *args, **kw))
+        assert classify_landing(m, nu).unresolved == []
+        assert len(calls) == depth
+        assert any(len(shape) == 3 for shape in shapes)
+        assert sum(len(shape) == 1 for shape in shapes) <= 5 * 8
 
     @pytest.mark.parametrize("n,depth", [(63, 48), (1023, 16), (rays.BLOCK_SAMPLES + 5, 8)])
     def test_matches_when_the_critical_flag_splits_the_family(self, monkeypatch, n, depth):
