@@ -147,7 +147,7 @@ def _cmd_ncp(args: argparse.Namespace) -> int:
 
 def _cmd_rays(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    rc = RayConfig(depth=args.depth, substeps=args.substeps, landing_tol=args.landing_tol)
+    rc = RayConfig(depth=args.depth, substeps=args.substeps)
     traces = trace_rays(m, [angle_from_string(a) for a in args.angles.split(",")], config=rc)
     if args.fmt == "svg":
         cloud = julia_cloud(m) if args.cloud else None
@@ -159,10 +159,11 @@ def _cmd_rays(args: argparse.Namespace) -> int:
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    rc = RayConfig(depth=args.depth, substeps=args.substeps, landing_tol=args.landing_tol,
-                   grouping_tol=args.grouping_tol)
+    rc = RayConfig(depth=args.depth, substeps=args.substeps)
     cls = classify_landing(m, args.nu, config=rc)
     if args.fmt == "svg":
+        if not cls.classes:
+            raise NonConvergenceError(f"no ray landed at nu = {args.nu}: nothing to draw")
         traces = [cls.traces[c[0]] for c in cls.classes]
         cloud = julia_cloud(m) if args.cloud else None
         _emit(render_ray_figure(traces, cloud), args.output)
@@ -230,7 +231,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 CHEBYSHEV = UnicriticalMap(2, -2 + 0j)
 CANTOR = UnicriticalMap(2, -6 + 0j)
 COLANDING_MAP = UnicriticalMap(2, complex(-0.110, 0.6557))
-COLANDING_CONFIG = RayConfig(depth=3200, substeps=4, landing_tol=1e-8, grouping_tol=1e-4)
+COLANDING_CONFIG = RayConfig(depth=3200, substeps=4)
 COLANDING_TRIPLE = (Angle(1, 7), Angle(2, 7), Angle(4, 7))
 
 
@@ -335,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help='parameter as a Python complex; quote negatives as --c="-0.11+0.6557j"')
         p.add_argument("--depth", type=int, default=RayConfig.depth)
         p.add_argument("--substeps", type=int, default=RayConfig.substeps)
-        p.add_argument("--landing-tol", type=float, default=RayConfig.landing_tol)
         p.add_argument("--cloud", action="store_true", help="add a Julia point cloud (svg)")
 
     p = sub.add_parser("stars", help="check a family of stars")
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="landing classes of period-nu angles")
     ray_flags(p)
     p.add_argument("--nu", type=int, default=3)
-    p.add_argument("--grouping-tol", type=float, default=RayConfig.grouping_tol)
     common(p, _cmd_classes, ("json", "csv", "svg"))
 
     p = sub.add_parser("itinerary", help="inverse-branch periodic points")

@@ -39,6 +39,8 @@ TWO_PI = 2.0 * math.pi
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
+LANDING_TOL = 1e-9      # terminal cluster diameter below which a ray has landed
+GROUPING_TOL = 1e-9     # single-linkage radius of the landing classes
 MAX_NEWTON = 64         # Newton steps per pullback step; the nearest-root seed needs few
 DERIV_TOL = 1e-6        # |f'| below this at a sample flags a critical pullback
 UNRESOLVED_FRAC = 0.1   # a larger unresolved fraction makes a classification unreliable
@@ -61,22 +63,19 @@ def _size_error(what: str, config: RayConfig) -> ValueError:
 
 @dataclass(frozen=True)
 class RayConfig:
-    """The settable tracing and grouping values (the module constants fix the
-    rest); the defaults suit strongly repelling landing points (nearly
-    parabolic ones need far more depth).  Frozen, so a config is validated
-    once and can be shared."""
+    """The settable tracing values (the module constants fix the rest); the
+    defaults suit strongly repelling landing points (nearly parabolic ones
+    need far more depth).  Frozen, so a config is validated once and can be
+    shared."""
 
     depth: int = 48
     substeps: int = 8
-    landing_tol: float = 1e-9
-    grouping_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("landing_tol", "grouping_tol"):
-            if not 0 < getattr(self, name) < math.inf:      # NaN fails too
-                raise ValueError(f"{name} must be finite and positive")
         if not all(_is_integer(n) and n >= 1 for n in (self.depth, self.substeps)):
             raise ValueError("depth and substeps must be >= 1 and integers")
+        for name in ("depth", "substeps"):     # a numpy integer's sums wrap round in _ray_budget
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass
@@ -240,7 +239,7 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     finite = np.isfinite(samples).all(axis=0)
     with np.errstate(invalid="ignore"):
         diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
-    ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= NEWTON_TOL)
+    ok = finite & (diam <= LANDING_TOL) & (step_res.max(axis=0) <= NEWTON_TOL)
     return _FamilyTraces(angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit)
 
 
@@ -393,7 +392,7 @@ def classify_landing(
     landed = [angles[i] for i in landed_idx.tolist()]
     unresolved = [a for a, ok in zip(angles, traces.ok.tolist()) if not ok]
     points = traces.samples[-1, landed_idx]
-    labels = _single_linkage(points, cfg.grouping_tol)
+    labels = _single_linkage(points, GROUPING_TOL)
 
     groups: dict[int, list[int]] = {}
     for i, label in enumerate(labels.tolist()):

@@ -202,6 +202,18 @@ class TestClassesVerb:
     def test_unreliable_exits_two(self, capsys):
         capture(capsys, ["classes", "--d", "2", "--c=0.25+0j", "--nu", "1"], expect=2)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+    def test_no_ray_landed_exits_two_in_every_format(self, capsys, fmt):
+        # at depth 1 no ray lands: json and csv exited 2, and svg exited 1
+        # with "error: nothing to draw"
+        argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "2", "--depth", "1",
+                "--format", fmt]
+        assert main(argv) == 2
+        if fmt == "svg":
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "non-convergence: no ray landed at nu = 2: nothing to draw\n"
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "classes.json"
         code = main(["classes", "--d", "2", "--c=-2+0j", "--nu", "2", "-o", str(target)])
@@ -419,22 +431,11 @@ class TestConfigSurface:
             main(["stars", "--d", "4", "--check", "{E1}", "--format", "svg"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["classes", "--c=-2+0j", "--grouping-tol", "0"],
-        ["rays", "--c=-2+0j", "--angles", "1/3", "--landing-tol", "0"],
-    ], ids=["classes-grouping_tol", "rays-landing_tol"])
-    def test_nonpositive_tolerance_rejected(self, capsys, argv):
-        assert main(argv) == 1
-        assert "positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("verb, dest, default", [
         ("rays", "substeps", RayConfig().substeps),
-        ("rays", "landing_tol", RayConfig().landing_tol),
-        ("classes", "grouping_tol", RayConfig().grouping_tol),
         ("rays", "depth", RayConfig().depth),
         ("classes", "depth", RayConfig().depth),
-    ], ids=["rays-substeps", "rays-landing_tol", "classes-grouping_tol",
-            "rays-depth", "classes-depth"])
+    ], ids=["rays-substeps", "rays-depth", "classes-depth"])
     def test_default_is_the_library_default(self, verb, dest, default):
         assert getattr(build_parser().parse_args([verb]), dest) == default
 
@@ -464,10 +465,14 @@ class TestConfigSurface:
         ["itinerary", "--dps", "50"],
         ["itinerary", "--itinerary-tol", "50"],
         ["ncp", "--cap", "13"],
+        pytest.param(["rays", "--landing-tol", "1e-9"], id="rays--landing-tol"),
+        pytest.param(["classes", "--landing-tol", "1e-9"], id="classes--landing-tol"),
+        pytest.param(["classes", "--grouping-tol", "1e-9"], id="classes--grouping-tol"),
     ], ids=lambda argv: argv[1])
     def test_removed_itinerary_flags_rejected(self, argv):
-        # the engine's precision and certified residual, and the largest n
-        # the partitions are enumerated for, are module constants
+        # the engine's precision and certified residual, the largest n the
+        # partitions are enumerated for, and the rays' landing and grouping
+        # radii are module constants
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -522,19 +527,11 @@ class TestConfigSurface:
         assert re.fullmatch(r"error: c must be finite, got \((nan|inf)\+0j\)\n", err)
 
     @pytest.mark.parametrize("argv", [
-        ["classes", "--d", "2", "--c=-2", "--nu", "3", "--grouping-tol", "nan"],
-        ["classes", "--d", "2", "--c=-2", "--nu", "3", "--grouping-tol", "inf"],
-        ["classes", "--d", "2", "--c=0.3+0.5j", "--nu", "4", "--landing-tol", "inf"],
-        ["rays", "--c=-2", "--angles", "1/3", "--landing-tol", "nan"],
         ["itinerary", "--radius", "nan"],
         ["itinerary", "--radius", "inf"],
-    ], ids=["classes-grouping-nan", "classes-grouping-inf", "classes-landing-inf",
-            "rays-landing-nan", "itinerary-radius-nan", "itinerary-radius-inf"])
+    ], ids=["itinerary-radius-nan", "itinerary-radius-inf"])
     def test_non_finite_tolerance_exits_one(self, capsys, argv):
-        # these exited 0 with wrong counts and no flag: a NaN grouping radius
-        # gave 7 classes of z^2 - 2 at nu = 3, where there are 4, an infinite
-        # one gave 1, and an infinite landing_tol counted unlanded rays; a
-        # non-finite disk radius printed "NaN" or "Infinity", which is not JSON
+        # a non-finite disk radius printed "NaN" or "Infinity", which is not JSON
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -601,3 +601,24 @@ class TestCountPeriodic:
         pts = [complex(p) for p in res.points]
         for i, j in itertools.combinations(range(len(pts)), 2):
             assert abs(pts[i] - pts[j]) > 1e-8
+
+
+class TestOpenDefects:
+    """Known wrong answers, each asserting the right one: the change that
+    mends a defect turns its strict xfail into a failure to flip."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 8")
+    def test_long_word_converges(self):
+        # Newton on f^k(z) = z settles on a period-28 point that leaves the
+        # word's orbit at step 26
+        assert itinerary_point(M6, (1, 2) * 14, radius=4).converged
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason="ROADMAP item 8")
+    def test_large_c_counts_every_point(self):
+        # the polish's absolute stop rule never fires at |z| near 1e18
+        assert count_periodic(UnicriticalMap(2, 0.25e36j), 2, radius=1e18).count == 4
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason="ROADMAP item 16")
+    def test_real_c_cubic_counts_every_point(self):
+        # the cut arg(z - c) = 0 crosses the disk: word (3, 3, 3) finds no point
+        assert count_periodic(UnicriticalMap(3, -8), 3, radius=3).count == 27

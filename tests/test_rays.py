@@ -146,7 +146,7 @@ def reference_trace_family(m, angles, config, min_abs_out=None, picks_out=None):
     finite = np.isfinite(samples).all(axis=0)
     with np.errstate(invalid="ignore"):
         diam = np.where(finite, rays._diameters(samples[depth + 1 - tail:].T), math.inf)
-    ok = finite & (diam <= config.landing_tol) & (step_res.max(axis=0) <= rays.NEWTON_TOL)
+    ok = finite & (diam <= rays.LANDING_TOL) & (step_res.max(axis=0) <= rays.NEWTON_TOL)
     landings = samples[depth].tolist()
     return {
         a: rays.RayTrace(
@@ -314,16 +314,23 @@ class TestTraceRay:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RayConfig(landing_tol=0.0)
-        with pytest.raises(ValueError):
             RayConfig(depth=0)
         # a float depth or substeps was accepted, and tracing then failed
-        # inside numpy with a TypeError; numpy integers stay accepted
+        # inside numpy with a TypeError; numpy integers stay accepted, and
+        # are kept as ints
         for field in ("depth", "substeps"):
             for value in (2.5, 2.0):
                 with pytest.raises(ValueError, match="integers"):
                     RayConfig(**{field: value})
-            assert getattr(RayConfig(**{field: np.int64(3)}), field) == 3
+            value = getattr(RayConfig(**{field: np.int64(3)}), field)
+            assert value == 3 and type(value) is int
+
+    def test_numpy_config_meets_the_size_guard(self):
+        # depth + 1 + 2 * substeps wrapped round to 100 in int64, so the size
+        # guard passed and numpy failed with "array is too big"
+        config = RayConfig(depth=np.int64(2**63 - 1), substeps=np.int64(2**62 + 50))
+        with pytest.raises(ValueError, match="ray samples"):
+            trace_ray(CHEB, "1/3", config=config)
 
     def test_config_is_frozen(self):
         # an assignment after construction would skip the checks above
@@ -332,13 +339,6 @@ class TestTraceRay:
             config.depth = 0
         assert config.depth == 48
 
-    @pytest.mark.parametrize("field", ["landing_tol", "grouping_tol"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_tolerance_rejected(self, field, value):
-        # a NaN or infinite radius was accepted and gave wrong class counts
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            RayConfig(**{field: value})
-
     @pytest.mark.parametrize("field", ["depth", "substeps"])
     def test_bool_depth_or_substeps_rejected(self, field):
         with pytest.raises(ValueError, match="integers"):
@@ -346,7 +346,7 @@ class TestTraceRay:
 
     def test_config_fields_are_the_settable_values(self):
         names = [f.name for f in dataclasses.fields(RayConfig)]
-        assert names == ["depth", "substeps", "landing_tol", "grouping_tol"]
+        assert names == ["depth", "substeps"]
 
     @pytest.mark.parametrize("fn", [trace_rays, trace_ray, classify_landing])
     def test_depth_is_set_only_through_config(self, fn):
@@ -784,10 +784,11 @@ class TestClassifyLanding:
         assert not cls.unresolved and not cls.unreliable
 
     @pytest.mark.parametrize("nu,tol,count", [(8, 1e-3, 127), (13, 1e-6, 4095)])
-    def test_false_merge_flagged_unreliable(self, nu, tol, count):
+    def test_false_merge_flagged_unreliable(self, monkeypatch, nu, tol, count):
         # the merged class {0, 1/N, (N-1)/N} maps onto angles whose landing
         # points lie farther apart than tol, so its image is two classes
-        cls = classify_landing(CHEB, nu, config=RayConfig(grouping_tol=tol))
+        monkeypatch.setattr(rays, "GROUPING_TOL", tol)
+        cls = classify_landing(CHEB, nu)
         assert cls.class_count == count
         assert [Angle(0), Angle(1, 2**nu - 1), Angle(2**nu - 2, 2**nu - 1)] in cls.classes
         assert not cls.unresolved
@@ -1018,3 +1019,26 @@ class TestPeriodicAngleFamilies:
         for nu in (2, 3, 4):
             fam = set(periodic_angles(2, nu))
             assert {multiply(a, 2) for a in fam} == fam
+
+
+class TestOpenDefects:
+    """Known wrong answers, each asserting the right one: the change that
+    mends a defect turns its strict xfail into a failure to flip."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("c, count", [
+        (-0.12256116687665362 + 0.7448617666197442j, 4093),
+        (-1, 4094),
+        (-1.7548776662466927, 3933),
+    ], ids=["rabbit", "basilica", "airplane"])
+    def test_every_ray_lands_at_nu_12(self, c, count):
+        # the last sample of a depth-48 pullback leaves 242, 202 and 78 rays
+        # unresolved, and 3853, 3893 and 3868 classes
+        cls = classify_landing(UnicriticalMap(2, c), 12)
+        assert (cls.class_count, len(cls.unresolved)) == (count, 0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_every_ray_lands_at_d_100(self):
+        # Newton at level 1 leaves residuals above NEWTON_TOL: 0 classes, 99 unresolved
+        cls = classify_landing(UnicriticalMap(100, 0.3 + 0.5j), 1)
+        assert cls.class_count == 99
