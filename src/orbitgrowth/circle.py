@@ -35,7 +35,18 @@ class Angle(Fraction):
             # (n % den) / den is n/den mod 1 for either sign of den: one normalisation
             return super().__new__(cls, numerator % denominator, denominator)
         value = Fraction(numerator) if denominator is None else Fraction(numerator, denominator)
-        return super().__new__(cls, value.numerator % value.denominator, value.denominator)
+        # Fraction keeps a numpy integer as it is, and its products wrap round
+        p, q = int(value.numerator), int(value.denominator)
+        return super().__new__(cls, p % q, q)
+
+    @classmethod
+    def _reduced(cls, numerator: int, denominator: int) -> Angle:
+        """The angle numerator/denominator, trusted to be ints already in
+        lowest terms with 0 <= numerator < denominator: Fraction's slots are
+        set directly, with no gcd, no sign fix and no mod 1."""
+        self = object.__new__(cls)
+        self._numerator, self._denominator = numerator, denominator
+        return self
 
     def __repr__(self) -> str:
         return f"Angle({self.numerator}/{self.denominator})"
@@ -61,14 +72,24 @@ def multiply(theta: Angle, d: int) -> Angle:
     >>> multiply(Angle(1, 7), 2)
     Angle(2/7)
     """
-    d = _require_degree(d)
-    t = theta if isinstance(theta, Fraction) else Fraction(theta)
-    return Angle(d * t.numerator, t.denominator)
+    if type(d) is not int or -2 < d < 2:
+        d = _require_degree(d)
+    if type(theta) is not Angle:
+        theta = Angle(theta)
+    # an Angle's numerator and denominator are reduced ints: one gcd
+    q = theta._denominator
+    p = d * theta._numerator % q
+    g = gcd(p, q)
+    return Angle._reduced(p // g, q // g)
 
 
 def circle_dist(a: Angle, b: Angle) -> Fraction:
-    """Exact arc-length distance on a circle of total length 1, in [0, 1/2]."""
-    diff = abs(Fraction(a) - Fraction(b))
+    """Exact arc-length distance on a circle of total length 1, in [0, 1/2].
+
+    >>> circle_dist(Fraction(0), Fraction(5, 2))
+    Fraction(1, 2)
+    """
+    diff = (Fraction(a) - Fraction(b)) % 1
     return min(diff, 1 - diff)
 
 
@@ -82,7 +103,8 @@ def periodic_angles(d: int, nu: int) -> list[Angle]:
     if not _is_integer(nu) or nu < 1:
         raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
     n = abs(d ** int(nu) - 1)
-    return [Angle(k, n) for k in range(n)]
+    reduced = Angle._reduced
+    return [reduced(k // g, n // g) for k in range(n) for g in (gcd(k, n),)]
 
 
 def exact_period(theta: Angle, d: int) -> int | None:
@@ -147,11 +169,16 @@ def in_one_gap(anchor: Sequence[int], other: Sequence[int], modulus: int) -> boo
 def orbit(theta: Angle, d: int, limit: int | None = None) -> list[Angle]:
     """Forward orbit of theta under multiplication by d, up to first repeat.
 
-    Finite for every rational angle; the returned list starts at theta and
-    contains each visited angle once.  With a limit, an orbit of more than
-    limit angles raises ValueError instead of being built.
+    Finite for every rational angle; the returned list starts at theta,
+    taken mod 1 (anything Angle accepts will do), and contains each visited
+    angle once.  With a limit, an orbit of more than limit angles raises
+    ValueError instead of being built.
+
+    >>> orbit(Fraction(4, 3), 2)
+    [Angle(1/3), Angle(2/3)]
     """
     d = _require_degree(d)
+    theta = Angle(theta)
     # follow numerators over the fixed denominator q: p/q -> (d*p mod q)/q,
     # so no Angle is built for an orbit the limit rejects
     p, q = theta.numerator, theta.denominator

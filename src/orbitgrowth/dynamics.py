@@ -114,7 +114,14 @@ def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(x) for x in range(n)], dtype=np.intp)
+    # a root is the least index of its tree and every parent lies below its
+    # child, so jumping each pointer to its parent's parent reaches the roots
+    labels = np.array(parent, dtype=np.intp)
+    while True:
+        jumped = labels[labels]
+        if (jumped == labels).all():
+            return labels
+        labels = jumped
 
 
 def escape_radius(m: UnicriticalMap) -> float:

@@ -14,6 +14,7 @@ class; classes are recovered by tolerance grouping of the landed endpoints.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Mapping
@@ -112,10 +113,11 @@ def chebyshev_oracle(theta: Angle | Fraction) -> float:
 def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> _FamilyTraces:
     """Trace all rays of a sorted, multiplication-closed family of angles at once."""
     d, c = m.d, complex(m.c)
-    # angle k/lcm is found by bisecting the sorted ticks k, with no Fraction hashed
-    lcm = math.lcm(*(a.denominator for a in angles))
+    # angle k/lcm is found by bisecting the sorted ticks k, with no Fraction
+    # hashed; an Angle's numerator and denominator are read from its slots
+    lcm = math.lcm(*{a._denominator for a in angles})
     dtype = np.int64 if lcm <= 2**53 else object    # so k / lcm rounds as float(a) does
-    ticks, images = (np.array([a.numerator * (lcm // a.denominator) for a in family], dtype)
+    ticks, images = (np.array([a._numerator * (lcm // a._denominator) for a in family], dtype)
                      for family in (angles, [multiply(a, d) for a in angles]))
     perm = np.searchsorted(ticks, images)
     if (np.append(ticks, -1)[perm] != images).any():
@@ -389,21 +391,23 @@ def classify_landing(
     angles = periodic_angles(m.d, nu)
     traces = _trace_family(m, angles, cfg)
     landed_idx = np.flatnonzero(traces.ok)
-    landed = [angles[i] for i in landed_idx.tolist()]
-    unresolved = [a for a, ok in zip(angles, traces.ok.tolist()) if not ok]
+    unresolved = [angles[i] for i in np.flatnonzero(~traces.ok).tolist()]
     points = traces.samples[-1, landed_idx]
     labels = _single_linkage(points, GROUPING_TOL)
 
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(i)
-    # labels are least member indices and `landed` is sorted, so each class
-    # comes out sorted and the classes come out in order of their least angle
-    classes = [[landed[i] for i in members] for members in groups.values()]
-    representatives = points[[members[0] for members in groups.values()]].tolist()
+    # labels are least member indices and the angles are sorted, so a stable
+    # sort of the labels lists each class sorted, and the classes in order of
+    # their least angle; a class starts where the label changes, at its least
+    # member, whose point is its representative
+    order = np.argsort(labels, kind="stable")
+    bounds = np.append(np.flatnonzero(np.diff(labels[order], prepend=-1)), len(order))
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    members = [angles[i] for i in landed_idx[order].tolist()]
+    classes = [members[a:b] for a, b in itertools.pairwise(bounds.tolist())]
+    representatives = points[order[starts]].tolist()
     max_diam = 0.0
-    for size in {len(members) for members in groups.values()} - {1}:
-        rows = points[[members for members in groups.values() if len(members) == size]]
+    for size in set(sizes[sizes > 1].tolist()):    # np.unique would import numpy.ma
+        rows = points[order[starts[sizes == size][:, None] + np.arange(size)]]
         max_diam = max(max_diam, float(_diameters(rows).max()))
 
     # A false merge breaks forward invariance: theta -> d*theta must send each

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,14 @@ class TestNumpyIntegerDegree:
         angles = periodic_angles(np.int64(3), np.int64(2))
         assert angles == periodic_angles(3, 2)
         assert {type(a.denominator) for a in angles} == {int}
+
+    def test_numpy_integer_angle(self):
+        # Angle kept numpy integers in its numerator and denominator, so
+        # 4 * 2^62 wrapped round to 0 in multiply, and the orbit drifted
+        a = Angle(np.int64(2**62), np.int64(2**63 - 1))
+        assert type(a.numerator) is int and type(a.denominator) is int
+        assert multiply(a, 4) == Fraction(2**64, 2**63 - 1) % 1
+        assert orbit(a, 2)[:2] == [a, Angle(2**63, 2**63 - 1)]
 
     def test_rate_functions(self):
         assert interval_class_bound(np.int64(10), np.int64(30), 1) == 5 * 10**29
@@ -158,6 +167,59 @@ class TestMultiply:
         assert multiply(multiply(a, d), d) == Angle(d * d * Fraction(a))
 
 
+def assert_same_angle(got, expected):
+    """got and expected agree as objects: type, numerator and denominator
+    (both ints), hash, equality, repr and a pickle round trip."""
+    assert type(got) is type(expected) is Angle
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert hash(got) == hash(expected) and got == expected
+    assert repr(got) == repr(expected) and str(got) == str(expected)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is Angle and back == expected
+    assert (back.numerator, back.denominator) == (expected.numerator, expected.denominator)
+
+
+DEGREES = st.integers(min_value=-12, max_value=12).filter(lambda d: abs(d) >= 2)
+
+
+class TestTrustedConstructor:
+    """multiply and periodic_angles build their angles without Fraction's
+    normalisation; each must be the angle Fraction arithmetic gives."""
+
+    @given(st.integers(-2**70, 2**70), st.integers(1, 2**70), DEGREES)
+    @example(0, 1, 2)
+    @example(1, 2, 2)
+    @example(-1, 7, -12)
+    def test_multiply_matches_fraction(self, p, q, d):
+        theta = Angle(p, q)
+        assert_same_angle(multiply(theta, d), Angle(d * Fraction(p, q)))
+        assert multiply(theta, d) == d * Fraction(p, q) % 1
+
+    @given(st.fractions(), DEGREES)
+    @example(Fraction(9, 7), 2)
+    def test_other_inputs_are_read_as_angles(self, theta, d):
+        expected = Angle(d * theta)
+        for x in (theta, str(theta), Angle(theta)):
+            assert_same_angle(multiply(x, d), expected)
+        assert_same_angle(multiply(Angle(theta), np.int64(d)), expected)
+
+    @pytest.mark.parametrize("theta", [3, -4, np.int64(5), np.int8(-3)])
+    def test_integer_angles(self, theta):
+        assert_same_angle(multiply(theta, 3), Angle(0))
+        assert_same_angle(multiply(theta, np.int64(-2)), Angle(0))
+
+    @given(DEGREES, st.integers(min_value=1, max_value=12))
+    def test_periodic_angles_match_fraction(self, d, nu):
+        n = abs(d**nu - 1)
+        if n > 5000:
+            return
+        angles = periodic_angles(d, nu)
+        assert len(angles) == n
+        for k, a in enumerate(angles):
+            assert_same_angle(a, Angle(Fraction(k, n)))
+
+
 class TestCircleDist:
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -169,6 +231,16 @@ class TestCircleDist:
     )
     def test_examples(self, a, b, expected):
         assert circle_dist(Angle(*a), Angle(*b)) == expected
+
+    def test_inputs_outside_the_unit_interval(self):
+        # the difference was not taken mod 1: 0 and 5/2 were -3/2 apart
+        assert circle_dist(Fraction(0), Fraction(5, 2)) == Fraction(1, 2)
+        assert circle_dist(Fraction(-1, 3), Fraction(4, 3)) == Fraction(1, 3)
+        assert circle_dist(3, Fraction(-7, 4)) == Fraction(1, 4)
+
+    @given(st.fractions(), st.fractions())
+    def test_any_rationals_as_their_angles(self, a, b):
+        assert circle_dist(a, b) == circle_dist(Angle(a), Angle(b))
 
     @given(rational_angles(), rational_angles(), rational_angles())
     def test_metric(self, a, b, c):
@@ -271,6 +343,25 @@ class TestOrbit:
         assert orbit(Angle(1, 7), 2, limit=3) == [Angle(1, 7), Angle(2, 7), Angle(4, 7)]
         with pytest.raises(ValueError, match="more than 2 angles"):
             orbit(Angle(1, 7), 2, limit=2)
+
+    @pytest.mark.parametrize("theta,expected", [
+        (Fraction(4, 3), [(1, 3), (2, 3)]),
+        (Fraction(-1, 3), [(2, 3), (1, 3)]),
+        ("1/3", [(1, 3), (2, 3)]),
+        (Fraction(13, 2), [(1, 2), (0, 1)]),
+        (7, [(0, 1)]),
+    ])
+    def test_inputs_outside_the_unit_interval(self, theta, expected):
+        # 4/3 gave [1/3, 2/3, 1/3], -1/3 gave [2/3, 1/3, 2/3], and a string
+        # raised AttributeError
+        assert orbit(theta, 2) == [Angle(*x) for x in expected]
+
+    @given(st.fractions(max_denominator=200), st.integers(min_value=2, max_value=4))
+    def test_any_rational_as_its_angle(self, theta, d):
+        angles = orbit(theta, d)
+        assert angles == orbit(Angle(theta), d)
+        assert len(set(angles)) == len(angles)
+        assert all(type(a) is Angle for a in angles)
 
     @given(rational_angles(max_den=200), st.integers(min_value=2, max_value=4))
     def test_closed_under_multiplication(self, a, d):

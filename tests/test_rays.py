@@ -710,6 +710,27 @@ class TestBlockPullback:
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
+def _dict_classes(cls):
+    """classes, representatives and max_class_diameter as classify_landing
+    once assembled them: a dict of member lists keyed by label."""
+    traces = cls.traces
+    angles = list(traces)
+    landed_idx = np.flatnonzero(traces.ok)
+    landed = [angles[i] for i in landed_idx.tolist()]
+    points = traces.samples[-1, landed_idx]
+    labels = _single_linkage(points, rays.GROUPING_TOL)
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    classes = [[landed[i] for i in members] for members in groups.values()]
+    representatives = points[[members[0] for members in groups.values()]].tolist()
+    max_diam = 0.0
+    for size in {len(members) for members in groups.values()} - {1}:
+        rows = points[[members for members in groups.values() if len(members) == size]]
+        max_diam = max(max_diam, float(rays._diameters(rows).max()))
+    return classes, representatives, max_diam
+
+
 class TestClassifyLanding:
     def test_nu2_classes(self):
         cls = classify_landing(CHEB, 2)
@@ -774,6 +795,21 @@ class TestClassifyLanding:
     def test_intra_class_diameter_reported(self):
         cls = classify_landing(CHEB, 3)
         assert cls.max_class_diameter < 1e-9
+
+    @pytest.mark.parametrize("m,nu,singletons", [
+        (CHEB, 6, False),                           # pairs {t, 1 - t}, and 0 alone
+        (UnicriticalMap(2, 0.1j), 6, True),         # a quasicircle: one ray a point
+        (UnicriticalMap(100, 0.3 + 0.5j), 1, True),     # no ray lands
+    ], ids=["pairs", "singletons", "none-landed"])
+    def test_class_assembly_matches_dict_of_lists(self, m, nu, singletons):
+        cls = classify_landing(m, nu)
+        classes, representatives, max_diam = _dict_classes(cls)
+        assert cls.classes == classes
+        assert all(type(a) is Angle for c in cls.classes for a in c)
+        assert cls.representatives == representatives
+        assert repr(cls.max_class_diameter) == repr(max_diam)
+        assert all(len(c) == 1 for c in cls.classes) == singletons
+        assert sum(map(len, cls.classes)) + len(cls.unresolved) == m.d**nu - 1
 
     @pytest.mark.parametrize("nu", [13, 14])
     def test_distinct_landings_closer_than_old_radius_stay_apart(self, nu):
@@ -966,11 +1002,56 @@ def clustered_points(draw):
     return np.array([pts[i] for i in order], dtype=complex), tol
 
 
+def _union_find_linkage(points: np.ndarray, tol: float) -> list[int]:
+    """A plain union-find over all pairs, each point labelled with the least
+    index in its component."""
+    parent = list(range(len(points)))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            if abs(points[a] - points[b]) <= tol:
+                ra, rb = root(a), root(b)
+                parent[max(ra, rb)] = min(ra, rb)
+    return [root(x) for x in range(len(points))]
+
+
 class TestSingleLinkage:
     @given(clustered_points())
     def test_sweep_matches_all_pairs(self, case):
         points, tol = case
-        assert _single_linkage(points, tol).tolist() == _brute_force_linkage(points, tol).tolist()
+        labels = _single_linkage(points, tol).tolist()
+        assert labels == _brute_force_linkage(points, tol).tolist()
+        assert labels == _union_find_linkage(points, tol)
+
+    @pytest.mark.parametrize("points", [
+        [],
+        [1 + 1j],
+        [0.5, 0.5, 0.5, 3.0, 0.5],                  # exact duplicates
+        [4.5 - 1j, 0.5j, 4.5 - 1j, 0.5j, 4.5 - 1j],
+    ], ids=["empty", "one", "duplicates", "interleaved-duplicates"])
+    def test_edge_cases_match_union_find(self, points):
+        points = np.array(points, dtype=complex)
+        labels = _single_linkage(points, 1e-9)
+        assert labels.dtype == np.intp and labels.shape == (len(points),)
+        assert labels.tolist() == _union_find_linkage(points, 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chains_longer_than_the_radius(self, seed):
+        # shuffled chains whose links are just inside the radius, so that
+        # each component is many radii long and its labels take several jumps
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        chains = [complex(*rng.uniform(-2, 2, 2)) + tol * (1 - 1e-6) * np.arange(40) * direction
+                  for direction in (1, 1j, (1 + 1j) / abs(1 + 1j))]
+        points = rng.permutation(np.concatenate(chains))
+        labels = _single_linkage(points, tol)
+        assert labels.tolist() == _union_find_linkage(points, tol)
+        assert len(set(labels.tolist())) <= 3
 
     def test_chain_links_through_neighbours(self):
         points = np.array([0, 0.9, 1.8, 3.0, 3.0 + 0.5j], dtype=complex)
