@@ -88,12 +88,17 @@ def rate_estimate(d: int, samples) -> RateEstimate:
 
 
 def interval_class_bound(d: int, nu: int, eps) -> int:
-    """Guaranteed landing classes among period-nu angles in an arc of length eps.
+    """Closed-form count floor(eps * d^nu / 2) of landing classes among the
+    period-nu angles in an arc of length eps.
 
-    The arc holds floor(eps*d^nu) fixed angles of the nu-th iterate; no two
-    consecutive ones are equivalent and classes cannot cross, which forces at
-    least floor(n/2)+1 classes among n of them -- packaged here as the closed
-    form floor(eps * d^nu / 2).  A nu for which |d|^nu has more than
+    The arc holds floor(eps*d^nu) fixed angles of the nu-th iterate.  A
+    non-crossing partition of n consecutive angles with no adjacent pair in
+    one class has at least floor(n/2)+1 classes, which the closed form
+    packages.  Landing classes can hold an adjacent pair: z^2 - 2 lands
+    511/1023 and 512/1023 together.  So the closed form does not follow from
+    that premise; it held on every arc tried (eps = 1/2, 1/3, 1/4 and 1/8,
+    every start, five quadratic maps, nu <= 8), and z^2 - 2 attains it on
+    [1/4, 3/4] at nu = 10.  A nu for which |d|^nu has more than
     MAX_BOUND_DIGITS digits is refused before the power is computed.
     """
     d = _require_degree(d)

@@ -8,14 +8,26 @@ ray.  Near a repelling landing point the pullback contracts, so the terminal
 samples cluster at the landing point; the cluster diameter is the reported
 convergence residual.
 
+A ray's pullback reads only its image ray's, so a family of many rays and
+few levels (a wide family) is traced on every CPU the process may run on,
+where processes fork: it is split into parts of whole cycles of
+theta -> d*theta, each with the preperiodic angles that flow into it, and each
+part but one is pulled back in a forked child.  Every process writes its
+rays' rows into output arrays in one shared mapping, so the traces are bit
+for bit those of one process.
+
 Periodic angles whose rays land at the same boundary point form one landing
 class; classes are recovered by tolerance grouping of the landed endpoints.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
+import os
+import signal
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -31,12 +43,17 @@ TWO_PI = 2.0 * math.pi
 
 # Largest number of ray samples one call may hold: each ray traced keeps
 # depth + 1 samples and holds 2 * substeps more in the pullback's level
-# buffers.  A family keeps its samples as arrays, 24 bytes a sample (complex
-# point and float residual); with the level buffers, the branch picks and the
-# angles a sample costs about 37 bytes at peak and 28 retained (tracemalloc
-# of classify_landing(z^2 - 2): peak 36.5 and 36.8 bytes, retained 28.1 and
-# 28.3, at nu = 12 and 14), so the limit keeps a call near 700 MB; it admits
-# nu = 18 at the default depth 48 and 8 substeps.
+# buffers.  A family keeps its samples in output arrays, 24 bytes a sample
+# (complex point and float residual); a split trace holds them in one
+# mapping that its processes share, and each process adds the working
+# buffers (level buffers and branch picks) of the rays it traces.  With the
+# angles and the grouping, a sample costs about 36 bytes at peak and 28
+# retained in one process (tracemalloc of classify_landing(z^2 - 2): peak
+# 35.6 and 35.7 bytes, retained 28.1 and 28.3, at nu = 12 and 14); split in
+# two, the parent peaks at 24 plus 9.3 and 8.0 (tracemalloc does not see
+# the mapping), and its child holds its part's working buffers.  So the
+# limit keeps a call near 700 MB; it admits nu = 18 at the default depth 48
+# and 8 substeps.
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
@@ -126,6 +143,7 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     n, s, depth = len(angles), config.substeps, config.depth
     logR = math.log(escape_radius(m))
     phase = np.exp(2j * math.pi * (ticks / lcm).astype(float))   # float(a), bit for bit
+    radii = np.fromiter((math.exp(logR * d ** ((s - i) / s)) for i in range(1, s + 1)), float, s)
 
     # Sublevel j pulls back sublevel j - s, one level up the ray, along the
     # branch nearest sublevel j - 1.  So a level needs only the level above,
@@ -157,83 +175,127 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # failing residual are kept; that level is chained from its kept roots,
     # and chunks of 1, 2, 4, ... levels follow it, so the levels pulled back
     # and not kept are at most those kept.  A wide family, bound < 2, chains
-    # every level.  The level above level 1 is sublevels 1 - s..0, at
-    # potentials R^(d^((s-i)/s)) for i = 1..s, on or above the escape circle,
-    # where the ray is (to first order) the straight angular ray.
-    b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
-    bound = min(BLOCK_SAMPLES, 8 * BLOCK_SAMPLES // d) // max(s * n, 1)
-    ring = np.empty((bound + 2, s, n), dtype=complex)   # the level above at row 0 or 1, a chunk
-    heads = np.empty((bound, s, n), dtype=complex)     # principal roots
-    picks = np.empty((s, n), dtype=np.int32)    # the last chained level's
-    radii = np.fromiter((math.exp(logR * d ** ((s - i) / s)) for i in range(1, s + 1)), float, s)
-    np.multiply(radii[:, None], phase, out=ring[0])
-    samples = np.empty((depth + 1, n), dtype=complex)
-    samples[0] = ring[0, -1]
-    step_res = np.zeros((depth + 1, n))
-    min_abs = np.full(n, math.inf)
+    # every level, and reads a chained level's picks only within a block.
+    # The level above level 1 is sublevels 1 - s..0, at potentials
+    # R^(d^((s-i)/s)) for i = 1..s, on or above the escape circle, where the
+    # ray is (to first order) the straight angular ray.
+    #
+    # A ray's pullback reads only its image ray's, and every operation acts
+    # on each ray's column alone, so any set of rays closed under perm traces
+    # to the same bits on its own.  A wide family is split by _parts into
+    # unions of whole cycles with their trees, one part a CPU, each part
+    # still wide, and each part but the first is traced in a forked child
+    # (_run_parts).  Every process writes its rays' columns of one
+    # shared mapping that holds samples, step_res and min_abs.  A narrow
+    # family is not split: its trace is deep and costs per level, in numpy
+    # calls on few samples, which splitting its columns would not shorten.
+    def chunk_bound(rays):
+        return min(BLOCK_SAMPLES, 8 * BLOCK_SAMPLES // d) // max(s * rays, 1)
 
-    def chain(level, prev, cur, p=None):
-        """Pull level back from prev into cur, polished, and record its
-        picks; p, if given, holds the level's principal roots."""
-        seeds, k = prev[-1], 0          # sublevel j - 1 for the level's first row
-        while k < s:
-            w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
-            z = cur[k:k + b]
-            q = principal_root(w - c, d) if p is None else p[k:k + b]
-            for i in range(len(w)):
-                picks[k + i] = nearest_branch(q[i], seeds, d, out=z[i])
-                seeds = z[i]
-            for step in range(MAX_NEWTON + 1):
+    def wide(rays):
+        return chunk_bound(rays) < 2
+
+    # one part a CPU, where processes fork
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = _parts(perm, cpus, wide) if cpus > 1 and hasattr(os, "fork") and wide(n) else []
+    rows = (depth + 1) * n
+    if len(parts) > 1:
+        # imported here, as its extension module adds 0.1 MB of peak RSS
+        # to every process, most of which never split a trace
+        import mmap
+        output = mmap.mmap(-1, 24 * rows + 8 * n)   # zero-filled, shared with forked children
+    else:
+        output = np.zeros(24 * rows + 8 * n, dtype=np.uint8)
+    samples = np.frombuffer(output, complex, rows).reshape(depth + 1, n)
+    step_res = np.frombuffer(output, float, rows, 16 * rows).reshape(depth + 1, n)
+    min_abs = np.frombuffer(output, float, n, 24 * rows)
+
+    def pull_back(cols, perm, phase):
+        """Trace the rays cols, closed under perm (which maps local indices),
+        into their columns of samples, step_res and min_abs."""
+        n = len(phase)
+        b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
+        bound = chunk_bound(n)
+        ring = np.empty((bound + 2, s, n), dtype=complex)   # the level above at row 0 or 1, a chunk
+        heads = np.empty((bound, s, n), dtype=complex)     # principal roots
+        picks = np.empty((s if bound > 1 else b, n), dtype=np.int32)    # the last chained level's
+        np.multiply(radii[:, None], phase, out=ring[0])
+        samples[0, cols] = ring[0, -1]
+        least = np.full(n, math.inf)
+
+        def chain(level, prev, cur, p=None):
+            """Pull level back from prev into cur, polished, and record its
+            picks; p, if given, holds the level's principal roots."""
+            seeds, k, res = prev[-1], 0, np.zeros(n)    # sublevel j - 1 for the level's first row
+            while k < s:
+                w = prev[k:k + b, perm]     # sublevels j - s, one level up the ray
+                z = cur[k:k + b]
+                q = principal_root(w - c, d) if p is None else p[k:k + b]
+                block = picks[k:] if bound > 1 else picks
+                for i in range(len(w)):
+                    block[i] = nearest_branch(q[i], seeds, d, out=z[i])
+                    seeds = z[i]
+                for step in range(MAX_NEWTON + 1):
+                    fz = z**d
+                    abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
+                    bad = abs_fz > NEWTON_TOL
+                    if step == MAX_NEWTON or not bad.any():
+                        break
+                    dfz = d * z ** (d - 1)
+                    safe = np.where(dfz != 0, dfz, 1.0)
+                    z -= np.where(bad & (dfz != 0), fz / safe, 0.0)
+                taken = len(w)
+                if step and taken > 1:
+                    # the picks were seeded with unpolished rows: from the first
+                    # pick a polished seed changes, the rows are pulled back again
+                    again = (nearest_branch(q[1:], z[:-1], d) != block[1:taken]).any(1)
+                    taken = 1 + int(again.argmax()) if again.any() else taken
+                np.maximum(res, abs_fz[:taken].max(axis=0), out=res)
+                # fmin skips NaN, as the comparison with DERIV_TOL does
+                np.fmin(least, np.fmin.reduce(np.abs(z[:taken]), axis=0), out=least)
+                seeds = z[taken - 1]
+                k += taken
+            step_res[level, cols] = res
+
+        # size 0: chain the level, from kept if given; ring[top] is the level above
+        level, size, kept, top = 1, 0, None, 0
+        while level <= depth:
+            if not size:
+                # rows 0 and 1 take turns, so a wide family copies no level
+                chain(level, ring[top], ring[1 - top], kept)
+                ok, size, top = 1, int(bound > 1), 1 - top
+                samples[level, cols] = ring[top, -1]
+            else:
+                chunk = min(size, depth + 1 - level)
+                r = ring[top:top + chunk + 1]       # the level above, then the chunk's
+                branch = _roots_of_unity(d)[picks]
+                for i in range(chunk):
+                    heads[i] = principal_root(r[i][:, perm] - c, d)
+                    np.multiply(heads[i], branch, out=r[i + 1])
+                # the sublevels in order, each seeding the next
+                seeds = r.reshape((chunk + 1) * s, n)[s - 1:-1].reshape(chunk, s, n)
+                wrong = (nearest_branch(heads[:chunk], seeds, d) != picks).any(axis=(1, 2))
+                z = r[1:]
                 fz = z**d
-                abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), w, out=fz))   # z^d + c - w
-                bad = abs_fz > NEWTON_TOL
-                if step == MAX_NEWTON or not bad.any():
-                    break
-                dfz = d * z ** (d - 1)
-                safe = np.where(dfz != 0, dfz, 1.0)
-                z -= np.where(bad & (dfz != 0), fz / safe, 0.0)
-            taken = len(w)
-            if step and taken > 1:
-                # the picks were seeded with unpolished rows: from the first
-                # pick a polished seed changes, the rows are pulled back again
-                again = (nearest_branch(q[1:], z[:-1], d) != picks[k + 1:k + taken]).any(1)
-                taken = 1 + int(again.argmax()) if again.any() else taken
-            np.maximum(step_res[level], abs_fz[:taken].max(axis=0), out=step_res[level])
-            # fmin skips NaN, as the comparison with DERIV_TOL does
-            np.fmin(min_abs, np.fmin.reduce(np.abs(z[:taken]), axis=0), out=min_abs)
-            seeds = z[taken - 1]
-            k += taken
+                abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), r[:-1][:, :, perm], out=fz))
+                fail = wrong | (abs_fz > NEWTON_TOL).any(axis=(1, 2))
+                ok = int(fail.argmax()) if fail.any() else chunk    # the levels kept
+                step_res[level:level + ok, cols] = abs_fz[:ok].max(axis=1)
+                np.fmin(least, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1), initial=math.inf),
+                        out=least)
+                samples[level:level + ok, cols] = z[:ok, -1]
+                size, kept = (0, heads[ok]) if ok < chunk else (min(2 * size, bound), None)
+                ring[0], top = ring[top + ok], 0    # the last level kept
+            level += ok
+        min_abs[cols] = least
 
-    # size 0: chain the level, from kept if given; ring[top] is the level above
-    level, size, kept, top = 1, 0, None, 0
-    while level <= depth:
-        if not size:
-            # rows 0 and 1 take turns, so a wide family copies no level
-            chain(level, ring[top], ring[1 - top], kept)
-            ok, size, top = 1, int(bound > 1), 1 - top
-            samples[level] = ring[top, -1]
-        else:
-            chunk = min(size, depth + 1 - level)
-            r = ring[top:top + chunk + 1]       # the level above, then the chunk's
-            branch = _roots_of_unity(d)[picks]
-            for i in range(chunk):
-                heads[i] = principal_root(r[i][:, perm] - c, d)
-                np.multiply(heads[i], branch, out=r[i + 1])
-            # the sublevels in order, each seeding the next
-            seeds = r.reshape((chunk + 1) * s, n)[s - 1:-1].reshape(chunk, s, n)
-            wrong = (nearest_branch(heads[:chunk], seeds, d) != picks).any(axis=(1, 2))
-            z = r[1:]
-            fz = z**d
-            abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), r[:-1][:, :, perm], out=fz))
-            fail = wrong | (abs_fz > NEWTON_TOL).any(axis=(1, 2))
-            ok = int(fail.argmax()) if fail.any() else chunk    # the levels kept
-            step_res[level:level + ok] = abs_fz[:ok].max(axis=1)
-            np.fmin(min_abs, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1), initial=math.inf),
-                    out=min_abs)
-            samples[level:level + ok] = z[:ok, -1]
-            size, kept = (0, heads[ok]) if ok < chunk else (min(2 * size, bound), None)
-            ring[0], top = ring[top + ok], 0    # the last level kept
-        level += ok
+    if len(parts) < 2:
+        pull_back(slice(None), perm, phase)
+    else:
+        local = np.empty(n, dtype=np.intp)      # each ray's index in its part
+        for cols in parts:
+            local[cols] = np.arange(len(cols))
+        _run_parts(lambda cols: pull_back(cols, local[perm[cols]], phase[cols]), parts)
 
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
@@ -243,6 +305,85 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
         diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
     ok = finite & (diam <= LANDING_TOL) & (step_res.max(axis=0) <= NEWTON_TOL)
     return _FamilyTraces(angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit)
+
+
+def _parts(perm: np.ndarray, count: int, wide) -> list[np.ndarray]:
+    """Split the indices of perm into at most count parts, each a union of
+    whole components of the graph i -> perm[i] (a cycle and the trees that
+    flow into it), so each part is closed under perm.  The components go
+    largest first to the part with the fewest indices, so the parts' sizes
+    differ by at most one component.  Fewer parts are made where there are
+    fewer components, or where a part's size fails wide; one part is
+    np.arange(len(perm)).  Each part lists its indices in order."""
+    n = len(perm)
+    # pointer doubling: after k rounds jump[i] is perm^(2^k)(i) and least[i]
+    # the least of i, perm(i), ..., perm^(2^k - 1)(i); once 2^k > n, jump[i]
+    # lies on i's cycle and least[jump[i]] is the least index round it
+    jump, least = perm, np.arange(n)
+    for _ in range(n.bit_length()):
+        least, jump = np.minimum(least, least[jump]), jump[jump]
+    label = least[jump]
+    sizes = np.bincount(label, minlength=n)
+    comps = np.flatnonzero(sizes)
+    comps = comps[np.argsort(-sizes[comps], kind="stable")].tolist()
+    for count in range(min(count, len(comps)), 1, -1):
+        loads, part_of = [0] * count, np.empty(n, dtype=np.intp)
+        for comp in comps:
+            k = loads.index(min(loads))
+            part_of[comp] = k
+            loads[k] += int(sizes[comp])
+        if all(map(wide, loads)):
+            part_of = part_of[label]
+            return [np.flatnonzero(part_of == k) for k in range(count)]
+    return [np.arange(n)]
+
+
+def _run_parts(trace, parts: list[np.ndarray]) -> None:
+    """trace(part) for each part: the first here, each other in a forked
+    child, whose writes the caller shares through a shared mapping.  A part
+    whose fork fails, or whose child exits nonzero or dies, is traced here
+    instead, so the result never depends on a child.
+
+    The child runs only trace, with the cyclic garbage collector off, and
+    leaves by os._exit, so it runs no atexit handler or finalizer and
+    flushes no stdio buffer it inherited.  It is safe although the parent
+    may hold threads (Python 3.12 warns "This process is multi-threaded, use
+    of fork() may lead to deadlocks in the child"): the pullback calls only
+    numpy ufuncs and indexing, no BLAS, and takes no lock.  Every child is
+    reaped before this returns; on an exception here, such as
+    KeyboardInterrupt, the children left are killed first."""
+    children, mine = {}, [parts[0]]
+    try:
+        for part in parts[1:]:
+            try:
+                pid = os.fork()
+            except OSError:
+                mine.append(part)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    gc.disable()    # so no finalizer of the parent's garbage runs here
+                    trace(part)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = part
+        for part in mine:
+            trace(part)
+        for pid in list(children):
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:       # reaped elsewhere, as under SIGCHLD ignored
+                status = 1
+            part = children.pop(pid)
+            if status:
+                trace(part)
+    finally:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 class _FamilyTraces(Mapping):

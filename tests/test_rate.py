@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitgrowth import interval_class_bound, rate_estimate
+from orbitgrowth import (Angle, UnicriticalMap, classify_landing, interval_class_bound,
+                         periodic_angles, rate_estimate)
 
 
 class TestRateEstimate:
@@ -133,3 +134,19 @@ class TestIntervalClassBound:
 
     def test_exact_rational_arithmetic(self):
         assert interval_class_bound(2, 64, Fraction(1, 3)) == (2**64) // 6
+
+    def test_adjacent_angles_land_together(self):
+        # the premise "no two consecutive period-nu angles land together" is
+        # false: on z^2 - 2 the rays at 511/1023 and 512/1023, adjacent among
+        # the period-10 angles, both land at 2 cos(2 pi 511/1023).  On the arc
+        # [1/4, 3/4] its 512 angles fall into 256 classes, theta with
+        # 1 - theta: the closed form, one below floor(512/2) + 1
+        angles = periodic_angles(2, 10)
+        pair = [Angle(511, 1023), Angle(512, 1023)]
+        assert angles.index(pair[1]) == angles.index(pair[0]) + 1
+        cls = classify_landing(UnicriticalMap(2, -2), 10)
+        assert pair in cls.classes
+        arc = {a for a in angles if Fraction(1, 4) <= a <= Fraction(3, 4)}
+        classes = {i for i, members in enumerate(cls.classes) for a in members if a in arc}
+        assert (len(arc), len(classes)) == (512, 256)
+        assert len(classes) == interval_class_bound(2, 10, Fraction(1, 2)) < len(arc) // 2 + 1

@@ -4,7 +4,9 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import random
+import signal
 import time
 import tracemalloc
 from collections import deque
@@ -34,6 +36,19 @@ from test_dynamics import reference_branch_roots
 
 CHEB = UnicriticalMap(2, -2 + 0j)
 CUBIC = UnicriticalMap(3, 0.3 + 0.5j)
+RABBIT = UnicriticalMap(2, -0.12256116687665362 + 0.7448617666197442j)
+
+
+def visible_cpus(monkeypatch, count):
+    """Show the trace count CPUs: a wide family is split into as many parts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One CPU visible, so a wide family is traced in this process: spies on
+    principal_root and nearest_branch count every call."""
+    visible_cpus(monkeypatch, 1)
 
 
 def trace_fields(t):
@@ -463,9 +478,11 @@ class TestTraceRays:
             trace_rays(CHEB, thetas, config=RayConfig(depth=depth + 1))
 
 
+@pytest.mark.usefixtures("one_cpu")
 class TestBlockPullback:
     """The pullback in blocks of sublevels matches the one-sublevel steps of
-    reference_trace_family in every field, bit for bit."""
+    reference_trace_family in every field, bit for bit.  One CPU is visible,
+    so the call counts are those of the whole trace."""
 
     @pytest.mark.parametrize("d", sorted(BLOCK_MAPS))
     @pytest.mark.parametrize("substeps", [1, 3, 4, 8])
@@ -708,6 +725,181 @@ class TestBlockPullback:
         traced = rays._trace_family(m, angles, config)
         assert expected[angles[r]].hit_critical_pullback
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
+
+
+def family_bits(traces):
+    """Every trace_bits field of each ray of a traced family, and the
+    family's ok, diam, critical_hit and perm arrays as bytes."""
+    return ([trace_bits(traces[a]) for a in traces],
+            [np.asarray(x).tobytes() for x in (traces.ok, traces.diam, traces.critical_hit,
+                                               traces.perm)])
+
+
+def reference_components(perm):
+    """Each index's component of i -> perm[i], by walking: the least index
+    of the cycle it flows into."""
+    labels = []
+    for i in range(len(perm)):
+        path, seen, j = [], set(), i
+        while j not in seen:
+            path.append(j)
+            seen.add(j)
+            j = int(perm[j])
+        labels.append(min(path[path.index(j):]))
+    return np.array(labels, dtype=np.intp)
+
+
+def spy_forks(monkeypatch):
+    """The list of forks made from here on, one entry each."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitTrace:
+    """A wide family split into whole cycles and traced in forked children
+    equals the one-part trace, bit for bit, and leaves no process behind."""
+
+    @pytest.mark.parametrize("m,family,depth,cpus,zero_tol", [
+        (CHEB, lambda: periodic_angles(2, 10), 48, 2, False),
+        (CHEB, lambda: periodic_angles(2, 10), 48, 3, False),
+        (RABBIT, lambda: periodic_angles(2, 10), 48, 2, False),   # 95 rays unresolved
+        (CUBIC, lambda: periodic_angles(3, 6), 48, 2, False),
+        (UnicriticalMap(100, 0.3 + 0.5j), lambda: periodic_angles(100, 1), 48, 2, False),
+        (BLOCK_MAPS[2], lambda: list(closed_family(2, 1023)), 16, 2, False),
+        (BLOCK_MAPS[2], lambda: list(closed_family(2, 1500)), 16, 2, False),   # trees
+        (BLOCK_MAPS[2], lambda: list(closed_family(2, 1023)), 8, 2, True),     # Newton every block
+    ], ids=["chebyshev", "chebyshev-3-parts", "rabbit", "cubic", "d100", "closed-1023",
+            "closed-1500", "newton-tol-0"])
+    def test_matches_one_part(self, monkeypatch, m, family, depth, cpus, zero_tol):
+        if zero_tol:
+            monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
+        angles, config = family(), RayConfig(depth=depth)
+        forks = spy_forks(monkeypatch)
+        visible_cpus(monkeypatch, cpus)
+        split = rays._trace_family(m, angles, config)
+        assert len(forks) == cpus - 1
+        assert_no_children()
+        visible_cpus(monkeypatch, 1)
+        whole = rays._trace_family(m, angles, config)
+        assert len(forks) == cpus - 1
+        assert family_bits(split) == family_bits(whole)
+
+    def test_preperiodic_trace_rays_family_matches_one_part(self, monkeypatch):
+        # k/2046 for odd k maps onto a period-10 angle in one step, so each
+        # component is a cycle with one-level trees
+        thetas = [Fraction(k, 2046) for k in range(1, 2046, 2)]
+        forks = spy_forks(monkeypatch)
+        visible_cpus(monkeypatch, 2)
+        split = [trace_bits(t) for t in trace_rays(RABBIT, thetas)]
+        assert len(forks) == 1
+        visible_cpus(monkeypatch, 1)
+        assert split == [trace_bits(t) for t in trace_rays(RABBIT, thetas)]
+        assert_no_children()
+
+    @pytest.mark.parametrize("m,angles", [
+        (UnicriticalMap(5, 0.1j), periodic_angles(5, 3)),           # narrow: 124 rays
+        (BLOCK_MAPS[2], list(closed_family(2, 300))),   # wide, but not its halves
+        (CHEB, [Angle(1, 3), Angle(2, 3)]),     # narrow, and one component
+    ])
+    def test_narrow_family_or_parts_not_split(self, monkeypatch, m, angles):
+        forks = spy_forks(monkeypatch)
+        visible_cpus(monkeypatch, 2)
+        rays._trace_family(m, angles, RayConfig(depth=8))
+        assert forks == []
+
+    @given(perm=st.integers(1, 60).flatmap(
+               lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+           count=st.integers(1, 4), least=st.integers(1, 30))
+    def test_parts_are_balanced_unions_of_whole_components(self, perm, count, least):
+        perm = np.array(perm, dtype=np.intp)
+        labels = reference_components(perm)
+        sizes = np.bincount(labels)
+        parts = rays._parts(perm, count, lambda size: size >= least)
+        assert 1 <= len(parts) <= min(count, np.count_nonzero(sizes))
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(perm)))
+        for part in parts:
+            assert np.array_equal(part, np.sort(part))
+            assert np.isin(perm[part], part).all()
+            # every ray of a component the part meets is in the part
+            assert np.isin(labels, labels[part]).sum() == len(part)
+        if len(parts) > 1:
+            lengths = [len(part) for part in parts]
+            assert min(lengths) >= least
+            assert max(lengths) - min(lengths) <= sizes.max()
+
+    @pytest.mark.parametrize("death", ["raises", "killed"])
+    def test_failed_child_part_is_traced_here(self, monkeypatch, death):
+        # each part of 511 or 512 rays chains a level in one block, one
+        # principal root: the parent takes 16 for its own part and 16 more
+        # for the child's
+        angles, config = periodic_angles(2, 10), RayConfig(depth=16)
+        visible_cpus(monkeypatch, 1)
+        whole = family_bits(rays._trace_family(CHEB, angles, config))
+        parent, root, calls = os.getpid(), rays.principal_root, []
+
+        def failing(u, d):
+            if os.getpid() != parent:
+                if death == "raises":
+                    raise RuntimeError("a child's failure")
+                os.kill(os.getpid(), signal.SIGKILL)
+            calls.append(1)
+            return root(u, d)
+
+        monkeypatch.setattr(rays, "principal_root", failing)
+        visible_cpus(monkeypatch, 2)
+        assert family_bits(rays._trace_family(CHEB, angles, config)) == whole
+        assert len(calls) == 2 * config.depth
+        assert_no_children()
+
+    def test_failed_fork_part_is_traced_here(self, monkeypatch):
+        angles, config = periodic_angles(2, 10), RayConfig(depth=16)
+        visible_cpus(monkeypatch, 1)
+        whole = family_bits(rays._trace_family(CHEB, angles, config))
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        visible_cpus(monkeypatch, 2)
+        assert family_bits(rays._trace_family(CHEB, angles, config)) == whole
+
+    def test_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        # the child would sleep 30 s; the parent is interrupted on its first
+        # principal root, after the fork, and kills it rather than wait
+        parent, root = os.getpid(), rays.principal_root
+
+        def interrupted(u, d):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)
+            return root(u, d)
+
+        monkeypatch.setattr(rays, "principal_root", interrupted)
+        forks = spy_forks(monkeypatch)
+        visible_cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            rays._trace_family(CHEB, periodic_angles(2, 10), RayConfig(depth=4))
+        assert time.perf_counter() - start < 10
+        assert len(forks) == 1
+        assert_no_children()
+
+    def test_children_write_no_output(self, monkeypatch, capfd):
+        # a child that flushed the stdio buffers it inherited would write
+        # their text a second time
+        forks = spy_forks(monkeypatch)
+        visible_cpus(monkeypatch, 2)
+        with open(os.dup(1), "w") as out:       # block-buffered
+            out.write("written once\n")
+            rays._trace_family(CHEB, periodic_angles(2, 10), RayConfig(depth=4))
+        assert len(forks) == 1
+        assert capfd.readouterr() == ("written once\n", "")
 
 
 def _dict_classes(cls):
