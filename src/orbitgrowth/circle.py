@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
-from .dynamics import _is_integer
+from .dynamics import _is_integer, _require_int
 
 
 class Angle(Fraction):
@@ -99,10 +99,8 @@ def periodic_angles(d: int, nu: int) -> list[Angle]:
     These are k/N for N = |d^nu - 1|; for d >= 2 there are exactly d^nu - 1
     of them.
     """
-    d = _require_degree(d)
-    if not _is_integer(nu) or nu < 1:
-        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
-    n = abs(d ** int(nu) - 1)
+    d, nu = _require_degree(d), _require_int(nu, "nu", 1)
+    n = abs(d**nu - 1)
     reduced = Angle._reduced
     return [reduced(k // g, n // g) for k in range(n) for g in (gcd(k, n),)]
 

@@ -18,11 +18,10 @@ class UnicriticalMap:
     c: complex
 
     def __post_init__(self):
-        if not _is_integer(self.d) or self.d < 2:
-            raise ValueError(f"degree must be an integer >= 2, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))     # a numpy integer's powers wrap round
+        object.__setattr__(self, "d", _require_int(self.d, "degree", 2))
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
+        object.__setattr__(self, "c", complex(self.c))
 
     def __call__(self, z):
         return z**self.d + self.c
@@ -31,6 +30,14 @@ class UnicriticalMap:
 def _is_integer(n) -> bool:
     """n is a Python or numpy integer and not a bool."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _require_int(n, name: str, least: int) -> int:
+    """n as a Python int, or ValueError unless it is an integer >= least; a
+    numpy integer's products and powers wrap round, so none is kept."""
+    if not (_is_integer(n) and n >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def principal_root(u: np.ndarray, d: int) -> np.ndarray:

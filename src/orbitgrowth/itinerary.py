@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpc, mpf, workdps
 
-from .dynamics import (UnicriticalMap, _is_integer, _roots_of_unity, _single_linkage,
-                       nearest_branch, principal_root, verify_disk_hypothesis)
+from .dynamics import (UnicriticalMap, _is_integer, _require_int, _roots_of_unity,
+                       _single_linkage, nearest_branch, principal_root, verify_disk_hypothesis)
 
 # Largest d^k * (k + d) count_periodic accepts: its d^k words each hold a
 # point, and their ~d^k/k representatives 2k orbit points with d roots each.
@@ -187,7 +187,7 @@ def _solve(
     tolerance, the residual is within RESIDUAL_TOL, and the orbit follows the
     word's sectors.  Last come the Newton steps of each representative.
     """
-    d, c64 = m.d, complex(m.c)
+    d, c64 = m.d, m.c
     top = d ** (k - 1)
     # a word is its representative (smallest rotation) rotated left by offset
     rep, offset, rotated = codes, np.zeros(len(codes), dtype=int), codes
@@ -305,9 +305,7 @@ def count_periodic(m: UnicriticalMap, k: int, *, radius: float) -> PeriodicPoint
     word-point bijection is reported, never merged or counted short.
     Raises ValueError above MAX_ITINERARY_ENTRIES.
     """
-    if not _is_integer(k) or k < 1:
-        raise ValueError(f"word length must be an integer >= 1, got {k!r}")
-    k = int(k)
+    k = _require_int(k, "word length", 1)
     # d^k >= 2^k, so past the limit's bit length d**k need not be computed
     if k > MAX_ITINERARY_ENTRIES.bit_length() or m.d**k * (k + m.d) > MAX_ITINERARY_ENTRIES:
         raise ValueError(

@@ -13,7 +13,7 @@ first-block decomposition of non-crossing partitions).
 
 from __future__ import annotations
 
-from .dynamics import _is_integer
+from .dynamics import _require_int
 
 # Largest n enumerate_valid accepts: Motzkin(n - 1) partitions, 5,798 in 0.06 s at n = 12,
 # about 600-680 bytes each if kept (tracemalloc), so n = 20's 18,199,284 would be 12 GB.
@@ -114,14 +114,13 @@ class NCRelation:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks) -> None:
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        n = _require_int(n, "n", 1)
         # Sorted once, in the caller's order, which picks find_violation's witness.
         blocks = _sorted_blocks(blocks)
         violation = find_violation(n, blocks)
         if violation is not None:
             raise violation
-        self.n = int(n)
+        self.n = n
         self.blocks = tuple(sorted(map(tuple, blocks)))
 
     @classmethod
@@ -175,8 +174,7 @@ def extremal_example(n: int) -> NCRelation:
     >>> extremal_example(4).blocks
     ((1, 3), (2,), (4,))
     """
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     blocks = [list(range(1, n + 1, 2))] + [[k] for k in range(2, n + 1, 2)]
     return NCRelation(n, blocks)
 
@@ -192,12 +190,10 @@ def enumerate_valid(n: int):
     not join.  Refused past MAX_N, as the count grows like the Motzkin
     numbers.
     """
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n", 1)
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the enumeration limit {MAX_N}")
 
-    n = int(n)
     blocks: list[list[int]] = []
 
     def rec(t: int, open_blocks: tuple[list[int], ...]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import _require_degree
-from .dynamics import _is_integer
+from .dynamics import _is_integer, _require_int
 
 MAX_BOUND_DIGITS = 4300    # Python's default limit on the digits of an int printed as text
 
@@ -102,9 +102,7 @@ def interval_class_bound(d: int, nu: int, eps) -> int:
     MAX_BOUND_DIGITS digits is refused before the power is computed.
     """
     d = _require_degree(d)
-    if not _is_integer(nu) or nu < 1:
-        raise ValueError(f"nu must be an integer >= 1, got {nu!r}")
-    nu = int(nu)
+    nu = _require_int(nu, "nu", 1)
     if nu >= MAX_BOUND_DIGITS / math.log10(abs(d)):
         raise ValueError(f"nu={nu}: {abs(d)}^{nu} has more than {MAX_BOUND_DIGITS} digits")
     eps = Fraction(eps)

@@ -36,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import Angle, multiply, orbit, periodic_angles
-from .dynamics import (UnicriticalMap, _is_integer, _roots_of_unity, _single_linkage,
-                       escape_radius, nearest_branch, principal_root)
+from .dynamics import (UnicriticalMap, _is_integer, _require_int, _roots_of_unity,
+                       _single_linkage, escape_radius, nearest_branch, principal_root)
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,7 +129,7 @@ def chebyshev_oracle(theta: Angle | Fraction) -> float:
 
 def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> _FamilyTraces:
     """Trace all rays of a sorted, multiplication-closed family of angles at once."""
-    d, c = m.d, complex(m.c)
+    d, c = m.d, m.c
     # angle k/lcm is found by bisecting the sorted ticks k, with no Fraction
     # hashed; an Angle's numerator and denominator are read from its slots
     lcm = math.lcm(*{a._denominator for a in angles})
@@ -523,9 +523,7 @@ def classify_landing(
     points of the nu-th iterate on the boundary.
     """
     cfg = config or RayConfig()
-    if not _is_integer(nu):
-        raise ValueError(f"nu must be an integer, got {nu!r}")
-    nu = int(nu)
+    nu = _require_int(nu, "nu", 1)
     # |d|^nu >= 2^nu, so past the limit's bit length d**nu need not be computed
     if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) > _ray_budget(cfg):
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg)

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import lcm
 
 from .circle import Angle, in_one_gap
-from .dynamics import _is_integer
+from .dynamics import _require_int
 
 # Largest degree enumerate_grid_star_sets accepts.  The families grow about 8x
 # a degree: 148,222 at d = 8 in 1.9 s and 65 MB ru_maxrss, 1,245,296 at d = 9 in
@@ -48,8 +48,7 @@ class Star:
     __slots__ = ("degree", "points", "_den", "_ticks", "_hash", "_order")
 
     def __init__(self, degree: int, points) -> None:
-        if not _is_integer(degree) or degree < 2:
-            raise ValueError(f"star degree must be an integer >= 2, got {degree!r}")
+        degree = _require_int(degree, "star degree", 2)
         pts = sorted({p if isinstance(p, Angle) else Angle(p) for p in points})
         if len(pts) < 2:
             raise ValueError("a star needs at least two distinct points")
@@ -105,8 +104,7 @@ class StarSet:
     __slots__ = ("degree", "stars")
 
     def __init__(self, degree: int, stars=()) -> None:
-        if not _is_integer(degree) or degree < 2:
-            raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
+        degree = _require_int(degree, "degree", 2)
         stars = tuple(sorted(set(stars), key=lambda s: s._order))
         for s in stars:
             if s.degree != degree:
@@ -284,8 +282,7 @@ def check_maximal_bruteforce(star_set: StarSet, grid_refinement: int = 2) -> boo
     different union-find roots, where a grid point off L is its own root.
     A grid of more than MAX_GRID_CANDIDATES candidates is refused.
     """
-    if not _is_integer(grid_refinement) or grid_refinement < 1:
-        raise ValueError(f"grid_refinement must be an integer >= 1, got {grid_refinement!r}")
+    grid_refinement = _require_int(grid_refinement, "grid_refinement", 1)
     d = star_set.degree
     if d * grid_refinement * (d - 1) > MAX_GRID_CANDIDATES:
         raise ValueError(f"grid refinement {grid_refinement} at degree {d} gives more than "
@@ -385,11 +382,9 @@ def enumerate_grid_star_sets(degree: int) -> list[StarSet]:
     brute-force oracle on every possible input.  A degree past
     MAX_GRID_DEGREE is refused.
     """
-    if not _is_integer(degree) or degree < 2:
-        raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
-    if degree > MAX_GRID_DEGREE:
-        raise ValueError(f"degree {degree} exceeds the grid enumeration limit {MAX_GRID_DEGREE}")
-    d = degree
+    d = _require_int(degree, "degree", 2)
+    if d > MAX_GRID_DEGREE:
+        raise ValueError(f"degree {d} exceeds the grid enumeration limit {MAX_GRID_DEGREE}")
 
     all_stars = [
         comb for size in range(2, d + 1) for comb in combinations(range(d), size)

@@ -1,11 +1,18 @@
 import cmath
+import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitgrowth import UnicriticalMap, escape_radius, verify_disk_hypothesis
+from orbitgrowth import (Angle, NCRelation, Star, StarSet, UnicriticalMap,
+                         check_maximal_bruteforce, classify_landing, count_periodic,
+                         enumerate_grid_star_sets, enumerate_valid, escape_radius,
+                         extremal_example, interval_class_bound, periodic_angles, quotient,
+                         verify_disk_hypothesis)
 from orbitgrowth.dynamics import _roots_of_unity, nearest_branch, principal_root
 
 
@@ -217,3 +224,101 @@ class TestNearestBranch:
             dist = np.abs(p[:, None] * _roots_of_unity(8) - s[:, None])
             assert not np.isnan(dist[0, 0]) and np.isnan(dist[0, 1]) and np.isnan(dist[1]).all()
             assert nearest_branch(p, s, 8).tolist() == [1, 0]
+
+
+CHEB = UnicriticalMap(2, -2 + 0j)
+HALF = [Angle(0), Angle(1, 2)]      # a 4-star, and a 2-star
+
+# Each integer argument: (its least value, a valid value, the call, the ints the
+# result keeps or returns, and its JSON output or None).
+INT_SITES = {
+    "UnicriticalMap d": (2, 3, lambda n: UnicriticalMap(n, 1j), lambda m: [m.d], None),
+    "periodic_angles nu": (1, 3, lambda n: periodic_angles(2, n),
+                           lambda angles: [a.denominator for a in angles], None),
+    "NCRelation n": (1, 4, lambda n: NCRelation(n, [[1, 3], [2], [4]]),
+                     lambda rel: [rel.n], NCRelation.to_dict),
+    "extremal_example n": (1, 5, extremal_example, lambda rel: [rel.n], NCRelation.to_dict),
+    "enumerate_valid n": (1, 5, lambda n: list(enumerate_valid(n)),
+                          lambda rels: [rel.n for rel in rels],
+                          lambda rels: [rel.to_dict() for rel in rels]),
+    "interval_class_bound nu": (1, 5, lambda n: interval_class_bound(2, n, "1/2"),
+                                lambda bound: [bound], None),
+    "classify_landing nu": (1, 2, lambda n: classify_landing(CHEB, n),
+                            lambda cls: [cls.nu], lambda cls: cls.to_dict()),
+    "count_periodic k": (1, 2, lambda n: count_periodic(UnicriticalMap(2, -6), n, radius=4.0),
+                         lambda res: [res.k], lambda res: res.to_dict()),
+    "Star degree": (2, 4, lambda n: Star(n, HALF), lambda star: [star.degree], Star.to_dict),
+    "StarSet degree": (2, 4, lambda n: StarSet(n, [Star(4, HALF)]),
+                       lambda family: [family.degree], StarSet.to_list),
+    "enumerate_grid_star_sets degree": (
+        2, 3, enumerate_grid_star_sets,
+        lambda families: [f.degree for f in families] + [s.degree for f in families for s in f],
+        lambda families: [f.to_list() for f in families]),
+    "check_maximal_bruteforce grid_refinement": (
+        1, 2, lambda n: check_maximal_bruteforce(StarSet(4, [Star(4, HALF)]), n),
+        lambda maximal: [], None),
+}
+
+
+class TestIntegerArguments:
+    """Every integer argument follows one rule: a Python or numpy integer,
+    not a bool, at least its least value, and kept as a Python int."""
+
+    @pytest.mark.parametrize("numpy_int", [np.int64, np.int32])
+    @pytest.mark.parametrize("site", sorted(INT_SITES))
+    def test_numpy_integer_kept_as_int(self, site, numpy_int):
+        _, value, call, ints, dump = INT_SITES[site]
+        result, expected = call(numpy_int(value)), call(value)
+        assert all(type(n) is int for n in ints(result))
+        if dump is None:
+            assert result == expected
+        else:
+            assert dump(result) == dump(expected)
+            json.dumps(dump(result))
+
+    @pytest.mark.parametrize("site", sorted(INT_SITES))
+    def test_non_integer_or_too_small_rejected(self, site):
+        least, value, call, _, _ = INT_SITES[site]
+        for bad in (float(value), True, str(value), least - 1):
+            with pytest.raises(ValueError, match=f"must be an integer >= {least}, got"):
+                call(bad)
+
+
+class TestIntegerArgumentDefects:
+    """Inputs a numpy integer or a non-complex c once got quietly wrong."""
+
+    def test_numpy_degree_star_not_quietly_accepted(self):
+        # (t - t0) * degree wrapped round to 0 at int64, with only a numpy
+        # RuntimeWarning, and this 4-star was accepted
+        points = [Angle(0), Angle(2**62, 2**62 + 3)]
+        with pytest.raises(ValueError, match="not a 4-star"):
+            Star(4, points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not a 4-star"):
+                Star(np.int64(4), points)
+
+    def test_numpy_degree_star_past_int64_built(self):
+        # a tick past int64 times a numpy degree raised OverflowError
+        a = Fraction(1, 3**41)
+        assert Star(np.int64(2), [a, a + Fraction(1, 2)]) == Star(2, [a, a + Fraction(1, 2)])
+
+    def test_numpy_degree_families_and_quotient_serialize(self):
+        json.dumps([f.to_list() for f in enumerate_grid_star_sets(np.int64(3))])
+        star = Star(np.int64(4), HALF)
+        ell, family = quotient(StarSet(np.int64(4), [star]), star, *HALF)
+        assert (ell, family.degree) == (2, 2)
+        assert type(ell) is int and type(family.degree) is int
+
+    def test_float32_c_serializes(self):
+        cls = classify_landing(UnicriticalMap(2, np.float32(-2)), 2)
+        assert json.loads(json.dumps(cls.to_dict()))["c"] == [-2.0, 0.0]
+
+    def test_c_kept_as_complex(self):
+        m = UnicriticalMap(2, -2)
+        assert type(m.c) is complex and m == CHEB
+        assert json.dumps(classify_landing(m, 1).to_dict()["c"]) == "[-2.0, 0.0]"
+
+    def test_string_c_still_rejected(self):
+        with pytest.raises(TypeError):
+            UnicriticalMap(2, "-2")

@@ -47,7 +47,8 @@ def visible_cpus(monkeypatch, count):
 @pytest.fixture
 def one_cpu(monkeypatch):
     """One CPU visible, so a wide family is traced in this process: spies on
-    principal_root and nearest_branch count every call."""
+    principal_root and nearest_branch count every call, and tracemalloc sees
+    the output arrays, which a split trace holds in a shared mmap."""
     visible_cpus(monkeypatch, 1)
 
 
@@ -1022,6 +1023,7 @@ class TestClassifyLanding:
         assert not cls.unresolved
         assert cls.unreliable
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_memory_linear_in_rays(self):
         # an all-pairs distance matrix alone would take 268 MB at nu=12
         tracemalloc.start()
@@ -1032,6 +1034,7 @@ class TestClassifyLanding:
             tracemalloc.stop()
         assert peak < 100e6
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_traces_held_as_arrays(self):
         # per-ray lists of boxed complex and float took about 82 bytes a
         # sample retained and 113 at peak; the family's arrays take 24
@@ -1047,6 +1050,7 @@ class TestClassifyLanding:
         assert retained <= 40 * samples
         assert peak <= 50 * samples
 
+    @pytest.mark.usefixtures("one_cpu")
     def test_large_degree_memory_is_linear_in_d(self):
         # a block's picks hold d distances a sample, d * b * n <= d * BLOCK_SAMPLES
         # of them, 48 bytes each at most; a table of d^2 distances a sample
