@@ -164,7 +164,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
     if args.fmt == "svg":
         if not cls.classes:
             raise NonConvergenceError(f"no ray landed at nu = {args.nu}: nothing to draw")
-        traces = [cls.traces[c[0]] for c in cls.classes]
+        traces = trace_rays(m, [c[0] for c in cls.classes], config=rc)    # one family
         cloud = julia_cloud(m) if args.cloud else None
         _emit(render_ray_figure(traces, cloud), args.output)
     elif args.fmt == "csv":

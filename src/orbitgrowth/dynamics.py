@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -19,9 +20,11 @@ class UnicriticalMap:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _require_int(self.d, "degree", 2))
+        if not isinstance(self.c, numbers.Number):
+            raise ValueError(f"c must be a number, got {self.c!r}")
+        object.__setattr__(self, "c", complex(self.c))
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
-        object.__setattr__(self, "c", complex(self.c))
 
     def __call__(self, z):
         return z**self.d + self.c

@@ -41,19 +41,19 @@ from .dynamics import (UnicriticalMap, _is_integer, _require_int, _roots_of_unit
 
 TWO_PI = 2.0 * math.pi
 
-# Largest number of ray samples one call may hold: each ray traced keeps
-# depth + 1 samples and holds 2 * substeps more in the pullback's level
-# buffers.  A family keeps its samples in output arrays, 24 bytes a sample
-# (complex point and float residual); a split trace holds them in one
-# mapping that its processes share, and each process adds the working
-# buffers (level buffers and branch picks) of the rays it traces.  With the
-# angles and the grouping, a sample costs about 36 bytes at peak and 28
-# retained in one process (tracemalloc of classify_landing(z^2 - 2): peak
-# 35.6 and 35.7 bytes, retained 28.1 and 28.3, at nu = 12 and 14); split in
-# two, the parent peaks at 24 plus 9.3 and 8.0 (tracemalloc does not see
-# the mapping), and its child holds its part's working buffers.  So the
-# limit keeps a call near 700 MB; it admits nu = 18 at the default depth 48
-# and 8 substeps.
+# Largest number of ray samples one call may hold: each ray traced has
+# depth + 1 samples and 2 * substeps more in the pullback's level buffers.
+# trace_rays keeps every sample, 24 bytes (complex point, float residual),
+# and peaks at 34.0 and 33.8 bytes a sample in one process (tracemalloc, the
+# period-12 and 14 rays of z^2 - 2, depth 48).  classify_landing keeps 97
+# bytes a ray, its last CLUSTER_SIZE samples and its folds, and with the
+# angles and grouping peaks at 13.8 bytes a sample and retains 5.9 and 6.1.
+# A split trace holds its output in one mapping that its processes share,
+# which tracemalloc does not see, and each process adds its rays' working
+# buffers (level buffers and branch picks): split in two, the classifying
+# parent peaks at 9.5 and 8.2.  So the limit keeps a trace_rays call near
+# 600 MB and a classification near 250 MB; it admits nu = 18 at the default
+# depth 48 and 8 substeps.
 MAX_RAY_SAMPLES = 18_000_000
 
 NEWTON_TOL = 1e-12      # Newton residual that solves a pullback step: float64 rounding
@@ -74,7 +74,7 @@ def _ray_budget(config: RayConfig) -> int:
 def _size_error(what: str, config: RayConfig) -> ValueError:
     return ValueError(
         f"tracing {what} to depth {config.depth} at {config.substeps} substeps needs "
-        f"more than {MAX_RAY_SAMPLES} ray samples (about 700 MB); lower nu or depth, "
+        f"more than {MAX_RAY_SAMPLES} ray samples (about 600 MB); lower nu or depth, "
         f"or substeps"
     )
 
@@ -106,6 +106,18 @@ class RayTrace:
     step_residuals: list[float]    # max pullback residual per level
     hit_critical_pullback: bool = False
 
+    def __getattr__(self, name):
+        # a classification's trace holds _retrace, its map and config, until
+        # points or step_residuals is read: then trace_rays gives its bits
+        retrace = self.__dict__.get("_retrace")
+        if retrace is None or name not in ("points", "step_residuals"):
+            raise AttributeError(f"'RayTrace' object has no attribute {name!r}")
+        m, config = retrace
+        full = trace_rays(m, [self.angle], config=config)[0]
+        self.points, self.step_residuals = full.points, full.step_residuals
+        del self._retrace
+        return getattr(self, name)
+
     def to_dict(self) -> dict:
         return {
             "angle": str(self.angle),
@@ -127,8 +139,10 @@ def chebyshev_oracle(theta: Angle | Fraction) -> float:
     return 2.0 * math.cos(TWO_PI * float(theta))
 
 
-def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> _FamilyTraces:
-    """Trace all rays of a sorted, multiplication-closed family of angles at once."""
+def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig,
+                  tail: bool = False) -> _FamilyTraces:
+    """Trace all rays of a sorted, multiplication-closed family of angles at
+    once; with tail, keep only each ray's last CLUSTER_SIZE samples and folds."""
     d, c = m.d, m.c
     # angle k/lcm is found by bisecting the sorted ticks k, with no Fraction
     # hashed; an Angle's numerator and denominator are read from its slots
@@ -186,7 +200,7 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # unions of whole cycles with their trees, one part a CPU, each part
     # still wide, and each part but the first is traced in a forked child
     # (_run_parts).  Every process writes its rays' columns of one
-    # shared mapping that holds samples, step_res and min_abs.  A narrow
+    # shared mapping that holds the output arrays.  A narrow
     # family is not split: its trace is deep and costs per level, in numpy
     # calls on few samples, which splitting its columns would not shorten.
     def chunk_bound(rays):
@@ -198,30 +212,46 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
     # one part a CPU, where processes fork
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = _parts(perm, cpus, wide) if cpus > 1 and hasattr(os, "fork") and wide(n) else []
-    rows = (depth + 1) * n
+    # the last levels' samples and step residuals, then a ray each its least
+    # |z|, its largest step residual and whether all its samples are finite
+    levels, res_levels = (min(CLUSTER_SIZE, depth + 1), 0) if tail else (depth + 1,) * 2
+    offset = 16 * levels * n + 8 * res_levels * n
     if len(parts) > 1:
         # imported here, as its extension module adds 0.1 MB of peak RSS
         # to every process, most of which never split a trace
         import mmap
-        output = mmap.mmap(-1, 24 * rows + 8 * n)   # zero-filled, shared with forked children
+        output = mmap.mmap(-1, offset + 17 * n)     # zero-filled, shared with forked children
     else:
-        output = np.zeros(24 * rows + 8 * n, dtype=np.uint8)
-    samples = np.frombuffer(output, complex, rows).reshape(depth + 1, n)
-    step_res = np.frombuffer(output, float, rows, 16 * rows).reshape(depth + 1, n)
-    min_abs = np.frombuffer(output, float, n, 24 * rows)
+        output = np.zeros(offset + 17 * n, dtype=np.uint8)
+    samples = np.frombuffer(output, complex, levels * n).reshape(levels, n)
+    step_res = np.frombuffer(output, float, res_levels * n, 16 * levels * n).reshape(res_levels, n)
+    min_abs, max_res = np.frombuffer(output, float, 2 * n, offset).reshape(2, n)
+    finite = np.frombuffer(output, bool, n, offset + 16 * n)
 
     def pull_back(cols, perm, phase):
         """Trace the rays cols, closed under perm (which maps local indices),
-        into their columns of samples, step_res and min_abs."""
+        into their columns of the output arrays."""
         n = len(phase)
         b = max(1, min(s, BLOCK_SAMPLES // max(n, 1)))
         bound = chunk_bound(n)
         ring = np.empty((bound + 2, s, n), dtype=complex)   # the level above at row 0 or 1, a chunk
         heads = np.empty((bound, s, n), dtype=complex)     # principal roots
         picks = np.empty((s if bound > 1 else b, n), dtype=np.int32)    # the last chained level's
+        least, worst, whole = np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool)
+
+        def keep(level, z, res):
+            """Record the levels from level on, a row each, their last sublevels
+            z and largest residuals res: in the folds, and in the levels kept."""
+            np.logical_and(whole, np.isfinite(z).all(axis=0), out=whole)
+            np.maximum(worst, res.max(axis=0, initial=0.0), out=worst)
+            for out, rows in ((samples, z), (step_res, res)):
+                first = depth + 1 - len(out)        # the level of out's row 0
+                skip = max(first - level, 0)
+                if skip < len(rows):
+                    out[level + skip - first:level + len(rows) - first, cols] = rows[skip:]
+
         np.multiply(radii[:, None], phase, out=ring[0])
-        samples[0, cols] = ring[0, -1]
-        least = np.full(n, math.inf)
+        keep(0, ring[0, -1:], np.zeros((1, n)))
 
         def chain(level, prev, cur, p=None):
             """Pull level back from prev into cur, polished, and record its
@@ -255,16 +285,16 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                 np.fmin(least, np.fmin.reduce(np.abs(z[:taken]), axis=0), out=least)
                 seeds = z[taken - 1]
                 k += taken
-            step_res[level, cols] = res
+            return res
 
         # size 0: chain the level, from kept if given; ring[top] is the level above
         level, size, kept, top = 1, 0, None, 0
         while level <= depth:
             if not size:
                 # rows 0 and 1 take turns, so a wide family copies no level
-                chain(level, ring[top], ring[1 - top], kept)
+                res = chain(level, ring[top], ring[1 - top], kept)
                 ok, size, top = 1, int(bound > 1), 1 - top
-                samples[level, cols] = ring[top, -1]
+                keep(level, ring[top, -1:], res[None])
             else:
                 chunk = min(size, depth + 1 - level)
                 r = ring[top:top + chunk + 1]       # the level above, then the chunk's
@@ -280,14 +310,13 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
                 abs_fz = np.abs(np.subtract(np.add(fz, c, out=fz), r[:-1][:, :, perm], out=fz))
                 fail = wrong | (abs_fz > NEWTON_TOL).any(axis=(1, 2))
                 ok = int(fail.argmax()) if fail.any() else chunk    # the levels kept
-                step_res[level:level + ok, cols] = abs_fz[:ok].max(axis=1)
+                keep(level, z[:ok, -1], abs_fz[:ok].max(axis=1))
                 np.fmin(least, np.fmin.reduce(np.abs(z[:ok]), axis=(0, 1), initial=math.inf),
                         out=least)
-                samples[level:level + ok, cols] = z[:ok, -1]
                 size, kept = (0, heads[ok]) if ok < chunk else (min(2 * size, bound), None)
                 ring[0], top = ring[top + ok], 0    # the last level kept
             level += ok
-        min_abs[cols] = least
+        min_abs[cols], max_res[cols], finite[cols] = least, worst, whole
 
     if len(parts) < 2:
         pull_back(slice(None), perm, phase)
@@ -299,12 +328,11 @@ def _trace_family(m: UnicriticalMap, angles: list[Angle], config: RayConfig) -> 
 
     # x -> d x^(d-1) is monotone: this flags the rays with any sample flagged
     critical_hit = d * min_abs ** (d - 1) < DERIV_TOL
-    tail = min(CLUSTER_SIZE, depth + 1)
-    finite = np.isfinite(samples).all(axis=0)
     with np.errstate(invalid="ignore"):
-        diam = np.where(finite, _diameters(samples[depth + 1 - tail:].T), math.inf)
-    ok = finite & (diam <= LANDING_TOL) & (step_res.max(axis=0) <= NEWTON_TOL)
-    return _FamilyTraces(angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit)
+        diam = np.where(finite, _diameters(samples[-min(CLUSTER_SIZE, depth + 1):].T), math.inf)
+    ok = finite & (diam <= LANDING_TOL) & (max_res <= NEWTON_TOL)
+    return _FamilyTraces(angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit,
+                         (m, config) if tail else None)
 
 
 def _parts(perm: np.ndarray, count: int, wide) -> list[np.ndarray]:
@@ -391,11 +419,13 @@ class _FamilyTraces(Mapping):
     angle order; perm[i] is the index of the image of angle i under
     theta -> d theta.  Looking up an angle builds its RayTrace from its
     column, afresh on each lookup, so the samples stay in the arrays and not
-    in per-ray lists of boxed numbers."""
+    in per-ray lists of boxed numbers.  A family that kept only its tails
+    holds retrace, its map and config, for its traces' points."""
 
-    def __init__(self, angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit):
+    def __init__(self, angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit,
+                 retrace=None):
         self.angles, self.lcm, self.ticks, self.perm = angles, lcm, ticks, perm
-        self.samples = samples
+        self.samples, self.retrace = samples, retrace
         self.step_res, self.ok, self.diam, self.critical_hit = step_res, ok, diam, critical_hit
 
     def __getitem__(self, angle: Angle | Fraction) -> RayTrace:
@@ -409,15 +439,19 @@ class _FamilyTraces(Mapping):
         if rest or i == len(self.ticks) or self.ticks[i] != tick or isinstance(angle, str):
             raise KeyError(angle)
         converged = bool(self.ok[i])
-        return RayTrace(
+        fields = dict(
             angle=self.angles[i],
-            points=self.samples[:, i].tolist(),
             landing=complex(self.samples[-1, i]) if converged else None,
             converged=converged,
             residual=float(self.diam[i]),
-            step_residuals=self.step_res[:, i].tolist(),
             hit_critical_pullback=bool(self.critical_hit[i]),
         )
+        if self.retrace is None:
+            return RayTrace(points=self.samples[:, i].tolist(),
+                            step_residuals=self.step_res[:, i].tolist(), **fields)
+        trace = object.__new__(RayTrace)
+        trace.__dict__.update(fields, _retrace=self.retrace)
+        return trace
 
     def __iter__(self):
         return iter(self.angles)
@@ -479,9 +513,11 @@ def trace_ray(
 class LandingClassification:
     """Landing classes of the period-nu angles: angles grouped by endpoint.
 
-    `traces` reads each ray's RayTrace from the family's arrays, built anew on
-    each access: two lookups give equal but not identical objects, and
-    changing one changes nothing held here."""
+    It keeps a ray's last CLUSTER_SIZE samples and verdicts, not every
+    level's.  `traces` builds each ray's RayTrace from them anew on each
+    access: two lookups give equal but not identical objects, and changing
+    one changes nothing held here.  Its points and step_residuals are traced
+    again on first access, by trace_rays, to the same bits."""
 
     map: UnicriticalMap
     nu: int
@@ -528,7 +564,7 @@ def classify_landing(
     if nu > MAX_RAY_SAMPLES.bit_length() or abs(m.d**nu - 1) > _ray_budget(cfg):
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg)
     angles = periodic_angles(m.d, nu)
-    traces = _trace_family(m, angles, cfg)
+    traces = _trace_family(m, angles, cfg, tail=True)
     landed_idx = np.flatnonzero(traces.ok)
     unresolved = [angles[i] for i in np.flatnonzero(~traces.ok).tolist()]
     points = traces.samples[-1, landed_idx]

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -320,5 +321,17 @@ class TestIntegerArgumentDefects:
         assert json.dumps(classify_landing(m, 1).to_dict()["c"]) == "[-2.0, 0.0]"
 
     def test_string_c_still_rejected(self):
-        with pytest.raises(TypeError):
+        # numpy's isfinite raised its own TypeError
+        with pytest.raises(ValueError, match=r"^c must be a number, got '-2'$"):
             UnicriticalMap(2, "-2")
+
+    @pytest.mark.parametrize("c", [None, [-2.0], b"-2", np.array(-2.0)])
+    def test_other_non_number_c_rejected(self, c):
+        with pytest.raises(ValueError, match=r"^c must be a number, got "):
+            UnicriticalMap(2, c)
+
+    @pytest.mark.parametrize("c", [Fraction(-2), Decimal("-2"), np.float32(-2), np.int64(-2)])
+    def test_number_c_kept_as_complex(self, c):
+        # numpy's isfinite refused a Fraction or Decimal with a TypeError
+        m = UnicriticalMap(2, c)
+        assert type(m.c) is complex and m == CHEB

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -5,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import random
 import signal
 import time
@@ -728,12 +730,16 @@ class TestBlockPullback:
         assert [a for a in angles if trace_bits(traced[a]) != trace_bits(expected[a])] == []
 
 
+def verdict_bits(traces):
+    """A traced family's ok, diam, critical_hit and perm arrays as bytes."""
+    return [np.asarray(x).tobytes() for x in (traces.ok, traces.diam, traces.critical_hit,
+                                               traces.perm)]
+
+
 def family_bits(traces):
-    """Every trace_bits field of each ray of a traced family, and the
-    family's ok, diam, critical_hit and perm arrays as bytes."""
-    return ([trace_bits(traces[a]) for a in traces],
-            [np.asarray(x).tobytes() for x in (traces.ok, traces.diam, traces.critical_hit,
-                                               traces.perm)])
+    """Every trace_bits field of each ray of a traced family, and its
+    verdict_bits."""
+    return [trace_bits(traces[a]) for a in traces], verdict_bits(traces)
 
 
 def reference_components(perm):
@@ -924,6 +930,66 @@ def _dict_classes(cls):
     return classes, representatives, max_diam
 
 
+class TestTailTrace:
+    """A classification's trace keeps each ray's last CLUSTER_SIZE samples
+    and its folds over all levels: they, and so the verdicts, equal the full
+    trace's bit for bit, and so do the traces that its lookups give."""
+
+    @pytest.mark.parametrize("m,family,config,cpus,zero_tol", [
+        (CHEB, lambda: periodic_angles(2, 10), RayConfig(), 2, False),
+        (RABBIT, lambda: periodic_angles(2, 8), RayConfig(), 1, False),      # unresolved rays
+        (CUBIC, lambda: periodic_angles(3, 4), RayConfig(depth=3, substeps=3), 1, False),
+        (UnicriticalMap(2, 0.25), lambda: periodic_angles(2, 5), RayConfig(depth=300), 1,
+         False),                                                             # narrow and deep
+        (BLOCK_MAPS[5], lambda: list(closed_family(5, 7)), RayConfig(depth=48), 1, True),
+        (BLOCK_MAPS[2], lambda: list(closed_family(2, 1500)), RayConfig(depth=16), 2, False),
+    ], ids=["chebyshev-split", "rabbit", "cubic-depth-3", "parabolic-depth-300",
+            "newton-tol-0", "trees-split"])
+    def test_tails_and_folds_match_the_full_trace(self, monkeypatch, m, family, config, cpus,
+                                                  zero_tol):
+        if zero_tol:
+            monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
+        visible_cpus(monkeypatch, cpus)
+        angles = family()
+        full = rays._trace_family(m, angles, config)
+        tail = rays._trace_family(m, angles, config, tail=True)
+        kept = min(rays.CLUSTER_SIZE, config.depth + 1)
+        assert tail.samples.shape == (kept, len(angles)) and tail.step_res.size == 0
+        assert tail.samples.tobytes() == full.samples[-kept:].tobytes()
+        assert verdict_bits(tail) == verdict_bits(full)
+        for a in angles[:2] + angles[-2:]:
+            assert trace_bits(tail[a]) == trace_bits(full[a])
+
+    def test_a_sample_lost_above_the_tail_fails_the_ray(self, monkeypatch):
+        # a NaN principal root at level 10 of a ray no other ray pulls back
+        # leaves its tail finite; the finite flag, folded over every level,
+        # still fails it
+        visible_cpus(monkeypatch, 1)
+        angles = list(closed_family(2, 1500))
+        leaf = int(np.setdiff1d(np.arange(len(angles)),
+                                rays._trace_family(CHEB, angles, RayConfig()).perm)[0])
+        root = rays.principal_root
+
+        def trace(tail):
+            calls = []
+
+            def poisoned(u, d):
+                calls.append(1)
+                out = root(u, d)
+                if len(calls) == 40:    # four blocks a level: level 10's last
+                    out[..., leaf] = np.nan
+                return out
+
+            monkeypatch.setattr(rays, "principal_root", poisoned)
+            return rays._trace_family(CHEB, angles, RayConfig(), tail=tail)
+
+        full, tail = trace(False), trace(True)
+        assert not np.isfinite(full.samples[:, leaf]).all()
+        assert np.isfinite(tail.samples[:, leaf]).all()
+        assert tail.diam[leaf] == math.inf and not tail.ok[leaf]
+        assert verdict_bits(tail) == verdict_bits(full)
+
+
 class TestClassifyLanding:
     def test_nu2_classes(self):
         cls = classify_landing(CHEB, 2)
@@ -1037,9 +1103,11 @@ class TestClassifyLanding:
     @pytest.mark.usefixtures("one_cpu")
     def test_traces_held_as_arrays(self):
         # per-ray lists of boxed complex and float took about 82 bytes a
-        # sample retained and 113 at peak; the family's arrays take 24
+        # sample retained and 113 at peak; every level's samples and step
+        # residuals in arrays, 1,375 bytes a ray retained and 1,744 at peak;
+        # the terminal cluster and per-ray folds, 288 and 674
         classify_landing(CHEB, 4)
-        samples = (2**12 - 1) * (RayConfig().depth + 1)
+        n = 2**12 - 1
         tracemalloc.start()
         try:
             cls = classify_landing(CHEB, 12)
@@ -1047,8 +1115,23 @@ class TestClassifyLanding:
         finally:
             tracemalloc.stop()
         assert cls.class_count == 2**11
-        assert retained <= 40 * samples
-        assert peak <= 50 * samples
+        assert retained <= 500 * n
+        assert peak <= 1000 * n
+
+    def test_oracle_fields_read_without_tracing_again(self, monkeypatch):
+        # the landing, the verdicts and the residual are kept; only points
+        # and step_residuals trace the ray again, once a lookup
+        cls = classify_landing(CHEB, 10)
+        calls = []
+        family = rays._trace_family
+        monkeypatch.setattr(rays, "_trace_family",
+                            lambda *args, **kw: calls.append(1) or family(*args, **kw))
+        read = [(t.landing, t.converged, t.residual, t.hit_critical_pullback)
+                for t in cls.traces.values()]
+        assert len(read) == 2**10 - 1 and calls == []
+        trace = cls.traces[Angle(1, 1023)]
+        assert len(trace.step_residuals) == len(trace.points) == RayConfig().depth + 1
+        assert len(calls) == 1
 
     @pytest.mark.usefixtures("one_cpu")
     def test_large_degree_memory_is_linear_in_d(self):
@@ -1152,6 +1235,30 @@ class TestTracesMapping:
             assert key not in by_angle and key not in traces
             with pytest.raises(KeyError):
                 traces[key]
+
+    def test_deferred_trace_behaves_as_a_full_one(self, monkeypatch):
+        # a lookup defers points and step_residuals as the map and config,
+        # so copying or pickling it traces nothing, and every copy reads
+        # trace_ray's fields
+        cls = classify_landing(CUBIC, 3)
+        a = periodic_angles(3, 3)[7]
+        full = trace_ray(CUBIC, a)
+        calls = []
+        family = rays._trace_family
+        monkeypatch.setattr(rays, "_trace_family",
+                            lambda *args, **kw: calls.append(1) or family(*args, **kw))
+        copies = [cls.traces[a], copy.copy(cls.traces[a]), copy.deepcopy(cls.traces[a]),
+                  pickle.loads(pickle.dumps(cls.traces[a]))]
+        assert calls == []
+        assert all(type(t) is rays.RayTrace for t in copies)
+        assert copies[0].step_residuals == full.step_residuals
+        assert [trace_bits(t) for t in copies] == [trace_bits(full)] * 4
+        assert [(repr(t), t.to_dict()) for t in copies] == [(repr(full), full.to_dict())] * 4
+        assert all(t == full for t in copies) and len(calls) == 4
+        moved = dataclasses.replace(cls.traces[a], landing=None)
+        assert moved.points == full.points and moved.landing is None
+        with pytest.raises(AttributeError, match="no attribute 'point'"):
+            cls.traces[a].point
 
     def test_each_lookup_builds_a_new_trace(self):
         cls = classify_landing(CHEB, 3)
