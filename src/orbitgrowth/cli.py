@@ -231,7 +231,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 CHEBYSHEV = UnicriticalMap(2, -2 + 0j)
 CANTOR = UnicriticalMap(2, -6 + 0j)
 COLANDING_MAP = UnicriticalMap(2, complex(-0.110, 0.6557))
-COLANDING_CONFIG = RayConfig(depth=3200, substeps=4)
+COLANDING_CONFIG = RayConfig(depth=148, substeps=4)
 COLANDING_TRIPLE = (Angle(1, 7), Angle(2, 7), Angle(4, 7))
 
 

@@ -92,6 +92,57 @@ def _roots_of_unity(d: int) -> np.ndarray:
     return roots
 
 
+CYCLE_STEPS = 8         # Newton steps of solve_cycles: from a pullback's tail it converges in few
+CYCLE_TOL = 1e-12       # last correction, relative to max(1, |L|), that solves a cycle
+
+
+@dataclass(frozen=True)
+class CycleSolve:
+    """solve_cycles' outcome, one entry a point: the point after the last
+    step, that step's correction |delta|, the multiplier A of f^period at the
+    point the step started from, and the guard's verdict."""
+
+    points: np.ndarray
+    correction: np.ndarray
+    multiplier: np.ndarray
+    solved: np.ndarray
+
+
+def solve_cycles(m: UnicriticalMap, points: np.ndarray, perm: np.ndarray,
+                 period: int) -> CycleSolve:
+    """Newton's method on the periodic orbits of f through the points, where
+    f should send points[k] to points[perm[k]] and perm^period is the
+    identity: the equations F_k = L_k^d + c - L_(perm k) = 0, one unknown L_k
+    a point, seeded by points.
+
+    Newton's system is cyclic bidiagonal,
+    delta_(perm k) = f'(L_k) delta_k + F_k, so going period times round each
+    orbit from k, B <- f'(L) B + F and A <- f'(L) A, gives
+    delta_k = B_k / (1 - A_k), where A_k is the multiplier of f^period at
+    L_k: period gathers over all the points a step (multiple shooting; Stoer
+    and Bulirsch, Introduction to Numerical Analysis, § 7.3).
+    It takes CYCLE_STEPS steps.  A point is solved when it is finite, the
+    last correction is at most CYCLE_TOL max(1, |L|), and |A| > 1: a
+    periodic external ray lands at a repelling or parabolic point, and near
+    a parabolic one Newton crawls, so a small residual alone is not enough.
+    """
+    d, c = m.d, m.c
+    z = np.array(points, dtype=complex)
+    idx = np.arange(len(z))
+    with np.errstate(all="ignore"):     # a diverging point fails the guard instead
+        for _ in range(CYCLE_STEPS):
+            dz = d * z ** (d - 1)
+            fz = z**d + c - z[perm]
+            a, b, k = np.ones_like(z), np.zeros_like(z), idx
+            for _ in range(period):
+                a, b, k = dz[k] * a, dz[k] * b + fz[k], perm[k]
+            delta = b / (1 - a)
+            z += delta
+        size = np.abs(delta)
+        solved = np.isfinite(z) & (size <= CYCLE_TOL * np.fmax(1.0, np.abs(z))) & (np.abs(a) > 1)
+    return CycleSolve(z, size, a, solved)
+
+
 def _single_linkage(points: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage components of points at radius tol.
 

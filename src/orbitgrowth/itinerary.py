@@ -178,14 +178,15 @@ def _polish(
 
 def _solve(
     m: UnicriticalMap, codes: np.ndarray, k: int, radius: float
-) -> tuple[list[mpc], np.ndarray, np.ndarray, list[int]]:
+) -> tuple[list[mpc], np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Periodic points of the length-k words whose base-d codes (symbols
     0..d-1, most significant first) are `codes`.
 
-    Returns each word's point, its residual |f^k(z) - z| and whether it
-    converged: its representative's Newton step fell below the displacement
-    tolerance, the residual is within RESIDUAL_TOL, and the orbit follows the
-    word's sectors.  Last come the Newton steps of each representative.
+    Returns each word's point, the point rounded to complex, its residual
+    |f^k(z) - z| and whether it converged: its representative's Newton step
+    fell below the displacement tolerance, the residual is within
+    RESIDUAL_TOL, and the orbit follows the word's sectors.  Last come the
+    Newton steps of each representative.
     """
     d, c64 = m.d, m.c
     top = d ** (k - 1)
@@ -247,7 +248,7 @@ def _solve(
     word_residuals = residuals[word_rep, offset]
     converged = settled[word_rep] & follows & (word_residuals <= RESIDUAL_TOL)
     word_points = [points[r][t] for r, t in zip(word_rep.tolist(), offset.tolist())]
-    return word_points, word_residuals, converged, steps
+    return word_points, orbits[word_rep, offset], word_residuals, converged, steps
 
 
 def itinerary_point(m: UnicriticalMap, word, *, radius: float) -> ItineraryResult:
@@ -265,7 +266,7 @@ def itinerary_point(m: UnicriticalMap, word, *, radius: float) -> ItineraryResul
     word = tuple(int(a) for a in word)
     _require_hypothesis(m, radius)
     code = sum((a - 1) * m.d**j for j, a in enumerate(reversed(word)))
-    points, residuals, converged, steps = _solve(   # object: exact past 64 bits
+    points, _, residuals, converged, steps = _solve(    # object: exact past 64 bits
         m, np.array([code], dtype=object), len(word), radius)
     return ItineraryResult(
         word=word,
@@ -316,7 +317,7 @@ def count_periodic(m: UnicriticalMap, k: int, *, radius: float) -> PeriodicPoint
     n = m.d**k
     # word i spells i in base d, most significant symbol first: the order of
     # itertools.product(range(d), repeat=k)
-    points, residuals, converged, steps = _solve(m, np.arange(n), k, radius)
+    points, pts, residuals, converged, steps = _solve(m, np.arange(n), k, radius)
     if not converged.all():
         i = int(np.argmin(converged))
         word = tuple(i // m.d ** (k - 1 - j) % m.d + 1 for j in range(k))
@@ -325,7 +326,6 @@ def count_periodic(m: UnicriticalMap, k: int, *, radius: float) -> PeriodicPoint
             f"{MAX_CYCLES} cycles (residual {residuals[i]:.3g})"
         )
 
-    pts = np.array([complex(z) for z in points])
     distinct = int(np.count_nonzero(_single_linkage(pts, DEDUP_TOL) == np.arange(n)))
     if distinct < n:
         raise NonConvergenceError(

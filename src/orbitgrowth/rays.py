@@ -28,6 +28,7 @@ import itertools
 import math
 import os
 import signal
+import time
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -37,7 +38,8 @@ import numpy as np
 
 from .circle import Angle, multiply, orbit, periodic_angles
 from .dynamics import (UnicriticalMap, _is_integer, _require_int, _roots_of_unity,
-                       _single_linkage, escape_radius, nearest_branch, principal_root)
+                       _single_linkage, escape_radius, nearest_branch, principal_root,
+                       solve_cycles)
 
 TWO_PI = 2.0 * math.pi
 
@@ -419,13 +421,15 @@ class _FamilyTraces(Mapping):
     angle order; perm[i] is the index of the image of angle i under
     theta -> d theta.  Looking up an angle builds its RayTrace from its
     column, afresh on each lookup, so the samples stay in the arrays and not
-    in per-ray lists of boxed numbers.  A family that kept only its tails
-    holds retrace, its map and config, for its traces' points."""
+    in per-ray lists of boxed numbers.  A ray's landing is landing[i], its
+    last sample unless classify_landing solved it on its cycle.  A family
+    that kept only its tails holds retrace, its map and config, for its
+    traces' points."""
 
     def __init__(self, angles, lcm, ticks, perm, samples, step_res, ok, diam, critical_hit,
                  retrace=None):
         self.angles, self.lcm, self.ticks, self.perm = angles, lcm, ticks, perm
-        self.samples, self.retrace = samples, retrace
+        self.samples, self.landing, self.retrace = samples, samples[-1], retrace
         self.step_res, self.ok, self.diam, self.critical_hit = step_res, ok, diam, critical_hit
 
     def __getitem__(self, angle: Angle | Fraction) -> RayTrace:
@@ -441,7 +445,7 @@ class _FamilyTraces(Mapping):
         converged = bool(self.ok[i])
         fields = dict(
             angle=self.angles[i],
-            landing=complex(self.samples[-1, i]) if converged else None,
+            landing=complex(self.landing[i]) if converged else None,
             converged=converged,
             residual=float(self.diam[i]),
             hit_critical_pullback=bool(self.critical_hit[i]),
@@ -509,6 +513,18 @@ def trace_ray(
     return trace_rays(m, [theta], config=config)[0]
 
 
+@dataclass(frozen=True)
+class CycleRescue:
+    """What classify_landing's cycle solve did: it ran on the whole cycles of
+    the rays that the trace left unresolved, and landed those it lists."""
+
+    rays: int                       # rays solved, those cycles' members
+    rescued: list[Angle]            # unresolved rays that passed the guard
+    least_multiplier: float         # least |A| over the rescued, inf if none
+    largest_correction: float       # largest last |delta| over them, 0 if none
+    seconds: float = field(compare=False)
+
+
 @dataclass
 class LandingClassification:
     """Landing classes of the period-nu angles: angles grouped by endpoint.
@@ -517,7 +533,14 @@ class LandingClassification:
     level's.  `traces` builds each ray's RayTrace from them anew on each
     access: two lookups give equal but not identical objects, and changing
     one changes nothing held here.  Its points and step_residuals are traced
-    again on first access, by trace_rays, to the same bits."""
+    again on first access, by trace_rays, to the same bits.
+
+    A ray in `rescue.rescued` was left unresolved by the trace and landed by
+    the cycle solve.  Its trace reports the solved point as its landing,
+    converged True and the solve's last correction |delta| as its residual,
+    while its points and step_residuals stay the pullback's (trace_rays
+    still reports it unconverged).  rescue is None when the trace landed
+    every ray, as no solve then runs."""
 
     map: UnicriticalMap
     nu: int
@@ -527,6 +550,7 @@ class LandingClassification:
     unreliable: bool
     max_class_diameter: float
     traces: Mapping[Angle, RayTrace] = field(repr=False, default_factory=dict)
+    rescue: CycleRescue | None = None
 
     @property
     def class_count(self) -> int:
@@ -545,6 +569,37 @@ class LandingClassification:
         }
 
 
+def _rescue(m: UnicriticalMap, nu: int, traces: _FamilyTraces) -> CycleRescue:
+    """Solve the cycles of the rays that traces left unresolved by Newton
+    (dynamics.solve_cycles), seeded by every ray's last sample.  An
+    unresolved ray whose point passes the guard takes the solved point as
+    its landing, converges, and has the last correction as its residual, in
+    traces' arrays; every other ray keeps its trace's verdicts and landing."""
+    start = time.perf_counter()
+    stuck = ~traces.ok
+    # perm^nu is the identity, so nu - 1 steps from the stuck rays reach
+    # every ray on their cycles
+    on_cycle, k = stuck.copy(), np.flatnonzero(stuck)
+    for _ in range(nu - 1):
+        k = traces.perm[k]
+        on_cycle[k] = True
+    cols = np.flatnonzero(on_cycle)
+    solve = solve_cycles(m, traces.landing[cols], np.searchsorted(cols, traces.perm[cols]), nu)
+    passed = stuck[cols] & solve.solved
+    rescued = cols[passed]
+    traces.landing = traces.landing.copy()      # a view of the pullback's samples
+    traces.landing[rescued] = solve.points[passed]
+    traces.ok[rescued] = True
+    traces.diam[rescued] = solve.correction[passed]
+    return CycleRescue(
+        rays=len(cols),
+        rescued=[traces.angles[i] for i in rescued.tolist()],
+        least_multiplier=float(np.abs(solve.multiplier[passed]).min(initial=math.inf)),
+        largest_correction=float(solve.correction[passed].max(initial=0.0)),
+        seconds=time.perf_counter() - start,
+    )
+
+
 def classify_landing(
     m: UnicriticalMap,
     nu: int,
@@ -553,10 +608,18 @@ def classify_landing(
 ) -> LandingClassification:
     """Group the angles of period dividing nu by the landing point of their rays.
 
-    Unconverged rays are reported in `unresolved`, never silently dropped;
-    the classification is flagged unreliable when too large a fraction fails.
-    The class count is a computable lower bound for the number of fixed
-    points of the nu-th iterate on the boundary.
+    A ray lands where its trace's terminal samples cluster.  When the trace
+    leaves rays unresolved, the landing points of their whole cycles are
+    solved for by Newton on L(d theta) = f(L(theta)), seeded by the last
+    samples, and an unresolved ray whose solved point passes the guard of
+    dynamics.solve_cycles (finite, a last correction at most CYCLE_TOL
+    relative, a repelling multiplier) lands there: periodic rays land at
+    repelling or parabolic periodic points.  So a ray the trace landed keeps
+    its landing bit for bit.  The rays still unconverged are reported in
+    `unresolved`, never silently dropped; the classification is flagged
+    unreliable when too large a fraction fails.  The class count is a
+    computable lower bound for the number of fixed points of the nu-th
+    iterate on the boundary.
     """
     cfg = config or RayConfig()
     nu = _require_int(nu, "nu", 1)
@@ -565,9 +628,10 @@ def classify_landing(
         raise _size_error(f"the period-{nu} angles of z^{m.d} + c", cfg)
     angles = periodic_angles(m.d, nu)
     traces = _trace_family(m, angles, cfg, tail=True)
+    rescue = None if traces.ok.all() else _rescue(m, nu, traces)
     landed_idx = np.flatnonzero(traces.ok)
     unresolved = [angles[i] for i in np.flatnonzero(~traces.ok).tolist()]
-    points = traces.samples[-1, landed_idx]
+    points = traces.landing[landed_idx]
     labels = _single_linkage(points, GROUPING_TOL)
 
     # labels are least member indices and the angles are sorted, so a stable
@@ -605,6 +669,7 @@ def classify_landing(
         unreliable=len(unresolved) > UNRESOLVED_FRAC * len(angles) or not invariant,
         max_class_diameter=max_diam,
         traces=traces,
+        rescue=rescue,
     )
 
 

@@ -17,6 +17,7 @@ from mpmath import mpc, workdps
 
 from orbitgrowth import (
     Angle,
+    RayConfig,
     chebyshev_oracle,
     check_maximal_bruteforce,
     classify_landing,
@@ -105,9 +106,13 @@ def test_criterion_5_colanding_orbit():
     start = time.time()
     report, code = _REPRO["colanding"]()
     # independent check: the common landing point is the repelling fixed
-    # point (1 - sqrt(1-4c))/2 of the quadratic
+    # point (1 - sqrt(1-4c))/2 of the quadratic, which the rays reach by
+    # pullback alone at depth 3200 (multiplier modulus 1.007), and which the
+    # classification's landings, solved on the cycle, match
     alpha = (1 - np.sqrt(complex(1 - 4 * COLANDING_MAP.c))) / 2
-    traces = trace_rays(COLANDING_MAP, COLANDING_TRIPLE, config=COLANDING_CONFIG)
+    traces = trace_rays(COLANDING_MAP, COLANDING_TRIPLE, config=RayConfig(depth=3200, substeps=4))
+    cls = classify_landing(COLANDING_MAP, 3, config=COLANDING_CONFIG)
+    traces += [cls.traces[a] for a in COLANDING_TRIPLE]
     near_alpha = all(t.converged and abs(t.landing - alpha) < 1e-4 for t in traces)
     ok = (code == 0 and report["orbit_identified"] is True and report["noncrossing"] is True
           and report["unresolved"] == [] and near_alpha)

@@ -204,15 +204,15 @@ class TestClassesVerb:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
     def test_no_ray_landed_exits_two_in_every_format(self, capsys, fmt):
-        # at depth 1 no ray lands: json and csv exited 2, and svg exited 1
-        # with "error: nothing to draw"
-        argv = ["classes", "--d", "2", "--c=-2+0j", "--nu", "2", "--depth", "1",
-                "--format", fmt]
+        # the one fixed ray of z^2 + 1/4 lands at its parabolic fixed point,
+        # which neither the trace nor the cycle solve reaches: json and csv
+        # exited 2, and svg exited 1 with "error: nothing to draw"
+        argv = ["classes", "--d", "2", "--c=0.25+0j", "--nu", "1", "--format", fmt]
         assert main(argv) == 2
         if fmt == "svg":
             out, err = capsys.readouterr()
             assert out == ""
-            assert err == "non-convergence: no ray landed at nu = 2: nothing to draw\n"
+            assert err == "non-convergence: no ray landed at nu = 1: nothing to draw\n"
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "classes.json"

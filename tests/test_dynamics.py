@@ -14,7 +14,8 @@ from orbitgrowth import (Angle, NCRelation, Star, StarSet, UnicriticalMap,
                          enumerate_grid_star_sets, enumerate_valid, escape_radius,
                          extremal_example, interval_class_bound, periodic_angles, quotient,
                          verify_disk_hypothesis)
-from orbitgrowth.dynamics import _roots_of_unity, nearest_branch, principal_root
+from orbitgrowth.dynamics import (CYCLE_TOL, _roots_of_unity, nearest_branch, principal_root,
+                                  solve_cycles)
 
 
 def reference_branch_roots(u, d):
@@ -335,3 +336,64 @@ class TestIntegerArgumentDefects:
         # numpy's isfinite refused a Fraction or Decimal with a TypeError
         m = UnicriticalMap(2, c)
         assert type(m.c) is complex and m == CHEB
+
+
+class TestSolveCycles:
+    """Newton on the periodic orbits through given points, with its guard."""
+
+    def test_fixed_points_of_a_quadratic(self):
+        # z^2 + c = z at (1 +- sqrt(1 - 4c)) / 2: the minus root of c = -1/2
+        # attracts (|f'| = 0.73), so only the repelling one passes
+        m = UnicriticalMap(2, -0.5)
+        root = math.sqrt(3)
+        exact = np.array([(1 + root) / 2, (1 - root) / 2])
+        solve = solve_cycles(m, exact + 0.05, np.arange(2), 1)
+        assert np.abs(solve.points - exact).max() < 1e-15
+        assert np.allclose(solve.multiplier, 2 * exact)
+        assert solve.solved.tolist() == [True, False]
+
+    def test_period_a_multiple_of_the_cycle(self):
+        # going three times round a fixed point solves it as once round,
+        # with the multiplier cubed
+        m = UnicriticalMap(2, -0.5)
+        once, thrice = (solve_cycles(m, np.array([1.4 + 0.1j]), np.zeros(1, dtype=int), p)
+                        for p in (1, 3))
+        assert abs(once.points[0] - thrice.points[0]) < 1e-15
+        assert abs(thrice.multiplier[0] - once.multiplier[0] ** 3) < 1e-12
+        assert thrice.solved.all()
+
+    def test_the_rabbits_period_three_cycles(self):
+        # f^3(z) - z over f(z) - z has the rabbit's two 3-cycles as roots: the
+        # one through the critical point 0 superattracts (A = 0) and fails
+        # the guard; seeded off the orbit, each solved point maps to the next
+        m = UnicriticalMap(2, -0.12256116687665362 + 0.7448617666197442j)
+        f3 = np.polynomial.Polynomial([m.c, 0, 1])
+        f3 = f3(f3(f3)) - np.polynomial.Polynomial([0, 1])
+        period_3 = (f3 // np.polynomial.Polynomial([m.c, -1, 1])).roots()
+        start = period_3[[np.abs(period_3).argmin(), np.abs(period_3).argmax()]]
+        cycles = np.array([start, m(start), m(m(start))]).T.ravel()    # a cycle, then the other
+        perm = np.array([1, 2, 0, 4, 5, 3])
+        solve = solve_cycles(m, cycles * (1 + 1e-3), perm, 3)
+        assert solve.solved.tolist() == [False] * 3 + [True] * 3
+        assert np.abs(solve.multiplier[:3]).max() < 1e-12
+        assert np.abs(m(solve.points) - solve.points[perm]).max() < 1e-14
+        assert np.abs(solve.points - cycles).max() < 1e-12
+        assert (solve.correction[3:] <= CYCLE_TOL * np.fmax(1, np.abs(solve.points[3:]))).all()
+
+    def test_parabolic_point_not_solved(self):
+        # z^2 + 1/4 has the double fixed point 1/2, multiplier 1: Newton halves
+        # the error a step, so the last correction stays far above the guard
+        solve = solve_cycles(UnicriticalMap(2, 0.25), np.array([0.52 + 0j]), np.zeros(1, int), 1)
+        assert not solve.solved[0]
+        assert 1e-6 < solve.correction[0] < 1e-3
+
+    def test_non_finite_seed_fails_quietly(self):
+        m = UnicriticalMap(2, 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve = solve_cycles(m, np.array([np.nan, np.inf, 1e300 + 0j]), np.arange(3), 1)
+        assert not solve.solved.any()
+
+    def test_empty(self):
+        solve = solve_cycles(UnicriticalMap(2, 1j), np.empty(0, complex), np.empty(0, int), 4)
+        assert solve.points.shape == solve.solved.shape == (0,)

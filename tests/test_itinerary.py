@@ -351,8 +351,10 @@ class TestNecklaceEngine:
     @pytest.mark.parametrize("m,radius", NECKLACE_MAPS)
     def test_every_word_matches_reference(self, m, radius):
         for k in range(1, 9):
-            got, _, ok, steps = _solve(m, np.arange(m.d**k), k, radius)
+            got, floats, _, ok, steps = _solve(m, np.arange(m.d**k), k, radius)
             assert ok.all() and len(steps) == necklaces(m.d, k)
+            # the floats are the points rounded, bit for bit
+            assert floats.tobytes() == np.array([complex(z) for z in got]).tobytes()
             # the reference polishes each word alone, so a spread sample of
             # at least 256 words stands for all of them (every word for d = 2)
             sample = np.arange(0, m.d**k, max(1, m.d**k // 256))
@@ -388,7 +390,7 @@ class TestNecklaceEngine:
         # the residual of the word's point, evaluated at the polish's
         # precision, DPS plus k log10(d R^(d-1)) guard digits
         k = 6
-        got, residuals, _, _ = _solve(m, np.arange(m.d**k), k, radius)
+        got, _, residuals, _, _ = _solve(m, np.arange(m.d**k), k, radius)
         guard = math.ceil(k * math.log10(m.d * radius ** (m.d - 1)))
         with workdps(DPS + guard):
             c = mpc(m.c)
@@ -488,7 +490,8 @@ class TestDedup:
 
         def count(pts):
             n = len(pts)
-            solved = ([mpc(z) for z in pts.tolist()], np.zeros(n), np.ones(n, dtype=bool), [1])
+            solved = ([mpc(z) for z in pts.tolist()], pts.astype(complex), np.zeros(n),
+                      np.ones(n, dtype=bool), [1])
             monkeypatch.setattr(itinerary, "_solve", lambda *args: solved)
             # one word of length 1 per point: a stand-in map of degree n
             return count_periodic(SimpleNamespace(d=n), 1, radius=1.0)

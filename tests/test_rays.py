@@ -916,7 +916,7 @@ def _dict_classes(cls):
     angles = list(traces)
     landed_idx = np.flatnonzero(traces.ok)
     landed = [angles[i] for i in landed_idx.tolist()]
-    points = traces.samples[-1, landed_idx]
+    points = traces.landing[landed_idx]
     labels = _single_linkage(points, rays.GROUPING_TOL)
     groups = {}
     for i, label in enumerate(labels.tolist()):
@@ -1058,8 +1058,9 @@ class TestClassifyLanding:
     @pytest.mark.parametrize("m,nu,singletons", [
         (CHEB, 6, False),                           # pairs {t, 1 - t}, and 0 alone
         (UnicriticalMap(2, 0.1j), 6, True),         # a quasicircle: one ray a point
-        (UnicriticalMap(100, 0.3 + 0.5j), 1, True),     # no ray lands
-    ], ids=["pairs", "singletons", "none-landed"])
+        (UnicriticalMap(100, 0.3 + 0.5j), 1, True),     # no trace lands: all rescued
+        (UnicriticalMap(2, 0.25), 1, True),     # parabolic: not even the solve lands 0/1
+    ], ids=["pairs", "singletons", "rescued", "none-landed"])
     def test_class_assembly_matches_dict_of_lists(self, m, nu, singletons):
         cls = classify_landing(m, nu)
         classes, representatives, max_diam = _dict_classes(cls)
@@ -1405,24 +1406,69 @@ class TestPeriodicAngleFamilies:
             assert {multiply(a, 2) for a in fam} == fam
 
 
-class TestOpenDefects:
-    """Known wrong answers, each asserting the right one: the change that
-    mends a defect turns its strict xfail into a failure to flip."""
+class TestCycleRescue:
+    """classify_landing lands the rays that its trace leaves unresolved by
+    Newton on their cycles; a ray the trace landed keeps its landing."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
-    @pytest.mark.parametrize("c, count", [
-        (-0.12256116687665362 + 0.7448617666197442j, 4093),
-        (-1, 4094),
-        (-1.7548776662466927, 3933),
-    ], ids=["rabbit", "basilica", "airplane"])
-    def test_every_ray_lands_at_nu_12(self, c, count):
-        # the last sample of a depth-48 pullback leaves 242, 202 and 78 rays
-        # unresolved, and 3853, 3893 and 3868 classes
+    @pytest.mark.parametrize("c, count, traced", [
+        (RABBIT.c, 4093, 242),
+        (-1, 4094, 202),
+        (-1.7548776662466927, 3933, 78),
+        (1j, 4024, 400),
+    ], ids=["rabbit", "basilica", "airplane", "misiurewicz-i"])
+    def test_every_ray_lands_at_nu_12(self, c, count, traced):
+        # the last sample of a depth-48 pullback leaves 242, 202, 78 and 400
+        # rays unresolved, and 3853, 3893, 3868 and 3693 classes, unflagged
         cls = classify_landing(UnicriticalMap(2, c), 12)
         assert (cls.class_count, len(cls.unresolved)) == (count, 0)
+        assert len(cls.rescue.rescued) == traced
+        assert cls.rescue.least_multiplier > 1
+        assert not cls.unreliable
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
     def test_every_ray_lands_at_d_100(self):
-        # Newton at level 1 leaves residuals above NEWTON_TOL: 0 classes, 99 unresolved
-        cls = classify_landing(UnicriticalMap(100, 0.3 + 0.5j), 1)
+        # Newton at level 1 leaves residuals above the absolute NEWTON_TOL, so
+        # the trace lands none of the 99 fixed rays; the solve lands them all
+        m = UnicriticalMap(100, 0.3 + 0.5j)
+        cls = classify_landing(m, 1)
         assert cls.class_count == 99
+        assert not any(t.converged for t in trace_rays(m, cls.rescue.rescued))
+
+    @pytest.mark.parametrize("nu, solved", [(8, 44), (10, 95)])
+    def test_traced_landings_kept_bit_for_bit(self, nu, solved):
+        # the solve runs on the unresolved rays' whole cycles, at nu = 8 on
+        # 44 rays of which the trace landed 9; at nu = 10 no cycle is mixed
+        angles = periodic_angles(2, nu)
+        traced = dict(zip(angles, trace_rays(RABBIT, angles)))
+        cls = classify_landing(RABBIT, nu)
+        rescued = set(cls.rescue.rescued)
+        assert rescued and not cls.unresolved and cls.rescue.rays == solved
+        assert rescued == {a for a, t in traced.items() if not t.converged}
+        for a, t in traced.items():
+            got = cls.traces[a]
+            if t.converged:
+                assert np.array([got.landing, got.residual]).tobytes() == \
+                    np.array([t.landing, t.residual]).tobytes()
+            else:
+                # a rescued trace: the solved landing, converged, the last
+                # correction as its residual, and the pullback's samples; f
+                # maps the landing to its image ray's, which, if traced, may
+                # lie up to about LANDING_TOL from the solved cycle's point
+                assert got.converged and got.residual <= 1e-12 * max(1.0, abs(got.landing))
+                assert abs(RABBIT(got.landing) - cls.traces[multiply(a, 2)].landing) < 1e-8
+                assert got.points == t.points and got.step_residuals == t.step_residuals
+
+    def test_no_solve_when_every_ray_landed(self, monkeypatch):
+        # every ray of z^2 - 2 lands by tracing, so the solve never runs
+        monkeypatch.setattr(rays, "solve_cycles", None)
+        cls = classify_landing(CHEB, 10)
+        assert cls.rescue is None and cls.class_count == 2**9
+
+    def test_parabolic_rays_stay_unresolved(self):
+        # c = -3/4 is the basilica's root: its 62 classes at nu = 6 are the
+        # basilica's.  The rays landing at the parabolic fixed point crawl
+        # under Newton, whose corrections stay far above CYCLE_TOL, so they
+        # stay unresolved: a residual test alone reported 63 classes and
+        # none unresolved.
+        cls = classify_landing(UnicriticalMap(2, -0.75), 6)
+        assert cls.unresolved
+        assert cls.class_count < 62
