@@ -147,7 +147,7 @@ def _cmd_ncp(args: argparse.Namespace) -> int:
 
 def _cmd_rays(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    rc = RayConfig(depth=args.depth, substeps=args.substeps)
+    rc = RayConfig(depth=args.depth)
     traces = trace_rays(m, [angle_from_string(a) for a in args.angles.split(",")], config=rc)
     if args.fmt == "svg":
         cloud = julia_cloud(m) if args.cloud else None
@@ -159,7 +159,7 @@ def _cmd_rays(args: argparse.Namespace) -> int:
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     m = UnicriticalMap(args.d, args.c)
-    rc = RayConfig(depth=args.depth, substeps=args.substeps)
+    rc = RayConfig(depth=args.depth)
     cls = classify_landing(m, args.nu, config=rc)
     if args.fmt == "svg":
         if not cls.classes:
@@ -231,7 +231,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 CHEBYSHEV = UnicriticalMap(2, -2 + 0j)
 CANTOR = UnicriticalMap(2, -6 + 0j)
 COLANDING_MAP = UnicriticalMap(2, complex(-0.110, 0.6557))
-COLANDING_CONFIG = RayConfig(depth=148, substeps=4)
+COLANDING_CONFIG = RayConfig(depth=148)
 COLANDING_TRIPLE = (Angle(1, 7), Angle(2, 7), Angle(4, 7))
 
 
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=complex, default=0j,
                        help='parameter as a Python complex; quote negatives as --c="-0.11+0.6557j"')
         p.add_argument("--depth", type=int, default=RayConfig.depth)
-        p.add_argument("--substeps", type=int, default=RayConfig.substeps)
         p.add_argument("--cloud", action="store_true", help="add a Julia point cloud (svg)")
 
     p = sub.add_parser("stars", help="check a family of stars")

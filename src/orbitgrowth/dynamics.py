@@ -215,11 +215,17 @@ class DiskHypothesisReport:
 def verify_disk_hypothesis(m: UnicriticalMap, radius: float) -> DiskHypothesisReport:
     """Check that U = disk(0, radius) avoids the critical value and pulls back
     compactly into itself, the setting in which every periodic symbol sequence
-    is realized by a periodic point.
+    is realized by a periodic point; radius, a real number, is kept as a float.
 
     >>> verify_disk_hypothesis(UnicriticalMap(2, -6), 4.0).ok
     True
     """
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
+        raise ValueError(f"radius must be a real number, got {radius!r}")
+    try:
+        radius = float(radius)
+    except OverflowError:       # an integer past the largest float
+        radius = math.inf
     if not 0 < radius < math.inf:       # NaN fails too
         raise ValueError("radius must be finite and positive")
     cv_margin = abs(m.c) - radius

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import _require_degree
-from .dynamics import _is_integer, _require_int
+from .dynamics import _require_int
 
 MAX_BOUND_DIGITS = 4300    # Python's default limit on the digits of an int printed as text
 
@@ -62,18 +62,13 @@ def rate_estimate(d: int, samples) -> RateEstimate:
     samples = tuple(samples)
     if not samples:
         raise ValueError("at least one (nu, count) sample is required")
+    samples = tuple((_require_int(nu, "nu", 1), _require_int(count, "count", 1))
+                    for nu, count in samples)
     seen = set()
-    for nu, count in samples:
-        if not (_is_integer(nu) and _is_integer(count)):
-            raise ValueError(f"nu and count must be integers, got ({nu!r}, {count!r})")
-        if nu < 1:
-            raise ValueError(f"nu must be >= 1, got {nu}")
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+    for nu, _ in samples:
         if nu in seen:
             raise ValueError(f"duplicate nu={nu}")
         seen.add(nu)
-    samples = tuple((int(nu), int(count)) for nu, count in samples)
     per = tuple(math.log(count) / nu for nu, count in samples)
     estimate = max(per)
     target = math.log(abs(d))

@@ -110,7 +110,7 @@ def test_criterion_5_colanding_orbit():
     # pullback alone at depth 3200 (multiplier modulus 1.007), and which the
     # classification's landings, solved on the cycle, match
     alpha = (1 - np.sqrt(complex(1 - 4 * COLANDING_MAP.c))) / 2
-    traces = trace_rays(COLANDING_MAP, COLANDING_TRIPLE, config=RayConfig(depth=3200, substeps=4))
+    traces = trace_rays(COLANDING_MAP, COLANDING_TRIPLE, config=RayConfig(depth=3200))
     cls = classify_landing(COLANDING_MAP, 3, config=COLANDING_CONFIG)
     traces += [cls.traces[a] for a in COLANDING_TRIPLE]
     near_alpha = all(t.converged and abs(t.landing - alpha) < 1e-4 for t in traces)

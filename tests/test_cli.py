@@ -166,13 +166,13 @@ class TestRaysVerb:
         assert "orbits of 1/127, 3/127, 5/127" in err and "lower nu or depth" in err
 
 
-    def test_excessive_substeps_exits_one_without_allocating(self, capsys):
-        # the level buffers hold 2 * substeps samples a ray: a hundred million
-        # substeps were built as a list of arrays, about 22 GB
+    def test_excessive_depth_of_one_orbit_exits_one_without_allocating(self, capsys):
+        # a hundred million levels of the one ray 1/3 hold 2 * 10^8 samples
+        # of its 2-cycle, refused before any level buffer is built
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            code = main(["rays", "--angles", "1/3", "--substeps", "100000000"])
+            code = main(["rays", "--angles", "1/3", "--depth", "100000000"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -180,7 +180,16 @@ class TestRaysVerb:
         assert time.perf_counter() - start < 1.0
         assert peak < 1e6
         out, err = capsys.readouterr()
-        assert out == "" and "at 100000000 substeps" in err
+        assert out == "" and "orbit of 1/3 to depth 100000000" in err
+
+    @pytest.mark.parametrize("verb", [["rays", "--angles", "1/3"], ["classes", "--nu", "2"]],
+                             ids=["rays", "classes"])
+    def test_substeps_flag_is_gone(self, capsys, verb):
+        # the sublevels a level are RayConfig.substeps, a constant
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--substeps", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --substeps 4" in capsys.readouterr().err
 
 
 class TestClassesVerb:
@@ -432,10 +441,9 @@ class TestConfigSurface:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("verb, dest, default", [
-        ("rays", "substeps", RayConfig().substeps),
         ("rays", "depth", RayConfig().depth),
         ("classes", "depth", RayConfig().depth),
-    ], ids=["rays-substeps", "rays-depth", "classes-depth"])
+    ], ids=["rays-depth", "classes-depth"])
     def test_default_is_the_library_default(self, verb, dest, default):
         assert getattr(build_parser().parse_args([verb]), dest) == default
 
@@ -445,9 +453,9 @@ class TestConfigSurface:
         ["classes", "--nu", "3"],
     ], ids=["rays", "classes"])
     def test_nonpositive_depth_exits_one(self, capsys, argv, depth):
-        # --depth goes through RayConfig's validation like every other knob
+        # --depth goes through RayConfig's validation, as library calls do
         assert main(argv + ["--depth", depth]) == 1
-        assert "depth and substeps must be >= 1" in capsys.readouterr().err
+        assert f"depth must be an integer >= 1, got {depth}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, code", [
         (["repro", "--target", "stars"], 0),

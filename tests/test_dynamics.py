@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitgrowth import (Angle, NCRelation, Star, StarSet, UnicriticalMap,
+from orbitgrowth import (Angle, NCRelation, RayConfig, Star, StarSet, UnicriticalMap,
                          check_maximal_bruteforce, classify_landing, count_periodic,
                          enumerate_grid_star_sets, enumerate_valid, escape_radius,
                          extremal_example, interval_class_bound, periodic_angles, quotient,
-                         verify_disk_hypothesis)
+                         rate_estimate, verify_disk_hypothesis)
 from orbitgrowth.dynamics import (CYCLE_TOL, _roots_of_unity, nearest_branch, principal_root,
                                   solve_cycles)
 
@@ -98,6 +98,39 @@ class TestDiskHypothesis:
     def test_radius_validated(self):
         with pytest.raises(ValueError):
             verify_disk_hypothesis(UnicriticalMap(2, -6 + 0j), 0.0)
+
+    @pytest.mark.parametrize("radius", ["4", 4 + 0j, None, True, np.bool_(True), Decimal(4)],
+                             ids=["str", "complex", "None", "True", "numpy-True", "Decimal"])
+    def test_non_real_or_bool_radius_rejected(self, radius):
+        # "4", 4+0j and None raised TypeError from the comparison with 0, a
+        # Decimal from the margins, and True was taken as 1 and reported as
+        # "radius": true
+        m = UnicriticalMap(2, -6 + 0j)
+        with pytest.raises(ValueError, match=r"^radius must be a real number, got "):
+            verify_disk_hypothesis(m, radius)
+        with pytest.raises(ValueError, match=r"^radius must be a real number, got "):
+            count_periodic(m, 1, radius=radius)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0, -1.0, 10**400],
+                             ids=["nan", "inf", "zero", "negative", "10**400"])
+    def test_radius_not_finite_and_positive_rejected(self, radius):
+        # 10**400 raised OverflowError from the margins
+        m = UnicriticalMap(2, -6 + 0j)
+        with pytest.raises(ValueError, match=r"^radius must be finite and positive$"):
+            verify_disk_hypothesis(m, radius)
+        with pytest.raises(ValueError, match=r"^radius must be finite and positive$"):
+            count_periodic(m, 1, radius=radius)
+
+    @pytest.mark.parametrize("radius", [4, np.int64(4), np.float32(4), Fraction(4)],
+                             ids=["int", "int64", "float32", "Fraction"])
+    def test_real_radius_kept_as_float(self, radius):
+        # an int radius was kept and reported as an int
+        m = UnicriticalMap(2, -6 + 0j)
+        report, expected = verify_disk_hypothesis(m, radius), verify_disk_hypothesis(m, 4.0)
+        assert type(report.radius) is float and report == expected
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert count_periodic(m, 3, radius=radius).to_dict() == \
+            count_periodic(m, 3, radius=4.0).to_dict()
 
     def test_report_is_truthy(self):
         assert bool(verify_disk_hypothesis(UnicriticalMap(2, -6 + 0j), 4.0)) is True
@@ -256,6 +289,12 @@ INT_SITES = {
         2, 3, enumerate_grid_star_sets,
         lambda families: [f.degree for f in families] + [s.degree for f in families for s in f],
         lambda families: [f.to_list() for f in families]),
+    "RayConfig depth": (1, 3, lambda n: RayConfig(depth=n), lambda cfg: [cfg.depth], None),
+    "rate_estimate nu": (1, 2, lambda n: rate_estimate(2, [(n, 3)]),
+                         lambda est: [nu for nu, _ in est.samples], lambda est: est.to_dict()),
+    "rate_estimate count": (1, 2, lambda n: rate_estimate(2, [(3, n)]),
+                            lambda est: [count for _, count in est.samples],
+                            lambda est: est.to_dict()),
     "check_maximal_bruteforce grid_refinement": (
         1, 2, lambda n: check_maximal_bruteforce(StarSet(4, [Star(4, HALF)]), n),
         lambda maximal: [], None),

@@ -11,6 +11,7 @@ import random
 import signal
 import time
 import tracemalloc
+import typing
 from collections import deque
 from decimal import Decimal
 from fractions import Fraction
@@ -333,20 +334,18 @@ class TestTraceRay:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RayConfig(depth=0)
-        # a float depth or substeps was accepted, and tracing then failed
-        # inside numpy with a TypeError; numpy integers stay accepted, and
-        # are kept as ints
-        for field in ("depth", "substeps"):
-            for value in (2.5, 2.0):
-                with pytest.raises(ValueError, match="integers"):
-                    RayConfig(**{field: value})
-            value = getattr(RayConfig(**{field: np.int64(3)}), field)
-            assert value == 3 and type(value) is int
+        # a float depth was accepted, and tracing then failed inside numpy
+        # with a TypeError; numpy integers stay accepted, and are kept as ints
+        for value in (2.5, 2.0):
+            with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+                RayConfig(depth=value)
+        depth = RayConfig(depth=np.int64(3)).depth
+        assert depth == 3 and type(depth) is int
 
     def test_numpy_config_meets_the_size_guard(self):
-        # depth + 1 + 2 * substeps wrapped round to 100 in int64, so the size
-        # guard passed and numpy failed with "array is too big"
-        config = RayConfig(depth=np.int64(2**63 - 1), substeps=np.int64(2**62 + 50))
+        # depth + 1 + 2 * substeps wrapped round in int64, so the size guard
+        # passed and numpy failed with "array is too big"
+        config = RayConfig(depth=np.int64(2**63 - 1))
         with pytest.raises(ValueError, match="ray samples"):
             trace_ray(CHEB, "1/3", config=config)
 
@@ -357,14 +356,22 @@ class TestTraceRay:
             config.depth = 0
         assert config.depth == 48
 
-    @pytest.mark.parametrize("field", ["depth", "substeps"])
-    def test_bool_depth_or_substeps_rejected(self, field):
-        with pytest.raises(ValueError, match="integers"):
-            RayConfig(**{field: True})
+    def test_bool_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+            RayConfig(depth=True)
 
     def test_config_fields_are_the_settable_values(self):
         names = [f.name for f in dataclasses.fields(RayConfig)]
-        assert names == ["depth", "substeps"]
+        assert names == ["depth"]
+
+    def test_substeps_is_a_constant_not_a_field(self):
+        # every trace pulls a level back in the same number of sublevels
+        assert RayConfig.substeps == RayConfig().substeps == 8
+        assert typing.get_type_hints(RayConfig)["substeps"] == typing.ClassVar[int]
+        with pytest.raises(TypeError):
+            RayConfig(substeps=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RayConfig().substeps = 4
 
     @pytest.mark.parametrize("fn", [trace_rays, trace_ray, classify_landing])
     def test_depth_is_set_only_through_config(self, fn):
@@ -491,13 +498,14 @@ class TestBlockPullback:
     @pytest.mark.parametrize("substeps", [1, 3, 4, 8])
     @pytest.mark.parametrize("n,depth", [(3, 48), (7, 48), (63, 48), (1023, 16),
                                          (rays.BLOCK_SAMPLES + 5, 8)])
-    def test_matches_one_sublevel_steps(self, d, substeps, n, depth):
+    def test_matches_one_sublevel_steps(self, monkeypatch, d, substeps, n, depth):
         # b = min(s, BLOCK_SAMPLES // n) rows per block: whole levels up to
         # n = 1023, two blocks a level at n = 1023 and s = 8, one row per
         # block past BLOCK_SAMPLES
         angles = list(closed_family(d, n))
         assert len(angles) == n
-        config = RayConfig(depth=depth, substeps=substeps)
+        monkeypatch.setattr(RayConfig, "substeps", substeps)
+        config = RayConfig(depth=depth)
         expected = reference_trace_family(BLOCK_MAPS[d], angles, config)
         traced = rays._trace_family(BLOCK_MAPS[d], angles, config)
         assert list(traced) == list(expected) == angles
@@ -519,7 +527,7 @@ class TestBlockPullback:
         # more nearest_branch calls
         monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
         angles = list(closed_family(d, n))
-        config = RayConfig(depth=depth, substeps=8)
+        config = RayConfig(depth=depth)
         expected = reference_trace_family(BLOCK_MAPS[d], angles, config)
         calls, picks = [], []
         root, nearest = rays.principal_root, rays.nearest_branch
@@ -553,7 +561,8 @@ class TestBlockPullback:
         # Chunks restart at one level after a chain, so a pick that changes
         # at the first level below a chained one wastes nothing
         angles = list(closed_family(m.d, n)) if n else []
-        config = RayConfig(depth=depth, substeps=s)
+        monkeypatch.setattr(RayConfig, "substeps", s)
+        config = RayConfig(depth=depth)
         picks = []
         expected = reference_trace_family(m, angles, config, picks_out=picks)
         calls = []
@@ -577,7 +586,7 @@ class TestBlockPullback:
         # back again: 3 after level 5, 11 after level 26, and none after
         # levels 6 and 27, each the first of its chunk
         m, angles = UnicriticalMap(2, -0.110 + 0.6557j), [Angle(p, 7) for p in (1, 2, 4)]
-        config = RayConfig(depth=40, substeps=8)
+        config = RayConfig(depth=40)
         inputs = []
         reference = reference_branch_roots
         monkeypatch.setitem(globals(), "reference_branch_roots",
@@ -615,7 +624,8 @@ class TestBlockPullback:
     ])
     def test_matches_when_newton_starts_after_passing_chunks(self, monkeypatch, n, depth):
         angles = list(closed_family(5, n)) if n else []
-        config = RayConfig(depth=depth, substeps=1)
+        monkeypatch.setattr(RayConfig, "substeps", 1)
+        config = RayConfig(depth=depth)
         tol, failing = late_newton_tol(angles, config)
         assert n == 0 or failing[0] >= 2
 
@@ -643,7 +653,8 @@ class TestBlockPullback:
         # speculated again from its picks.  Six levels take seven principal
         # roots (level 6's first speculation is not kept), and the last
         # nearest_branch call checks a chunk of one speculated level
-        angles, config = list(closed_family(5, 3)), RayConfig(depth=6, substeps=1)
+        monkeypatch.setattr(RayConfig, "substeps", 1)
+        angles, config = list(closed_family(5, 3)), RayConfig(depth=6)
         tol, failing = late_newton_tol(angles, config)
         assert failing == [5]
         monkeypatch.setattr(rays, "NEWTON_TOL", tol)
@@ -704,7 +715,7 @@ class TestBlockPullback:
         # levels of the narrow family n = 63
         monkeypatch.setattr(rays, "DERIV_TOL", 1.0)
         angles = list(closed_family(2, n))
-        config = RayConfig(depth=depth, substeps=8)
+        config = RayConfig(depth=depth)
         expected = reference_trace_family(BLOCK_MAPS[2], angles, config)
         traced = rays._trace_family(BLOCK_MAPS[2], angles, config)
         flags = {t.hit_critical_pullback for t in expected.values()}
@@ -716,7 +727,7 @@ class TestBlockPullback:
         # sublevels and over its level samples only, so that ray is flagged
         # only if the chunked check folds every row of every level
         m, angles = BLOCK_MAPS[2], list(closed_family(2, 63))
-        config = RayConfig(depth=48, substeps=8)
+        config = RayConfig(depth=48)
         least = np.empty(len(angles))
         expected = reference_trace_family(m, angles, config, least)
         at_levels = np.array([np.abs(expected[a].points).min() for a in angles])
@@ -935,20 +946,21 @@ class TestTailTrace:
     and its folds over all levels: they, and so the verdicts, equal the full
     trace's bit for bit, and so do the traces that its lookups give."""
 
-    @pytest.mark.parametrize("m,family,config,cpus,zero_tol", [
-        (CHEB, lambda: periodic_angles(2, 10), RayConfig(), 2, False),
-        (RABBIT, lambda: periodic_angles(2, 8), RayConfig(), 1, False),      # unresolved rays
-        (CUBIC, lambda: periodic_angles(3, 4), RayConfig(depth=3, substeps=3), 1, False),
-        (UnicriticalMap(2, 0.25), lambda: periodic_angles(2, 5), RayConfig(depth=300), 1,
+    @pytest.mark.parametrize("m,family,config,substeps,cpus,zero_tol", [
+        (CHEB, lambda: periodic_angles(2, 10), RayConfig(), 8, 2, False),
+        (RABBIT, lambda: periodic_angles(2, 8), RayConfig(), 8, 1, False),   # unresolved rays
+        (CUBIC, lambda: periodic_angles(3, 4), RayConfig(depth=3), 3, 1, False),
+        (UnicriticalMap(2, 0.25), lambda: periodic_angles(2, 5), RayConfig(depth=300), 8, 1,
          False),                                                             # narrow and deep
-        (BLOCK_MAPS[5], lambda: list(closed_family(5, 7)), RayConfig(depth=48), 1, True),
-        (BLOCK_MAPS[2], lambda: list(closed_family(2, 1500)), RayConfig(depth=16), 2, False),
+        (BLOCK_MAPS[5], lambda: list(closed_family(5, 7)), RayConfig(depth=48), 8, 1, True),
+        (BLOCK_MAPS[2], lambda: list(closed_family(2, 1500)), RayConfig(depth=16), 8, 2, False),
     ], ids=["chebyshev-split", "rabbit", "cubic-depth-3", "parabolic-depth-300",
             "newton-tol-0", "trees-split"])
-    def test_tails_and_folds_match_the_full_trace(self, monkeypatch, m, family, config, cpus,
-                                                  zero_tol):
+    def test_tails_and_folds_match_the_full_trace(self, monkeypatch, m, family, config, substeps,
+                                                  cpus, zero_tol):
         if zero_tol:
             monkeypatch.setattr(rays, "NEWTON_TOL", 0.0)
+        monkeypatch.setattr(RayConfig, "substeps", substeps)
         visible_cpus(monkeypatch, cpus)
         angles = family()
         full = rays._trace_family(m, angles, config)
